@@ -1,0 +1,80 @@
+"""Non-left-orderability certificates for surgeries on twisted torus knots."""
+
+from .alexander import (
+    LaurentPolynomial,
+    alexander_polynomial,
+    fox_derivative,
+    lspace_surgery_threshold,
+    torus_alexander,
+)
+from .certificates import (
+    Certificate,
+    certify,
+    slope_range,
+    verify_certificate,
+    xy_change_minus,
+    xy_change_plus,
+)
+from .cosets import CosetTable, check_peripheral_commutation, todd_coxeter
+from .families import (
+    FamilyParams,
+    KnotData,
+    Slope,
+    build,
+    build_minus,
+    build_plus,
+    is_lspace_knot,
+    surgery_presentation,
+)
+from .homology import abelianization_matrix, h1, smith_normal_form
+from .presentation import (
+    GeneratorChange,
+    Presentation,
+    Relation,
+    RewriteStep,
+    apply_relation,
+    change_generators,
+    find_relation_applications,
+)
+from .words import Word, format_word, parse_word
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "Certificate",
+    "CosetTable",
+    "FamilyParams",
+    "GeneratorChange",
+    "KnotData",
+    "LaurentPolynomial",
+    "Presentation",
+    "Relation",
+    "RewriteStep",
+    "Slope",
+    "Word",
+    "__version__",
+    "abelianization_matrix",
+    "alexander_polynomial",
+    "apply_relation",
+    "build",
+    "build_minus",
+    "build_plus",
+    "certify",
+    "change_generators",
+    "check_peripheral_commutation",
+    "find_relation_applications",
+    "format_word",
+    "fox_derivative",
+    "h1",
+    "is_lspace_knot",
+    "lspace_surgery_threshold",
+    "parse_word",
+    "slope_range",
+    "smith_normal_form",
+    "surgery_presentation",
+    "todd_coxeter",
+    "torus_alexander",
+    "verify_certificate",
+    "xy_change_minus",
+    "xy_change_plus",
+]

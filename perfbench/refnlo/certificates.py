@@ -1,0 +1,301 @@
+"""Positive-rewriting certificates of non-left-orderability.
+
+For the L-space families T(p, pk±1; p-1, m) and T(p, pk±1; p-2, 1) the
+knot group has generators x, y with x a meridian such that the surface
+framing s rewrites as a word in positive powers of x and y containing at
+least one x.  A certificate packages the generator change, the (at most
+one-step) relator rewrite needed, the positive word, and the framing
+coefficient v = p*q + ell^2*m; every surgery slope p'/q' with
+p', q' > 0 and p'/q' >= v then yields a quotient group that is not
+left-orderable.
+
+Certificates are self-contained: verification replays the recorded trace
+and re-checks each hypothesis, and never searches.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+from .families import FamilyParams, KnotData, Slope
+from .presentation import (
+    GeneratorChange,
+    RewriteError,
+    TraceStep,
+    one_step_to,
+    replay_trace,
+)
+from .words import Word, contains, format_word, is_positive, substitute
+
+SCHEMA_VERSION = 1
+
+CASE_MINUS_TOP = "sign=-1,ell=p-1"
+CASE_MINUS_NEXT = "sign=-1,ell=p-2,m=1"
+CASE_PLUS_TOP = "sign=+1,ell=p-1"
+CASE_PLUS_NEXT = "sign=+1,ell=p-2,m=1"
+CASES = (CASE_MINUS_TOP, CASE_MINUS_NEXT, CASE_PLUS_TOP, CASE_PLUS_NEXT)
+
+ELL2_REFUSAL = (
+    "no positive rewriting of the framing is known for ell = 2, m = 1 with "
+    "p >= 5; bounded search (find_relation_applications) is available for "
+    "exploration but this tool ships no claim for these parameters"
+)
+M_ZERO_REFUSAL = (
+    "certificates cover the twisted families with m >= 1 only; m = 0 "
+    "degenerates to a torus knot outside their standing assumption"
+)
+
+# Verification clauses, reported individually on failure.
+CLAUSE_SCHEMA = "schema_version"
+CLAUSE_ROUND_TRIP = "round_trip"
+CLAUSE_MERIDIAN = "meridian"
+CLAUSE_REPLAY = "trace_replay"
+CLAUSE_POSITIVITY = "positivity"
+CLAUSE_FRAMING = "framing"
+
+
+class CertificateError(ValueError):
+    """Certificate construction failed an internal consistency check."""
+
+
+class UnsupportedParameters(CertificateError):
+    """Parameters outside the four certified cases."""
+
+
+@dataclass(frozen=True)
+class HypothesisRecord:
+    x_is_meridian: bool
+    s_positive: bool
+    s_contains_x: bool
+
+
+@dataclass(frozen=True)
+class Certificate:
+    schema_version: int
+    params: FamilyParams
+    case: str
+    change: GeneratorChange
+    trace: tuple[TraceStep, ...]
+    positive_s: Word
+    v: int
+    hypotheses: HypothesisRecord
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    passed: bool
+    failures: tuple[str, ...]
+
+    def __str__(self) -> str:
+        if self.passed:
+            return "PASS"
+        return "FAIL: " + "; ".join(self.failures)
+
+
+def xy_change_minus(k: int) -> GeneratorChange:
+    """Generator change for the q = pk-1 families.
+
+    New generators x = a^-1 b^k (a meridian) and y = b^(1-k) a, with
+    inverse assignments b = yx and a = (yx)^(k-1) y.
+    """
+    if k < 1:
+        raise ValueError(f"require k >= 1, got {k}")
+    x, y, a, b = (Word([(g, 1)]) for g in "xyab")
+    return GeneratorChange(
+        forward={"a": (y * x) ** (k - 1) * y, "b": y * x},
+        backward={"x": ~a * b ** k, "y": b ** (1 - k) * a},
+    )
+
+
+def xy_change_plus(k: int) -> GeneratorChange:
+    """Generator change for the q = pk+1 families.
+
+    New generators x = b^-k a (a meridian) and y = a^-1 b^(k+1), with
+    inverse assignments b = xy and a = (xy)^k x.
+    """
+    if k < 1:
+        raise ValueError(f"require k >= 1, got {k}")
+    x, y, a, b = (Word([(g, 1)]) for g in "xyab")
+    return GeneratorChange(
+        forward={"a": (x * y) ** k * x, "b": x * y},
+        backward={"x": b ** (-k) * a, "y": ~a * b ** (k + 1)},
+    )
+
+
+def _classify(params: FamilyParams) -> str:
+    p, ell, m, sign = params.p, params.ell, params.m, params.sign
+    if m == 0:
+        raise UnsupportedParameters(M_ZERO_REFUSAL)
+    if ell == p - 1:
+        return CASE_MINUS_TOP if sign == -1 else CASE_PLUS_TOP
+    if ell == p - 2:
+        if m == 1:
+            return CASE_MINUS_NEXT if sign == -1 else CASE_PLUS_NEXT
+        raise UnsupportedParameters(
+            f"nearest case sign={sign:+d},ell=p-2,m=1 requires m = 1, got m = {m}"
+        )
+    if ell == 2 and m == 1 and p >= 5:
+        raise UnsupportedParameters(ELL2_REFUSAL)
+    raise UnsupportedParameters(
+        f"ell = {ell} matches neither p-1 = {p - 1} nor p-2 = {p - 2}; "
+        "no certified construction applies"
+    )
+
+
+def _closed_form(params: FamilyParams, case: str) -> tuple[Word, bool]:
+    """The positive word for s in x, y per certified case, plus whether
+    reaching it takes one relator application (instead of free equality).
+
+    In the k = 1 subcase of the first minus family the direct form
+    ((yx)^(k-1) y^(m+1))^(p-1) (yx)^(k-1) y collapses to a power of y with
+    no x in it, so the framing is first rewritten once with the group
+    relation, landing on y^m (y x y^m)^(p-2) y x.
+    """
+    p, k, m = params.p, params.k, params.m
+    x, y = Word([("x", 1)]), Word([("y", 1)])
+    if case == CASE_MINUS_TOP:
+        if k == 1:
+            return y ** m * (y * x * y ** m) ** (p - 2) * y * x, True
+        run = (y * x) ** (k - 1)
+        return (run * y ** (m + 1)) ** (p - 1) * run * y, False
+    if case == CASE_MINUS_NEXT:
+        run = (y * x) ** (k - 1)
+        return x * run * (y * run * y) ** (p - 2) * run * y, True
+    if case == CASE_PLUS_TOP:
+        return ((x * y) ** (k + 1) * y ** (m - 1)) ** (p - 1) * (x * y) ** k * x, False
+    if case == CASE_PLUS_NEXT:
+        return (
+            (x * y) ** (2 * k + 1) * (y * (x * y) ** k) ** (p - 3) * (x * y) ** k * x,
+            False,
+        )
+    raise AssertionError(f"unknown case {case}")
+
+
+def certify(kd: KnotData) -> Certificate:
+    """Build a certificate for one of the four certified parameter cases.
+
+    The positive word is instantiated from the closed form for the case
+    and cross-checked against replaying the rewrite trace from the stored
+    framing word, so a transcription error in either aborts construction.
+    """
+    params = kd.params
+    case = _classify(params)
+    change = xy_change_minus(params.k) if params.sign == -1 else xy_change_plus(params.k)
+    closed, needs_step = _closed_form(params, case)
+    target = substitute(closed, change.backward)
+
+    s = kd.peripheral.s
+    if needs_step and target != s:
+        trace = one_step_to(s, kd.presentation.relators[0], target)
+        if trace is None:
+            raise CertificateError(
+                "no single relator application rewrites the framing into the "
+                "closed form; construction aborted"
+            )
+    else:
+        trace = ()
+
+    replayed = replay_trace(s, trace, kd.presentation.relators)
+    rewritten = substitute(replayed, change.forward)
+    if rewritten != closed:
+        raise CertificateError(
+            f"trace replay produced {format_word(rewritten)}, closed form is "
+            f"{format_word(closed)}; construction aborted"
+        )
+
+    x_name = change.new_generators[0]
+    hypotheses = HypothesisRecord(
+        x_is_meridian=substitute(Word([(x_name, 1)]), change.backward)
+        == kd.peripheral.mu,
+        s_positive=is_positive(closed),
+        s_contains_x=contains(closed, x_name),
+    )
+    if not (hypotheses.x_is_meridian and hypotheses.s_positive and hypotheses.s_contains_x):
+        raise CertificateError(
+            f"hypothesis check failed: {hypotheses}; construction aborted"
+        )
+    return Certificate(
+        schema_version=SCHEMA_VERSION,
+        params=params,
+        case=case,
+        change=change,
+        trace=trace,
+        positive_s=closed,
+        v=kd.peripheral.v,
+        hypotheses=hypotheses,
+    )
+
+
+def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
+    """Independently re-check a certificate against knot data.
+
+    Clauses, reported separately on failure: the generator change round
+    trips; x maps back to the meridian; replaying the trace from the
+    framing word and substituting forward yields the positive word
+    exactly; the positive word is positive and contains x; the framing
+    coefficient matches.  No search is performed.
+    """
+    failures: list[str] = []
+    if cert.schema_version != SCHEMA_VERSION:
+        return VerificationReport(
+            False,
+            (f"{CLAUSE_SCHEMA}: unknown schema version {cert.schema_version}",),
+        )
+
+    change = cert.change
+    try:
+        # GeneratorChange re-validation, independent of construction-time checks.
+        GeneratorChange(change.forward, change.backward)
+    except ValueError as exc:
+        failures.append(f"{CLAUSE_ROUND_TRIP}: {exc}")
+
+    x_name = change.new_generators[0] if change.new_generators else "x"
+    try:
+        back_x = substitute(Word([(x_name, 1)]), change.backward)
+        if back_x != kd.peripheral.mu:
+            failures.append(
+                f"{CLAUSE_MERIDIAN}: backward image of {x_name} is "
+                f"{format_word(back_x)}, meridian is {format_word(kd.peripheral.mu)}"
+            )
+    except ValueError as exc:
+        failures.append(f"{CLAUSE_MERIDIAN}: {exc}")
+
+    try:
+        replayed = replay_trace(kd.peripheral.s, cert.trace, kd.presentation.relators)
+        rewritten = substitute(replayed, change.forward)
+        if rewritten != cert.positive_s:
+            failures.append(
+                f"{CLAUSE_REPLAY}: trace replay gives {format_word(rewritten)}, "
+                f"certificate states {format_word(cert.positive_s)}"
+            )
+    except (RewriteError, ValueError) as exc:
+        failures.append(f"{CLAUSE_REPLAY}: {exc}")
+
+    if not is_positive(cert.positive_s):
+        failures.append(f"{CLAUSE_POSITIVITY}: stated word is not positive")
+    elif not contains(cert.positive_s, x_name):
+        failures.append(
+            f"{CLAUSE_POSITIVITY}: stated word contains no {x_name}"
+        )
+
+    if cert.v != kd.peripheral.v:
+        failures.append(
+            f"{CLAUSE_FRAMING}: certificate states v = {cert.v}, knot has "
+            f"v = {kd.peripheral.v}"
+        )
+    return VerificationReport(not failures, tuple(failures))
+
+
+def slope_range(cert: Certificate) -> Callable[[Slope], bool]:
+    """Predicate selecting the slopes the certificate rules out.
+
+    True exactly for p'/q' with p', q' > 0 and p'/q' >= v, by exact
+    rational comparison; the boundary slope v is included.
+    """
+    v = cert.v
+
+    def admissible(slope: Slope) -> bool:
+        return slope.numerator > 0 and slope.numerator >= v * slope.denominator
+
+    return admissible

@@ -1,0 +1,328 @@
+"""Batch command line front end.
+
+Subcommands: present, certify, verify, surgery, homology, alexander,
+order, sweep.  Flags are long-form only.  Output is a deterministic
+document whose header (tool name/version, schema version) is separate
+from the content, so content hashes are stable across runs.
+
+Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+from . import __version__
+from .alexander import alexander_polynomial, lspace_surgery_threshold
+from .certificates import certify, verify_certificate
+from .cosets import check_peripheral_commutation, todd_coxeter
+from .families import (
+    FamilyParams,
+    KnotData,
+    ParameterError,
+    Slope,
+    build,
+    is_lspace_knot,
+    surgery_presentation,
+)
+from .homology import h1
+from .serialize import (
+    SCHEMA_VERSION,
+    SchemaError,
+    certificate_from_doc,
+    certificate_to_doc,
+    knot_data_to_doc,
+    presentation_to_doc,
+    verification_to_doc,
+)
+from .sweep import ALL_CASES, SweepSpec, run_sweep
+from .words import parse_word
+
+EXIT_OK = 0
+EXIT_DOMAIN = 1
+EXIT_VERIFY = 2
+EXIT_USAGE = 64
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
+def _add_param_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--p", type=int, required=True)
+    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--sign", type=int, required=True, choices=(-1, 1))
+    sub.add_argument("--ell", type=int, required=True)
+    sub.add_argument("--m", type=int, required=True)
+    sub.add_argument("--unverified-range", action="store_true")
+
+
+def _add_format_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--format", choices=("json", "text"), default="json")
+
+
+def _params(args) -> FamilyParams:
+    return FamilyParams(p=args.p, k=args.k, sign=args.sign, ell=args.ell, m=args.m)
+
+
+def _knot(args) -> KnotData:
+    return build(_params(args), unverified_range=args.unverified_range)
+
+
+def _emit(args, content: dict, text_lines: list[str]) -> None:
+    if args.format == "json":
+        doc = {
+            "header": {
+                "tool": "nlo",
+                "tool_version": __version__,
+                "schema_version": SCHEMA_VERSION,
+            },
+            "content": content,
+        }
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        for line in text_lines:
+            print(line)
+
+
+def _cmd_present(args) -> int:
+    kd = _knot(args)
+    doc = knot_data_to_doc(kd)
+    lines = [
+        f"T(p={args.p}, q={kd.params.q}; ell={args.ell}, m={args.m})   sign={args.sign:+d}",
+        f"relator: {doc['presentation']['relators'][0]}",
+        f"mu: {doc['mu']}",
+        f"s: {doc['s']}",
+        f"v: {doc['v']}",
+        f"lspace: {doc['lspace']['is_lspace_knot']} ({doc['lspace']['case']})",
+    ]
+    lines.extend(f"note: {n}" for n in doc["notes"])
+    _emit(args, doc, lines)
+    return EXIT_OK
+
+
+def _cmd_certify(args) -> int:
+    kd = _knot(args)
+    cert = certify(kd)
+    report = verify_certificate(kd, cert)
+    content = {
+        "certificate": certificate_to_doc(cert),
+        "bound": f"r >= {cert.v}",
+        "verification": verification_to_doc(report),
+    }
+    lines = [
+        f"case: {cert.case}",
+        f"positive_s: {content['certificate']['positive_s']}",
+        f"trace length: {len(cert.trace)}",
+        f"bound: r >= {cert.v}",
+        f"verdict: {report}",
+    ]
+    _emit(args, content, lines)
+    return EXIT_OK if report.passed else EXIT_VERIFY
+
+
+def _cmd_verify(args) -> int:
+    if args.certificate == "-":
+        doc = json.load(sys.stdin)
+    else:
+        with open(args.certificate) as handle:
+            doc = json.load(handle)
+    if "content" in doc and "certificate" in doc.get("content", {}):
+        doc = doc["content"]["certificate"]
+    try:
+        cert = certificate_from_doc(doc)
+    except ValueError as exc:
+        content = {"passed": False, "verdict": "FAIL", "failures": [str(exc)]}
+        _emit(args, content, [f"verdict: FAIL: {exc}"])
+        return EXIT_VERIFY
+    kd = build(cert.params)
+    report = verify_certificate(kd, cert)
+    _emit(args, verification_to_doc(report), [f"verdict: {report}"])
+    return EXIT_OK if report.passed else EXIT_VERIFY
+
+
+def _cmd_surgery(args) -> int:
+    kd = _knot(args)
+    slope = Slope.parse(args.slope)
+    pres = surgery_presentation(kd, slope)
+    doc = {
+        "slope": str(slope),
+        "presentation": presentation_to_doc(pres),
+    }
+    lines = [f"slope: {slope}"] + [
+        f"relator: {r}" for r in doc["presentation"]["relators"]
+    ]
+    _emit(args, doc, lines)
+    return EXIT_OK
+
+
+def _cmd_homology(args) -> int:
+    kd = _knot(args)
+    pres = kd.presentation
+    if args.slope is not None:
+        pres = surgery_presentation(kd, Slope.parse(args.slope))
+    group = h1(pres)
+    content = {
+        "invariant_factors": list(group.invariant_factors),
+        "free_rank": group.free_rank,
+        "order": group.order(),
+        "description": str(group),
+    }
+    _emit(args, content, [f"H1: {group}", f"order: {group.order()}"])
+    return EXIT_OK
+
+
+def _cmd_alexander(args) -> int:
+    kd = _knot(args)
+    delta = alexander_polynomial(kd)
+    content = {
+        "polynomial": delta.to_text(),
+        "degree": delta.breadth,
+        "v": kd.peripheral.v,
+    }
+    lines = [f"alexander: {delta.to_text()}"]
+    if is_lspace_knot(kd.params).is_lspace:
+        report = lspace_surgery_threshold(kd)
+        content.update(
+            {"genus": report.genus, "lspace_threshold": report.threshold}
+        )
+        lines.append(f"genus: {report.genus}")
+        lines.append(f"lspace threshold: {report.threshold}   v: {report.v}")
+    _emit(args, content, lines)
+    return EXIT_OK
+
+
+def _cmd_order(args) -> int:
+    kd = _knot(args)
+    pres = kd.presentation
+    if args.slope is not None:
+        pres = surgery_presentation(kd, Slope.parse(args.slope))
+    subgroup = [parse_word(t) for t in args.subgroup]
+    table = todd_coxeter(pres, subgroup, max_cosets=args.max_cosets)
+    content = {
+        "status": table.status,
+        "cosets": table.num_cosets,
+        "order": table.num_cosets if table.is_complete() and not subgroup else None,
+    }
+    if table.is_complete():
+        lines = [str(table.num_cosets)]
+    else:
+        lines = [f"capped (>= {table.num_cosets} cosets)"]
+    _emit(args, content, lines)
+    return EXIT_OK
+
+
+def _cmd_commutation(args) -> int:
+    kd = _knot(args)
+    report = check_peripheral_commutation(kd, max_cosets=args.max_cosets or 5000)
+    content = {
+        "consistent": report.consistent,
+        "complete_enumerations": report.complete_enumerations,
+        "checked": [list(entry) for entry in report.checked],
+    }
+    _emit(args, content, [str(report)])
+    return EXIT_OK if report.consistent else EXIT_VERIFY
+
+
+def _parse_range(text: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        value = int(lo)
+        return (value, value)
+    return (int(lo), int(hi))
+
+
+def _cmd_sweep(args) -> int:
+    spec = SweepSpec(
+        p_range=_parse_range(args.p_range),
+        k_range=_parse_range(args.k_range),
+        m_range=_parse_range(args.m_range),
+        signs=tuple(int(s) for s in args.signs.split(",")),
+        cases=tuple(args.cases.split(",")) if args.cases != "all" else ALL_CASES,
+        output=args.output,
+        jobs=args.jobs,
+    )
+    result = run_sweep(spec)
+    if spec.output:
+        with open(spec.output, "w") as handle:
+            json.dump(result, handle, indent=2, sort_keys=True)
+    summary = {k: result[k] for k in ("total", "passed", "failed")}
+    content = result if not spec.output else summary
+    _emit(
+        args,
+        content,
+        [f"instances: {result['total']}  passed: {result['passed']}  failed: {result['failed']}"],
+    )
+    return EXIT_OK if result["failed"] == 0 else EXIT_VERIFY
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="nlo", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name, fn, needs_params in (
+        ("present", _cmd_present, True),
+        ("certify", _cmd_certify, True),
+        ("surgery", _cmd_surgery, True),
+        ("homology", _cmd_homology, True),
+        ("alexander", _cmd_alexander, True),
+        ("order", _cmd_order, True),
+        ("commutation", _cmd_commutation, True),
+    ):
+        cmd = sub.add_parser(name)
+        cmd.set_defaults(fn=fn)
+        if needs_params:
+            _add_param_flags(cmd)
+        _add_format_flag(cmd)
+
+    sub.choices["surgery"].add_argument("--slope", required=True)
+    sub.choices["homology"].add_argument("--slope")
+    sub.choices["order"].add_argument("--slope")
+    sub.choices["order"].add_argument("--subgroup", action="append", default=[])
+    sub.choices["order"].add_argument("--max-cosets", type=int)
+    sub.choices["commutation"].add_argument("--max-cosets", type=int)
+
+    verify = sub.add_parser("verify")
+    verify.set_defaults(fn=_cmd_verify)
+    verify.add_argument("--certificate", required=True)
+    _add_format_flag(verify)
+
+    swp = sub.add_parser("sweep")
+    swp.set_defaults(fn=_cmd_sweep)
+    swp.add_argument("--p-range", default="3:7")
+    swp.add_argument("--k-range", default="1:4")
+    swp.add_argument("--m-range", default="1:3")
+    swp.add_argument("--signs", default="-1,1")
+    swp.add_argument("--cases", default="all")
+    swp.add_argument("--output")
+    swp.add_argument("--jobs", type=int, default=1)
+    _add_format_flag(swp)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if exc.code is not None else EXIT_USAGE
+    try:
+        return args.fn(args)
+    except (ParameterError, SchemaError) as exc:
+        print(f"nlo: error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ValueError as exc:
+        print(f"nlo: error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OSError as exc:
+        print(f"nlo: error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+
+
+if __name__ == "__main__":
+    sys.exit(main())

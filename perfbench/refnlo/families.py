@@ -1,0 +1,222 @@
+"""Closed-form knot group presentations for the twisted torus knots
+T(p, pk±1; ell, m) and their Dehn surgery quotients.
+
+Conventions: p >= 2 strands on the torus side, q = p*k + sign with
+sign = ±1, and ell adjacent strands receiving m extra full twists with
+2 <= ell <= p and m >= 0.  Each knot group comes with two generators a, b,
+one relator, the meridian mu, and the surface framing s, a v-framed
+longitude with v = p*q + ell^2*m.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .presentation import Presentation
+from .words import Word
+
+UNVERIFIED_ELL_NOTE = (
+    "ell = p is outside the range covered by the closed-form presentations; "
+    "output is structurally well-formed but unverified"
+)
+M_ZERO_NOTE = (
+    "m = 0 is the untwisted torus-knot degeneration, outside the standing "
+    "assumption m > 0 of the certified families"
+)
+
+
+class ParameterError(ValueError):
+    """Family parameters outside their documented bounds."""
+
+
+@dataclass(frozen=True)
+class FamilyParams:
+    """Parameters (p, k, sign, ell, m) selecting T(p, pk+sign; ell, m)."""
+
+    p: int
+    k: int
+    sign: int
+    ell: int
+    m: int
+
+    def __post_init__(self):
+        if self.p < 2:
+            raise ParameterError(f"require p >= 2, got p = {self.p}")
+        if self.k < 1:
+            raise ParameterError(f"require k >= 1, got k = {self.k}")
+        if self.sign not in (1, -1):
+            raise ParameterError(f"require sign in {{+1, -1}}, got {self.sign}")
+        if not 2 <= self.ell <= self.p:
+            raise ParameterError(
+                f"require 2 <= ell <= p = {self.p}, got ell = {self.ell}"
+            )
+        if self.m < 0:
+            raise ParameterError(f"require m >= 0, got m = {self.m}")
+        if self.q < 2:
+            raise ParameterError(f"require q = p*k + sign >= 2, got q = {self.q}")
+
+    @property
+    def q(self) -> int:
+        return self.p * self.k + self.sign
+
+    @property
+    def v(self) -> int:
+        """Surface framing coefficient p*q + ell^2*m."""
+        return self.p * self.q + self.ell * self.ell * self.m
+
+
+@dataclass(frozen=True)
+class PeripheralStructure:
+    mu: Word
+    s: Word
+    v: int
+
+
+@dataclass(frozen=True)
+class KnotData:
+    params: FamilyParams
+    presentation: Presentation
+    peripheral: PeripheralStructure
+    notes: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Slope:
+    """A surgery slope numerator/denominator, stored reduced with a
+    positive denominator.  Zero and negative numerators are allowed for
+    exploration; the certificate layer applies its own positivity rules."""
+
+    numerator: int
+    denominator: int = 1
+
+    def __post_init__(self):
+        num, den = self.numerator, self.denominator
+        if den == 0:
+            raise ParameterError("slope denominator must be nonzero")
+        if den < 0:
+            num, den = -num, -den
+        g = math.gcd(num, den)
+        if g > 1:
+            num //= g
+            den //= g
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "denominator", den)
+
+    @classmethod
+    def parse(cls, text: str) -> "Slope":
+        head, sep, tail = text.partition("/")
+        try:
+            if sep:
+                return cls(int(head), int(tail))
+            return cls(int(head))
+        except ValueError as exc:
+            raise ParameterError(f"malformed slope {text!r}") from exc
+
+    def __str__(self) -> str:
+        return f"{self.numerator}/{self.denominator}"
+
+
+@dataclass(frozen=True)
+class LSpaceStatus:
+    """Parameter-level L-space knot classification.
+
+    ``case`` names the first matching condition among ell = p-1;
+    ell = p-2 and m = 1; ell = 2 and m = 1.  Note that m = 0 inputs
+    degenerate to torus knots whatever the reported case.
+    """
+
+    is_lspace: bool
+    case: str | None
+
+
+def is_lspace_knot(params: FamilyParams) -> LSpaceStatus:
+    if params.ell == params.p - 1:
+        return LSpaceStatus(True, "ell=p-1")
+    if params.ell == params.p - 2 and params.m == 1:
+        return LSpaceStatus(True, "ell=p-2,m=1")
+    if params.ell == 2 and params.m == 1:
+        return LSpaceStatus(True, "ell=2,m=1")
+    return LSpaceStatus(False, None)
+
+
+def _gen(name: str, exp: int = 1) -> Word:
+    return Word([(name, exp)])
+
+
+def _check_range(params: FamilyParams, unverified_range: bool) -> tuple[str, ...]:
+    notes = []
+    if params.ell == params.p:
+        if not unverified_range:
+            raise ParameterError(
+                f"ell = p = {params.p} is outside the verified range "
+                "2 <= ell <= p-1; enable the unverified-range option to build anyway"
+            )
+        notes.append(UNVERIFIED_ELL_NOTE)
+    if params.m == 0:
+        notes.append(M_ZERO_NOTE)
+    return tuple(notes)
+
+
+def build_minus(params: FamilyParams, *, unverified_range: bool = False) -> KnotData:
+    """Knot data for T(p, pk-1; ell, m).
+
+    Relator:  a^(p-l) (a C^m)^(l-1) a  =  b^(k(p-l)-1) (b^k C^m)^(l-1) b^k
+    with C = b^(1-k(p-l)) a^(p-l); meridian mu = a^-1 b^k; framing
+    s = a^(p-l-1) (a C^m)^l a with coefficient v = p(pk-1) + l^2 m.
+    """
+    if params.sign != -1:
+        raise ParameterError("build_minus requires sign = -1")
+    notes = _check_range(params, unverified_range)
+    p, k, ell, m = params.p, params.k, params.ell, params.m
+    pl = p - ell
+    a, b = _gen("a"), _gen("b")
+    c = Word([("b", 1 - k * pl), ("a", pl)])
+    lhs = a ** pl * (a * c ** m) ** (ell - 1) * a
+    rhs = b ** (k * pl - 1) * (b ** k * c ** m) ** (ell - 1) * b ** k
+    relator = lhs * ~rhs
+    mu = ~a * b ** k
+    s = a ** (pl - 1) * (a * c ** m) ** ell * a
+    pres = Presentation(("a", "b"), (relator,), {"mu": mu, "s": s})
+    return KnotData(params, pres, PeripheralStructure(mu, s, params.v), notes)
+
+
+def build_plus(params: FamilyParams, *, unverified_range: bool = False) -> KnotData:
+    """Knot data for T(p, pk+1; ell, m).
+
+    Relator:  a (C^m a)^(l-1) a^(p-l)  =  b^k (C^m b^k)^(l-1) b^(k(p-l)+1)
+    with C = b^(k(p-l)+1) a^(l-p); meridian mu = b^-k a; framing
+    s = (C^m a)^l a^(p-l) with coefficient v = p(pk+1) + l^2 m.
+    """
+    if params.sign != 1:
+        raise ParameterError("build_plus requires sign = +1")
+    notes = _check_range(params, unverified_range)
+    p, k, ell, m = params.p, params.k, params.ell, params.m
+    pl = p - ell
+    a, b = _gen("a"), _gen("b")
+    c = Word([("b", k * pl + 1), ("a", -pl)])
+    lhs = a * (c ** m * a) ** (ell - 1) * a ** pl
+    rhs = b ** k * (c ** m * b ** k) ** (ell - 1) * b ** (k * pl + 1)
+    relator = lhs * ~rhs
+    mu = b ** (-k) * a
+    s = (c ** m * a) ** ell * a ** pl
+    pres = Presentation(("a", "b"), (relator,), {"mu": mu, "s": s})
+    return KnotData(params, pres, PeripheralStructure(mu, s, params.v), notes)
+
+
+def build(params: FamilyParams, *, unverified_range: bool = False) -> KnotData:
+    """Dispatch on the sign of q - p*k."""
+    if params.sign == -1:
+        return build_minus(params, unverified_range=unverified_range)
+    return build_plus(params, unverified_range=unverified_range)
+
+
+def surgery_presentation(kd: KnotData, slope: Slope) -> Presentation:
+    """Quotient presentation for surgery along ``slope``.
+
+    Adds the relator mu^(p' - q'v) s^(q') to the knot group presentation;
+    labels are retained.
+    """
+    exponent = slope.numerator - slope.denominator * kd.peripheral.v
+    relator = kd.peripheral.mu ** exponent * kd.peripheral.s ** slope.denominator
+    return kd.presentation.with_relator(relator)

@@ -1,0 +1,300 @@
+"""Finitely presented groups: relators, single-step rewriting, and
+generator changes.
+
+A rewrite step replaces one occurrence of a relation side inside a word's
+unrolled letter sequence by the other side.  Relations are admitted up to
+cyclic rotation of a stored relator (or its inverse): group relations hold
+up to conjugation, and the rewrites appearing in certificates need rotated
+forms to replay displayed computations letter-for-letter.  Applying a
+relation never searches; the bounded breadth-first search that *discovers*
+steps lives in :func:`find_relation_applications`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Mapping
+
+from .words import (
+    Word,
+    cyclic_reduce,
+    is_cyclic_rotation,
+    letters_list,
+    rotations,
+    substitute,
+    word_from_letters,
+)
+
+LHS_TO_RHS = "lhs_to_rhs"
+RHS_TO_LHS = "rhs_to_lhs"
+DIRECTIONS = (LHS_TO_RHS, RHS_TO_LHS)
+
+DEFAULT_NODE_CAP = 100_000
+
+
+class RewriteError(ValueError):
+    """The addressed occurrence does not match the stated relation side."""
+
+
+class RoundTripError(ValueError):
+    """Forward/backward generator maps are not mutually inverse."""
+
+
+class SearchCapExceeded(RuntimeError):
+    """The rewrite search visited more nodes than its configured cap."""
+
+
+@dataclass(frozen=True)
+class Relation:
+    """An oriented equality lhs = rhs between two reduced words."""
+
+    lhs: Word
+    rhs: Word
+
+    def relator(self) -> Word:
+        return self.lhs * ~self.rhs
+
+    def matches_relator(self, relator: Word) -> bool:
+        """True iff lhs = rhs is a consequence of one application of
+        ``relator``: the relation's own relator form must be a cyclic
+        rotation of ``relator`` or of its inverse."""
+        core = cyclic_reduce(self.relator())
+        target = cyclic_reduce(relator)
+        return is_cyclic_rotation(core, target) or is_cyclic_rotation(core, ~target)
+
+
+@dataclass(frozen=True)
+class RewriteStep:
+    """Address of a single relation application.
+
+    ``position`` indexes the fully unrolled letter sequence of the word
+    being rewritten, so the step is independent of run-length encoding.
+    """
+
+    relator_index: int
+    direction: str
+    position: int
+
+    def __post_init__(self):
+        if self.direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {self.direction!r}")
+        if self.position < 0:
+            raise ValueError("position must be nonnegative")
+
+
+# A trace pairs each step with the concrete relation it applies, making
+# certificates replayable without any search.
+TraceStep = tuple[Relation, RewriteStep]
+
+
+@dataclass
+class Presentation:
+    """Generators, reduced relators, and optional named elements."""
+
+    generators: tuple[str, ...]
+    relators: tuple[Word, ...] = ()
+    labels: Mapping[str, Word] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.generators = tuple(self.generators)
+        self.relators = tuple(self.relators)
+        self.labels = dict(self.labels)
+        if len(set(self.generators)) != len(self.generators) or not self.generators:
+            raise ValueError("alphabet must be nonempty with unique generators")
+        alphabet = set(self.generators)
+        for r in self.relators:
+            if not r.generators() <= alphabet:
+                raise ValueError(f"relator {r!r} uses generators outside the alphabet")
+        for name, w in self.labels.items():
+            if not w.generators() <= alphabet:
+                raise ValueError(f"label {name!r} uses generators outside the alphabet")
+
+    def label(self, name: str) -> Word:
+        if name not in self.labels:
+            raise KeyError(f"presentation has no label {name!r}")
+        return self.labels[name]
+
+    def with_relator(self, relator: Word) -> "Presentation":
+        return Presentation(self.generators, self.relators + (relator,), self.labels)
+
+
+@dataclass(frozen=True)
+class GeneratorChange:
+    """Mutually inverse substitutions between two alphabets.
+
+    ``forward`` maps each old generator to a word over the new alphabet,
+    ``backward`` each new generator to a word over the old one.  Both
+    round trips are verified at construction.
+    """
+
+    forward: Mapping[str, Word]
+    backward: Mapping[str, Word]
+
+    def __post_init__(self):
+        object.__setattr__(self, "forward", dict(self.forward))
+        object.__setattr__(self, "backward", dict(self.backward))
+        for gen in self.forward:
+            got = substitute(substitute(Word([(gen, 1)]), self.forward), self.backward)
+            if got != Word([(gen, 1)]):
+                raise RoundTripError(
+                    f"backward(forward({gen})) = {got!r}, expected {gen}"
+                )
+        for gen in self.backward:
+            got = substitute(substitute(Word([(gen, 1)]), self.backward), self.forward)
+            if got != Word([(gen, 1)]):
+                raise RoundTripError(
+                    f"forward(backward({gen})) = {got!r}, expected {gen}"
+                )
+
+    @property
+    def old_generators(self) -> tuple[str, ...]:
+        return tuple(self.forward)
+
+    @property
+    def new_generators(self) -> tuple[str, ...]:
+        return tuple(self.backward)
+
+
+def apply_relation(w: Word, rel: Relation, step: RewriteStep) -> Word:
+    """Replace one occurrence of a side of ``rel`` inside ``w``.
+
+    The step's side must occur letter-for-letter at ``step.position`` in
+    the unrolled expansion of ``w`` (an empty side occurs at every
+    position, which realizes insertion of a rotated relator).  The result
+    is reduced and equals ``w`` in any group where lhs = rhs holds.
+    """
+    if step.direction == LHS_TO_RHS:
+        source, target = rel.lhs, rel.rhs
+    else:
+        source, target = rel.rhs, rel.lhs
+    seq = letters_list(w)
+    src = letters_list(source)
+    pos = step.position
+    if pos > len(seq) - len(src):
+        raise RewriteError(
+            f"no room for a length-{len(src)} occurrence at position {pos} "
+            f"in a word of {len(seq)} letters"
+        )
+    if seq[pos : pos + len(src)] != src:
+        raise RewriteError(f"occurrence mismatch at position {pos}")
+    return word_from_letters(seq[:pos] + letters_list(target) + seq[pos + len(src):])
+
+
+def replay_trace(w: Word, trace: Iterable[TraceStep], relators: tuple[Word, ...]) -> Word:
+    """Replay a recorded trace, validating every step against ``relators``.
+
+    Raises RewriteError when a step's relation is not backed by the stated
+    relator or its occurrence check fails.  No searching happens here.
+    """
+    current = w
+    for rel, step in trace:
+        if not 0 <= step.relator_index < len(relators):
+            raise RewriteError(f"relator index {step.relator_index} out of range")
+        if not rel.matches_relator(relators[step.relator_index]):
+            raise RewriteError(
+                f"relation {rel!r} is not a cyclic form of relator "
+                f"{step.relator_index}"
+            )
+        current = apply_relation(current, rel, step)
+    return current
+
+
+def _insertion_relations(relator: Word) -> list[Relation]:
+    """Relations lhs = rhs with empty lhs whose application inserts a
+    cyclic rotation of ``relator`` or of its inverse.
+
+    Enumeration order is fixed (relator rotations first, then inverse
+    rotations, each by increasing rotation offset) so searches are
+    deterministic.
+    """
+    core = cyclic_reduce(relator)
+    rels = []
+    for base in (core, ~core):
+        for rot in rotations(base):
+            rels.append(Relation(Word(), rot))
+    return rels
+
+
+def _successors(
+    w: Word, relations: list[Relation], relator_index: int
+) -> Iterator[tuple[TraceStep, Word]]:
+    length = w.letter_length
+    for pos in range(length + 1):
+        for rel in relations:
+            step = RewriteStep(relator_index, LHS_TO_RHS, pos)
+            yield (rel, step), apply_relation(w, rel, step)
+
+
+def find_relation_applications(
+    w: Word,
+    rel: Relation,
+    max_steps: int,
+    *,
+    relator_index: int = 0,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> list[tuple[tuple[TraceStep, ...], Word]]:
+    """Breadth-first enumeration of words reachable from ``w`` by at most
+    ``max_steps`` applications of ``rel``.
+
+    Applications run in both directions and at all positions, including
+    cyclic forms of the relator.  Results are deduplicated by word, each
+    kept with a shortest discovering trace, in deterministic order.
+    """
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
+    relations = _insertion_relations(rel.relator())
+    visited: dict[Word, tuple[TraceStep, ...]] = {w: ()}
+    results: list[tuple[tuple[TraceStep, ...], Word]] = [((), w)]
+    frontier = [w]
+    for _ in range(max_steps):
+        next_frontier: list[Word] = []
+        for node in frontier:
+            trace = visited[node]
+            for trace_step, result in _successors(node, relations, relator_index):
+                if result in visited:
+                    continue
+                if len(visited) >= node_cap:
+                    raise SearchCapExceeded(
+                        f"rewrite search exceeded node cap {node_cap}"
+                    )
+                visited[result] = trace + (trace_step,)
+                results.append((visited[result], result))
+                next_frontier.append(result)
+        frontier = next_frontier
+        if not frontier:
+            break
+    return results
+
+
+def one_step_to(
+    w: Word, relator: Word, target: Word, *, relator_index: int = 0
+) -> tuple[TraceStep, ...] | None:
+    """First single relation application turning ``w`` into ``target``.
+
+    Scans positions and cyclic relator forms in the same canonical order
+    as :func:`find_relation_applications`; returns None when no one-step
+    rewrite reaches the target.
+    """
+    if w == target:
+        return ()
+    relations = _insertion_relations(relator)
+    for trace_step, result in _successors(w, relations, relator_index):
+        if result == target:
+            return (trace_step,)
+    return None
+
+
+def change_generators(pres: Presentation, gc: GeneratorChange) -> Presentation:
+    """Rewrite a presentation over a new alphabet via mutually inverse maps.
+
+    Relators and labels are replaced by their substituted, reduced images;
+    label names are preserved.
+    """
+    missing = set(pres.generators) - set(gc.forward)
+    if missing:
+        raise ValueError(f"change does not cover generators {sorted(missing)}")
+    return Presentation(
+        generators=gc.new_generators,
+        relators=tuple(substitute(r, gc.forward) for r in pres.relators),
+        labels={name: substitute(w, gc.forward) for name, w in pres.labels.items()},
+    )

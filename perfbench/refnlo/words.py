@@ -1,0 +1,258 @@
+"""Exact word algebra over a free group on single-letter generators.
+
+Words are kept in run-length canonical form: a tuple of (generator,
+exponent) syllables with nonzero arbitrary-precision exponents and no two
+adjacent syllables sharing a generator.  The empty tuple is the identity.
+Keeping exponent runs symbolic means words like b^(1-k(p-l)) stay small no
+matter how large the parameters get; positions in rewriting certificates
+refer to the fully unrolled letter sequence instead, so they are
+independent of this encoding.
+
+All values are immutable and all operations are pure.
+"""
+
+from __future__ import annotations
+
+import re
+from typing import Iterable, Iterator, Mapping
+
+Syllable = tuple[str, int]
+
+# Guard for operations that unroll exponent runs into single letters.
+MAX_LETTERS = 1_000_000
+
+
+class WordSyntaxError(ValueError):
+    """Raised by parse_word; carries the offending text position."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+class SubstitutionError(ValueError):
+    """A generator in the word has no image under the substitution."""
+
+
+def _reduce_syllables(raw: Iterable[Syllable]) -> tuple[Syllable, ...]:
+    stack: list[list] = []
+    for gen, exp in raw:
+        if not (isinstance(gen, str) and len(gen) == 1 and "a" <= gen <= "z"):
+            raise ValueError(f"generator must be a single letter a-z, got {gen!r}")
+        if exp == 0:
+            continue
+        if stack and stack[-1][0] == gen:
+            stack[-1][1] += exp
+            if stack[-1][1] == 0:
+                stack.pop()
+        else:
+            stack.append([gen, exp])
+    return tuple((g, e) for g, e in stack)
+
+
+class Word:
+    """A freely reduced word; construction reduces its argument.
+
+    The identity is ``Word()``.  By convention the identity is *not*
+    positive (see :func:`is_positive`).
+    """
+
+    __slots__ = ("syllables",)
+
+    def __init__(self, raw: Iterable[Syllable] = ()):
+        self.syllables: tuple[Syllable, ...] = _reduce_syllables(raw)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Word) and self.syllables == other.syllables
+
+    def __hash__(self) -> int:
+        return hash(self.syllables)
+
+    def __bool__(self) -> bool:
+        return bool(self.syllables)
+
+    def __iter__(self) -> Iterator[Syllable]:
+        return iter(self.syllables)
+
+    def __mul__(self, other: "Word") -> "Word":
+        return Word(self.syllables + other.syllables)
+
+    def __invert__(self) -> "Word":
+        return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
+
+    def __pow__(self, n: int) -> "Word":
+        if n == 0:
+            return Word()
+        base = self if n > 0 else ~self
+        n = abs(n)
+        result = Word()
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __repr__(self) -> str:
+        return f"Word({format_word(self)!r})"
+
+    @property
+    def letter_length(self) -> int:
+        """Total number of letters once exponent runs are unrolled."""
+        return sum(abs(e) for _, e in self.syllables)
+
+    def generators(self) -> set[str]:
+        return {g for g, _ in self.syllables}
+
+
+IDENTITY = Word()
+
+
+def reduce(raw: Iterable[Syllable]) -> Word:
+    """Free reduction of a raw syllable list to canonical form."""
+    return Word(raw)
+
+
+def invert(w: Word) -> Word:
+    return ~w
+
+
+def concat(*words: Word) -> Word:
+    out: list[Syllable] = []
+    for w in words:
+        out.extend(w.syllables)
+    return Word(out)
+
+
+def power(w: Word, n: int) -> Word:
+    return w ** n
+
+
+def substitute(w: Word, images: Mapping[str, Word]) -> Word:
+    """Homomorphic image of ``w`` under generator -> word assignments.
+
+    Every generator occurring in ``w`` must have an image; the result is
+    reduced, so substitute(u*v) == substitute(u) * substitute(v).
+    """
+    out: list[Syllable] = []
+    for gen, exp in w.syllables:
+        if gen not in images:
+            raise SubstitutionError(f"no image for generator {gen!r}")
+        out.extend((images[gen] ** exp).syllables)
+    return Word(out)
+
+
+def exponent_sum(w: Word, gen: str) -> int:
+    return sum(e for g, e in w.syllables if g == gen)
+
+
+def is_positive(w: Word) -> bool:
+    """True iff ``w`` is nonempty and uses only positive powers.
+
+    The identity is not positive: certificates need at least one genuine
+    occurrence of the distinguished generator.
+    """
+    return bool(w.syllables) and all(e > 0 for _, e in w.syllables)
+
+
+def contains(w: Word, gen: str) -> bool:
+    return any(g == gen for g, _ in w.syllables)
+
+
+def letters(w: Word) -> Iterator[tuple[str, int]]:
+    """Yield the unrolled letter sequence as (generator, +1 or -1) pairs."""
+    for gen, exp in w.syllables:
+        sign = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            yield (gen, sign)
+
+
+def letters_list(w: Word) -> list[tuple[str, int]]:
+    if w.letter_length > MAX_LETTERS:
+        raise ValueError(
+            f"letter expansion of size {w.letter_length} exceeds cap {MAX_LETTERS}"
+        )
+    return list(letters(w))
+
+
+def word_from_letters(seq: Iterable[tuple[str, int]]) -> Word:
+    return Word(seq)
+
+
+def cyclic_reduce(w: Word) -> Word:
+    """Conjugate ``w`` to a cyclically reduced core.
+
+    Whenever the first and last syllable share a generator they are folded
+    together (a conjugation), until the two ends are over distinct
+    generators or one syllable remains.
+    """
+    syl = list(w.syllables)
+    while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
+        gen = syl[0][0]
+        merged = syl[0][1] + syl[-1][1]
+        syl = syl[1:-1]
+        if merged != 0:
+            syl.append((gen, merged))
+            break
+    return Word(syl)
+
+
+def rotations(w: Word) -> list[Word]:
+    """All letter-level cyclic rotations of ``w``.
+
+    Meaningful for cyclically reduced words, whose rotations are again
+    reduced words of the same length.
+    """
+    seq = letters_list(w)
+    n = len(seq)
+    return [word_from_letters(seq[j:] + seq[:j]) for j in range(n)] or [Word()]
+
+
+def is_cyclic_rotation(u: Word, v: Word) -> bool:
+    """True iff the letter sequences of u and v are cyclic rotations."""
+    a = letters_list(u)
+    b = letters_list(v)
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    doubled = b + b
+    return any(doubled[i : i + len(a)] == a for i in range(len(b)))
+
+
+_TOKEN = re.compile(r"\s*([a-z])(?:\^(-?\d+))?")
+
+
+def parse_word(text: str) -> Word:
+    """Parse the word grammar: terms ``letter`` or ``letter^int``.
+
+    Whitespace separates terms; an omitted exponent means 1; the empty
+    string is the identity.
+    """
+    pos = 0
+    out: list[Syllable] = []
+    n = len(text)
+    while pos < n:
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            bad = pos + (len(text[pos:]) - len(stripped))
+            if text[bad] == "^":
+                raise WordSyntaxError("exponent without a generator", bad)
+            raise WordSyntaxError(f"unexpected character {text[bad]!r}", bad)
+        gen = match.group(1)
+        exp = 1 if match.group(2) is None else int(match.group(2))
+        # Reject a dangling caret such as "a^" or "a^x".
+        end = match.end()
+        if match.group(2) is None and end < n and text[end] == "^":
+            raise WordSyntaxError("malformed exponent", end)
+        out.append((gen, exp))
+        pos = end
+    return Word(out)
+
+
+def format_word(w: Word) -> str:
+    """Minimal canonical text; inverse of parse_word on canonical words."""
+    return " ".join(g if e == 1 else f"{g}^{e}" for g, e in w.syllables)
