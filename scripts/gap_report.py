@@ -9,7 +9,7 @@ empirically, with no optimality claim.
 
 import argparse
 
-from nlo.alexander import lspace_surgery_threshold
+from nlo.alexander import alexander_polynomial, lspace_surgery_threshold
 from nlo.families import build
 from nlo.sweep import SweepSpec, grid_instances
 
@@ -34,7 +34,8 @@ def main() -> None:
           f"{'genus':>6} {'2g-1':>6} {'v':>7} {'gap':>6}")
     worst = None
     for params in grid_instances(spec):
-        report = lspace_surgery_threshold(build(params))
+        kd = build(params)
+        report = lspace_surgery_threshold(kd, alexander_polynomial(kd))
         print(
             f"{params.p:>3} {params.k:>3} {params.sign:>+5d} {params.ell:>4} "
             f"{params.m:>3} {report.genus:>6} {report.threshold:>6} "

@@ -26,7 +26,7 @@ from .families import (
     is_lspace_knot,
     surgery_presentation,
 )
-from .homology import abelianization_matrix, h1, smith_normal_form
+from .homology import abelianization_matrix, h1, smith_normal_form, surgery_h1
 from .presentation import (
     GeneratorChange,
     Presentation,
@@ -71,6 +71,7 @@ __all__ = [
     "parse_word",
     "slope_range",
     "smith_normal_form",
+    "surgery_h1",
     "surgery_presentation",
     "todd_coxeter",
     "torus_alexander",

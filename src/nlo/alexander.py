@@ -283,18 +283,19 @@ class ThresholdReport:
         return self.v - self.threshold
 
 
-def lspace_surgery_threshold(kd: KnotData) -> ThresholdReport:
+def lspace_surgery_threshold(kd: KnotData, delta: LaurentPolynomial) -> ThresholdReport:
     """Threshold 2g(K) - 1 with the genus read off the Alexander degree.
 
-    Only meaningful for L-space knot parameters; an odd polynomial breadth
-    signals an inconsistency and raises.
+    ``delta`` is the knot's Alexander polynomial, as computed by
+    :func:`alexander_polynomial`.  Only meaningful for L-space knot
+    parameters; an odd polynomial breadth signals an inconsistency and
+    raises.
     """
     status = is_lspace_knot(kd.params)
     if not status.is_lspace:
         raise ValueError(
             f"parameters {kd.params} are not in an L-space knot case"
         )
-    delta = alexander_polynomial(kd)
     if delta.breadth % 2 != 0:
         raise ValueError(
             f"Alexander breadth {delta.breadth} is odd; expected even breadth"

@@ -21,16 +21,14 @@ from .cosets import check_peripheral_commutation, todd_coxeter
 from .families import (
     FamilyParams,
     KnotData,
-    ParameterError,
     Slope,
     build,
     is_lspace_knot,
     surgery_presentation,
 )
-from .homology import h1
+from .homology import h1, surgery_h1
 from .serialize import (
     SCHEMA_VERSION,
-    SchemaError,
     certificate_from_doc,
     certificate_to_doc,
     knot_data_to_doc,
@@ -163,10 +161,10 @@ def _cmd_surgery(args) -> int:
 
 def _cmd_homology(args) -> int:
     kd = _knot(args)
-    pres = kd.presentation
-    if args.slope is not None:
-        pres = surgery_presentation(kd, Slope.parse(args.slope))
-    group = h1(pres)
+    if args.slope is None:
+        group = h1(kd.presentation)
+    else:
+        group = surgery_h1(kd, Slope.parse(args.slope))
     content = {
         "invariant_factors": list(group.invariant_factors),
         "free_rank": group.free_rank,
@@ -187,7 +185,7 @@ def _cmd_alexander(args) -> int:
     }
     lines = [f"alexander: {delta.to_text()}"]
     if is_lspace_knot(kd.params).is_lspace:
-        report = lspace_surgery_threshold(kd)
+        report = lspace_surgery_threshold(kd, delta)
         content.update(
             {"genus": report.genus, "lspace_threshold": report.threshold}
         )
@@ -313,13 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.fn(args)
-    except (ParameterError, SchemaError) as exc:
-        print(f"nlo: error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"nlo: error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"nlo: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .presentation import Presentation
-from .words import Word
+from .words import MAX_LETTERS, Word
 
 UNVERIFIED_ELL_NOTE = (
     "ell = p is outside the range covered by the closed-form presentations; "
@@ -211,12 +211,24 @@ def build(params: FamilyParams, *, unverified_range: bool = False) -> KnotData:
     return build_plus(params, unverified_range=unverified_range)
 
 
+def surgery_exponents(kd: KnotData, slope: Slope) -> tuple[int, int]:
+    """Exponents (p' - q'v, q') of mu and s in the surgery relator."""
+    return slope.numerator - slope.denominator * kd.peripheral.v, slope.denominator
+
+
 def surgery_presentation(kd: KnotData, slope: Slope) -> Presentation:
     """Quotient presentation for surgery along ``slope``.
 
     Adds the relator mu^(p' - q'v) s^(q') to the knot group presentation;
-    labels are retained.
+    labels are retained.  Raises ValueError before building anything when
+    the relator would have more than ``MAX_LETTERS`` letters.
     """
-    exponent = slope.numerator - slope.denominator * kd.peripheral.v
-    relator = kd.peripheral.mu ** exponent * kd.peripheral.s ** slope.denominator
-    return kd.presentation.with_relator(relator)
+    mu, s = kd.peripheral.mu, kd.peripheral.s
+    exponent, den = surgery_exponents(kd, slope)
+    size = abs(exponent) * mu.letter_length + den * s.letter_length
+    if size > MAX_LETTERS:
+        raise ValueError(
+            f"surgery relator along {slope} would have {size} letters, "
+            f"over the cap MAX_LETTERS = {MAX_LETTERS}"
+        )
+    return kd.presentation.with_relator(mu ** exponent * s ** den)

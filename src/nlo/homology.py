@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .families import KnotData, Slope, surgery_exponents
 from .presentation import Presentation
 from .words import Word, exponent_sum
 
@@ -135,10 +136,8 @@ class Homology:
         return " + ".join(parts) if parts else "0"
 
 
-def h1(pres: Presentation) -> Homology:
-    """Abelianization of the presented group."""
-    matrix = abelianization_matrix(pres)
-    n = len(pres.generators)
+def _homology_of_matrix(matrix: Matrix, n: int) -> Homology:
+    """Cokernel of an exponent-sum matrix with ``n`` columns."""
     if not matrix:
         return Homology((), n)
     d, _, _ = smith_normal_form(matrix)
@@ -146,6 +145,28 @@ def h1(pres: Presentation) -> Homology:
     rank = sum(1 for x in diag if x != 0)
     factors = tuple(x for x in diag if x not in (0, 1))
     return Homology(factors, n - rank)
+
+
+def h1(pres: Presentation) -> Homology:
+    """Abelianization of the presented group."""
+    return _homology_of_matrix(abelianization_matrix(pres), len(pres.generators))
+
+
+def surgery_h1(kd: KnotData, slope: Slope) -> Homology:
+    """H1 of the surgery quotient along ``slope``, from exponent sums alone.
+
+    Abelianization is a homomorphism, so the relator mu^(p' - q'v) s^(q')
+    has exponent-sum row (p' - q'v) e(mu) + q' e(s).  The relator word is
+    never built, so the cost does not grow with p'.
+    """
+    pres = kd.presentation
+    mu, s = kd.peripheral.mu, kd.peripheral.s
+    exponent, den = surgery_exponents(kd, slope)
+    row = [
+        exponent * exponent_sum(mu, g) + den * exponent_sum(s, g)
+        for g in pres.generators
+    ]
+    return _homology_of_matrix(abelianization_matrix(pres) + [row], len(pres.generators))
 
 
 def h1_class_map(pres: Presentation, normalize_by: Word | None = None) -> dict[str, int]:

@@ -51,7 +51,12 @@ def _reduce_syllables(raw: Iterable[Syllable]) -> tuple[Syllable, ...]:
 
 
 class Word:
-    """A freely reduced word; construction reduces its argument.
+    """A freely reduced word; construction validates and reduces its argument.
+
+    Only construction validates letters and runs the full reduction
+    ``_reduce_syllables``.  Products reduce only at the seam where the two
+    already reduced factors meet; the tests check them against the full
+    reduction.
 
     The identity is ``Word()``.  By convention the identity is *not*
     positive (see :func:`is_positive`).
@@ -74,11 +79,28 @@ class Word:
     def __iter__(self) -> Iterator[Syllable]:
         return iter(self.syllables)
 
+    @classmethod
+    def _trusted(cls, syllables: tuple[Syllable, ...]) -> "Word":
+        """Wrap syllables that are already validated and reduced."""
+        w = object.__new__(cls)
+        w.syllables = syllables
+        return w
+
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.syllables + other.syllables)
+        # Both factors are reduced, so only the seam where they meet can
+        # merge or cancel; work inward from it until a merge survives.
+        left, right = self.syllables, other.syllables
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            gen, exp = left[i - 1][0], left[i - 1][1] + right[j][1]
+            i -= 1
+            j += 1
+            if exp:
+                return Word._trusted(left[:i] + ((gen, exp),) + right[j:])
+        return Word._trusted(left[:i] + right[j:])
 
     def __invert__(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return Word._trusted(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:

@@ -111,13 +111,13 @@ def test_abelianize_group_ring():
 
 def test_threshold_trefoil():
     tref = build(FamilyParams(3, 1, -1, 2, 0))
-    report = lspace_surgery_threshold(tref)
+    report = lspace_surgery_threshold(tref, alexander_polynomial(tref))
     assert (report.genus, report.threshold, report.v) == (1, 1, 6)
 
 
 def test_threshold_below_framing_bound():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
-    report = lspace_surgery_threshold(kd)
+    report = lspace_surgery_threshold(kd, alexander_polynomial(kd))
     assert report.threshold == 9
     assert report.threshold <= report.v == 19
     assert report.gap == 10
@@ -126,4 +126,4 @@ def test_threshold_below_framing_bound():
 def test_threshold_requires_lspace_parameters():
     kd = build(FamilyParams(5, 1, -1, 3, 2))
     with pytest.raises(ValueError):
-        lspace_surgery_threshold(kd)
+        lspace_surgery_threshold(kd, alexander_polynomial(kd))

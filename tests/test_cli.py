@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -123,6 +124,26 @@ def test_homology_document(capsys):
     assert content_of(out)["order"] == 19
     code, out, _ = run(capsys, "homology", *T35)
     assert content_of(out)["free_rank"] == 1
+
+
+def test_homology_huge_slope_is_linear(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "homology", *T35, "--slope", "1000000000000/7")
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
+    assert content_of(out)["order"] == 10**12
+    assert elapsed < 1.0, f"homology at p' = 10^12 took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("command", ["surgery", "order"])
+def test_oversized_surgery_relator_exits_domain_fast(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, *T35, "--slope", "10000000/1")
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "MAX_LETTERS" in err and "Traceback" not in err
+    assert elapsed < 1.0, f"{command} took {elapsed:.2f}s to refuse"
 
 
 def test_alexander_document(capsys):

@@ -14,7 +14,7 @@ from nlo.families import (
 )
 from nlo.homology import h1_class_map, word_class
 from nlo.serialize import knot_data_to_doc
-from nlo.words import Word, exponent_sum, parse_word
+from nlo.words import MAX_LETTERS, Word, exponent_sum, parse_word
 
 GRID = [
     (p, k, sign, ell, m)
@@ -147,6 +147,17 @@ def test_surgery_presentation_at_framing_slope():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
     pres = surgery_presentation(kd, Slope(19, 1))
     assert pres.relators[1] == kd.peripheral.s == parse_word("a b^-1 a^2 b^-1 a^2")
+
+
+def test_surgery_presentation_refuses_oversized_relator():
+    kd = build(FamilyParams(3, 2, -1, 2, 1))
+    # |mu| = 3 letters, so p' = 10^7 asks for about 3 * 10^7 letters.
+    with pytest.raises(ValueError, match="MAX_LETTERS"):
+        surgery_presentation(kd, Slope(10**7, 1))
+    # Just under the cap still builds.
+    exponent = (MAX_LETTERS - kd.peripheral.s.letter_length) // 3
+    pres = surgery_presentation(kd, Slope(exponent + 19, 1))
+    assert pres.relators[1].letter_length <= MAX_LETTERS
 
 
 def test_build_is_deterministic():

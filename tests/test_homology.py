@@ -9,9 +9,11 @@ from nlo.homology import (
     h1,
     h1_class_map,
     smith_normal_form,
+    surgery_h1,
     word_class,
 )
 from nlo.presentation import Presentation
+from nlo.sweep import SweepSpec, grid_instances
 from nlo.words import parse_word
 
 matrices = st.integers(1, 3).flatmap(
@@ -111,3 +113,24 @@ def test_class_map_rejects_non_generator():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
     with pytest.raises(ValueError):
         h1_class_map(kd.presentation, normalize_by=parse_word("a"))
+
+
+# Slopes with p' = 0, negative numerators and q' up to 12.
+SLOPES = [(0, 1), (1, 1), (-1, 1), (19, 1), (-60, 7), (37, 12), (-13, 12), (59, 11), (8, 3)]
+
+
+def test_surgery_h1_matches_built_relator():
+    for params in grid_instances(SweepSpec()):
+        kd = build(params)
+        for num, den in SLOPES + [(kd.peripheral.v, 1), (-kd.peripheral.v - 1, 2)]:
+            slope = Slope(num, den)
+            assert surgery_h1(kd, slope) == h1(surgery_presentation(kd, slope)), (
+                params, slope,
+            )
+
+
+def test_surgery_h1_huge_slope():
+    kd = build(FamilyParams(3, 2, -1, 2, 1))
+    group = surgery_h1(kd, Slope(10**12, 7))
+    assert group.order() == 10**12
+    assert surgery_h1(kd, Slope(0, 1)) == Homology((), 1)

@@ -181,3 +181,62 @@ def test_positive_closed_under_concat(u, v):
 def test_parse_format_round_trip(raw):
     w = reduce(raw)
     assert reduce(parse_word(format_word(w)).syllables) == w
+
+
+# The seam product and power against the reference full reduction.
+
+
+def ref_mul(u, v):
+    return Word(u.syllables + v.syllables)
+
+
+def ref_inv(w):
+    return Word(tuple((g, -e) for g, e in reversed(w.syllables)))
+
+
+def ref_pow(w, n):
+    base = w if n >= 0 else ref_inv(w)
+    out = Word()
+    for _ in range(abs(n)):
+        out = ref_mul(out, base)
+    return out
+
+
+# Pairs (x y, y^-1 z) whose seam cancels all of y, then meets x against z.
+cancelling_pairs = st.tuples(words, words, words).map(
+    lambda t: (ref_mul(t[0], t[1]), ref_mul(ref_inv(t[1]), t[2]))
+)
+
+
+@given(words, words)
+def test_seam_mul_matches_reference(u, v):
+    got = u * v
+    assert got.syllables == ref_mul(u, v).syllables
+    assert Word(got.syllables).syllables == got.syllables
+
+
+@given(cancelling_pairs)
+def test_seam_mul_heavy_cancellation(pair):
+    u, v = pair
+    assert (u * v).syllables == ref_mul(u, v).syllables
+    assert (u * ref_inv(u)).syllables == ()
+    assert (ref_inv(v) * v).syllables == ()
+
+
+@given(words)
+def test_seam_invert_matches_reference(w):
+    assert (~w).syllables == ref_inv(w).syllables
+
+
+@given(words, st.integers(-7, 7))
+def test_seam_power_matches_reference(w, n):
+    assert (w ** n).syllables == ref_pow(w, n).syllables
+
+
+def test_input_boundary_still_validates():
+    with pytest.raises(ValueError):
+        Word([("A", 1)])
+    with pytest.raises(ValueError):
+        Word([("ab", 1)])
+    with pytest.raises(WordSyntaxError):
+        parse_word("a^")
