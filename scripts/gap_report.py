@@ -11,7 +11,7 @@ import argparse
 
 from nlo.alexander import alexander_polynomial, lspace_surgery_threshold
 from nlo.families import build
-from nlo.sweep import SweepSpec, grid_instances
+from nlo.sweep import SweepSpec, grid_instances, parse_range
 
 
 def main() -> None:
@@ -20,10 +20,6 @@ def main() -> None:
     parser.add_argument("--k-range", default="1:4")
     parser.add_argument("--m-range", default="1:3")
     args = parser.parse_args()
-
-    def parse_range(text):
-        lo, _, hi = text.partition(":")
-        return (int(lo), int(hi or lo))
 
     spec = SweepSpec(
         p_range=parse_range(args.p_range),

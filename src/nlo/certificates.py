@@ -9,8 +9,9 @@ coefficient v = p*q + ell^2*m; every surgery slope p'/q' with
 p', q' > 0 and p'/q' >= v then yields a quotient group that is not
 left-orderable.
 
-Certificates are self-contained: verification replays the recorded trace
-and re-checks each hypothesis, and never searches.
+Nothing searches: construction builds and replays the relator step that
+the closed form names, and verification replays the recorded trace and
+re-checks each hypothesis.  Only scripts/search_positive_ell2.py searches.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .presentation import (
     GeneratorChange,
     RewriteError,
     TraceStep,
-    one_step_to,
+    insertion_step,
     replay_trace,
 )
 from .words import Word, contains, format_word, is_positive, substitute
@@ -143,31 +144,33 @@ def _classify(params: FamilyParams) -> str:
     )
 
 
-def _closed_form(params: FamilyParams, case: str) -> tuple[Word, bool]:
-    """The positive word for s in x, y per certified case, plus whether
-    reaching it takes one relator application (instead of free equality).
+def _closed_form(params: FamilyParams, case: str) -> tuple[Word, tuple[int, int] | None]:
+    """The positive word for s in x, y per certified case, plus the
+    (offset, position) of the one relator step (see ``insertion_step``)
+    that rewrites s into its backward image, or None if they are equal.
 
     In the k = 1 subcase of the first minus family the direct form
     ((yx)^(k-1) y^(m+1))^(p-1) (yx)^(k-1) y collapses to a power of y with
     no x in it, so the framing is first rewritten once with the group
-    relation, landing on y^m (y x y^m)^(p-2) y x.
+    relation, landing on y^m (y x y^m)^(p-2) y x.  The ell = p-2 minus
+    family also takes one step, at the start of s.
     """
     p, k, m = params.p, params.k, params.m
     x, y = Word([("x", 1)]), Word([("y", 1)])
     if case == CASE_MINUS_TOP:
         if k == 1:
-            return y ** m * (y * x * y ** m) ** (p - 2) * y * x, True
+            return y ** m * (y * x * y ** m) ** (p - 2) * y * x, (0, m)
         run = (y * x) ** (k - 1)
-        return (run * y ** (m + 1)) ** (p - 1) * run * y, False
+        return (run * y ** (m + 1)) ** (p - 1) * run * y, None
     if case == CASE_MINUS_NEXT:
         run = (y * x) ** (k - 1)
-        return x * run * (y * run * y) ** (p - 2) * run * y, True
+        return x * run * (y * run * y) ** (p - 2) * run * y, (-1, 0)
     if case == CASE_PLUS_TOP:
-        return ((x * y) ** (k + 1) * y ** (m - 1)) ** (p - 1) * (x * y) ** k * x, False
+        return ((x * y) ** (k + 1) * y ** (m - 1)) ** (p - 1) * (x * y) ** k * x, None
     if case == CASE_PLUS_NEXT:
         return (
             (x * y) ** (2 * k + 1) * (y * (x * y) ** k) ** (p - 3) * (x * y) ** k * x,
-            False,
+            None,
         )
     raise AssertionError(f"unknown case {case}")
 
@@ -175,28 +178,18 @@ def _closed_form(params: FamilyParams, case: str) -> tuple[Word, bool]:
 def certify(kd: KnotData) -> Certificate:
     """Build a certificate for one of the four certified parameter cases.
 
-    The positive word is instantiated from the closed form for the case
-    and cross-checked against replaying the rewrite trace from the stored
-    framing word, so a transcription error in either aborts construction.
+    The positive word and its relator step come from the closed form for
+    the case.  The step is replayed from the stored framing word and the
+    result is substituted forward, which must give the closed form again,
+    so a transcription error in either aborts construction.
     """
     params = kd.params
     case = _classify(params)
     change = xy_change_minus(params.k) if params.sign == -1 else xy_change_plus(params.k)
-    closed, needs_step = _closed_form(params, case)
-    target = substitute(closed, change.backward)
-
-    s = kd.peripheral.s
-    if needs_step and target != s:
-        trace = one_step_to(s, kd.presentation.relators[0], target)
-        if trace is None:
-            raise CertificateError(
-                "no single relator application rewrites the framing into the "
-                "closed form; construction aborted"
-            )
-    else:
-        trace = ()
-
-    replayed = replay_trace(s, trace, kd.presentation.relators)
+    closed, step = _closed_form(params, case)
+    relators = kd.presentation.relators
+    trace = () if step is None else (insertion_step(relators[0], *step),)
+    replayed = replay_trace(kd.peripheral.s, trace, relators)
     rewritten = substitute(replayed, change.forward)
     if rewritten != closed:
         raise CertificateError(

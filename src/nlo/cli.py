@@ -35,7 +35,7 @@ from .serialize import (
     presentation_to_doc,
     verification_to_doc,
 )
-from .sweep import ALL_CASES, SweepSpec, run_sweep
+from .sweep import ALL_CASES, SweepSpec, parse_range, run_sweep
 from .words import parse_word
 
 EXIT_OK = 0
@@ -227,19 +227,11 @@ def _cmd_commutation(args) -> int:
     return EXIT_OK if report.consistent else EXIT_VERIFY
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        value = int(lo)
-        return (value, value)
-    return (int(lo), int(hi))
-
-
 def _cmd_sweep(args) -> int:
     spec = SweepSpec(
-        p_range=_parse_range(args.p_range),
-        k_range=_parse_range(args.k_range),
-        m_range=_parse_range(args.m_range),
+        p_range=parse_range(args.p_range),
+        k_range=parse_range(args.k_range),
+        m_range=parse_range(args.m_range),
         signs=tuple(int(s) for s in args.signs.split(",")),
         cases=tuple(args.cases.split(",")) if args.cases != "all" else ALL_CASES,
         output=args.output,

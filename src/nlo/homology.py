@@ -15,11 +15,14 @@ Matrix = list[list[int]]
 
 
 def abelianization_matrix(pres: Presentation) -> Matrix:
-    """Exponent-sum matrix, one row per relator, one column per generator."""
-    return [
-        [exponent_sum(r, g) for g in pres.generators]
-        for r in pres.relators
-    ]
+    """Exponent-sum matrix, one row per relator, one column per generator,
+    from one pass over each relator."""
+    column = {g: j for j, g in enumerate(pres.generators)}
+    matrix = [[0] * len(column) for _ in pres.relators]
+    for row, r in zip(matrix, pres.relators):
+        for g, e in r.syllables:
+            row[column[g]] += e
+    return matrix
 
 
 def _identity(n: int) -> Matrix:

@@ -6,8 +6,10 @@ unrolled letter sequence by the other side.  Relations are admitted up to
 cyclic rotation of a stored relator (or its inverse): group relations hold
 up to conjugation, and the rewrites appearing in certificates need rotated
 forms to replay displayed computations letter-for-letter.  Applying a
-relation never searches; the bounded breadth-first search that *discovers*
-steps lives in :func:`find_relation_applications`.
+relation never searches.  :func:`find_relation_applications`, the bounded
+breadth-first search that *discovers* steps, serves only as the slow
+reference for the step certificates take from their closed form and as the
+engine of scripts/search_positive_ell2.py.
 """
 
 from __future__ import annotations
@@ -215,6 +217,17 @@ def _insertion_relations(relator: Word) -> list[Relation]:
     return rels
 
 
+def insertion_step(relator: Word, offset: int, position: int) -> TraceStep:
+    """The step, against relator 0, that inserts the inverse of the cyclic
+    core of ``relator`` rotated by ``offset`` letters (mod its length) at
+    letter ``position``: one of the steps that
+    :func:`find_relation_applications` tries, built from one rotation."""
+    seq = letters_list(~cyclic_reduce(relator))
+    offset %= len(seq)
+    rel = Relation(Word(), word_from_letters(seq[offset:] + seq[:offset]))
+    return rel, RewriteStep(0, LHS_TO_RHS, position)
+
+
 def _successors(
     w: Word, relations: list[Relation], relator_index: int
 ) -> Iterator[tuple[TraceStep, Word]]:
@@ -264,24 +277,6 @@ def find_relation_applications(
         if not frontier:
             break
     return results
-
-
-def one_step_to(
-    w: Word, relator: Word, target: Word, *, relator_index: int = 0
-) -> tuple[TraceStep, ...] | None:
-    """First single relation application turning ``w`` into ``target``.
-
-    Scans positions and cyclic relator forms in the same canonical order
-    as :func:`find_relation_applications`; returns None when no one-step
-    rewrite reaches the target.
-    """
-    if w == target:
-        return ()
-    relations = _insertion_relations(relator)
-    for trace_step, result in _successors(w, relations, relator_index):
-        if result == target:
-            return (trace_step,)
-    return None
 
 
 def change_generators(pres: Presentation, gc: GeneratorChange) -> Presentation:

@@ -47,6 +47,12 @@ class SweepSpec:
             raise ValueError(f"unknown cases {sorted(unknown)}")
 
 
+def parse_range(text: str) -> tuple[int, int]:
+    """Inclusive range from ``lo:hi``; a single number ``n`` means n:n."""
+    lo, sep, hi = text.partition(":")
+    return (int(lo), int(hi if sep else lo))
+
+
 def grid_instances(spec: SweepSpec = SweepSpec()) -> list[FamilyParams]:
     """Certifiable instances of the grid, in canonical sorted order.
 

@@ -35,19 +35,28 @@ class SubstitutionError(ValueError):
 
 
 def _reduce_syllables(raw: Iterable[Syllable]) -> tuple[Syllable, ...]:
-    stack: list[list] = []
-    for gen, exp in raw:
+    raw = list(raw)
+    for gen, _ in raw:
         if not (isinstance(gen, str) and len(gen) == 1 and "a" <= gen <= "z"):
             raise ValueError(f"generator must be a single letter a-z, got {gen!r}")
+    return _free_reduce(raw)
+
+
+def _free_reduce(raw: Iterable[Syllable]) -> tuple[Syllable, ...]:
+    """One-pass free reduction of syllables whose letters are valid."""
+    out: list[Syllable] = []
+    for gen, exp in raw:
         if exp == 0:
             continue
-        if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
+        if out and out[-1][0] == gen:
+            exp += out[-1][1]
+            if exp:
+                out[-1] = (gen, exp)
+            else:
+                out.pop()
         else:
-            stack.append([gen, exp])
-    return tuple((g, e) for g, e in stack)
+            out.append((gen, exp))
+    return tuple(out)
 
 
 class Word:
@@ -154,14 +163,15 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     """Homomorphic image of ``w`` under generator -> word assignments.
 
     Every generator occurring in ``w`` must have an image; the result is
-    reduced, so substitute(u*v) == substitute(u) * substitute(v).
+    reduced, so substitute(u*v) == substitute(u) * substitute(v).  The
+    images are valid words, so only free reduction is needed.
     """
     out: list[Syllable] = []
     for gen, exp in w.syllables:
         if gen not in images:
             raise SubstitutionError(f"no image for generator {gen!r}")
         out.extend((images[gen] ** exp).syllables)
-    return Word(out)
+    return Word._trusted(_free_reduce(out))
 
 
 def exponent_sum(w: Word, gen: str) -> int:

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -21,8 +22,17 @@ from nlo.certificates import (
     xy_change_plus,
 )
 from nlo.families import FamilyParams, Slope, build
-from nlo.presentation import replay_trace
+from nlo.presentation import (
+    Relation,
+    _insertion_relations,
+    _successors,
+    find_relation_applications,
+    replay_trace,
+)
+from nlo.sweep import SweepSpec, grid_instances
 from nlo.words import Word, parse_word, power, substitute
+
+STEP_GRID = grid_instances(SweepSpec(p_range=(3, 10), k_range=(1, 5), m_range=(1, 5)))
 
 
 def test_xy_change_minus_k1():
@@ -224,3 +234,69 @@ def test_clay_watson_and_twist_family_bounds():
     for k in (1, 2, 3, 4):
         cert = certify(build(FamilyParams(3, k, -1, 2, 1)))
         assert cert.v == 3 * (3 * k - 1) + 4
+
+
+def first_scanned_trace(kd, target):
+    """First one-step rewrite of s reaching ``target``, scanning positions
+    and relator forms in the canonical order of the reference search."""
+    s = kd.peripheral.s
+    if s == target:
+        return ()
+    relations = _insertion_relations(kd.presentation.relators[0])
+    for trace_step, result in _successors(s, relations, 0):
+        if result == target:
+            return (trace_step,)
+    return None
+
+
+def test_certify_step_is_first_in_canonical_scan():
+    steps = 0
+    for params in STEP_GRID:
+        kd = build(params)
+        cert = certify(kd)
+        replayed = replay_trace(kd.peripheral.s, cert.trace, kd.presentation.relators)
+        assert first_scanned_trace(kd, replayed) == cert.trace, params
+        steps += len(cert.trace)
+    # Every ell = p-2 minus instance and every k = 1 ell = p-1 minus
+    # instance takes its one step.
+    assert steps == 7 * 5 + 8 * 5
+
+
+def test_certify_step_matches_reference_search():
+    # The full breadth-first search keeps, for each word it reaches, the
+    # first trace that reaches it; on the small end of the grid that is
+    # the step certify takes.  Its first len(trace) levels suffice.
+    for params in STEP_GRID:
+        if params.p > 5:
+            continue
+        kd = build(params)
+        cert = certify(kd)
+        relator = kd.presentation.relators[0]
+        replayed = replay_trace(kd.peripheral.s, cert.trace, kd.presentation.relators)
+        results = find_relation_applications(
+            kd.peripheral.s, Relation(relator, Word()), len(cert.trace)
+        )
+        first = next(trace for trace, w in results if w == replayed)
+        assert first == cert.trace, params
+
+
+def test_certify_never_searches(monkeypatch):
+    import nlo.presentation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify scanned for a rewrite")
+
+    monkeypatch.setattr(nlo.presentation, "_successors", refuse)
+    for params in STEP_GRID:
+        kd = build(params)
+        assert verify_certificate(kd, certify(kd)).passed, params
+
+
+def test_certify_large_step_case_is_fast():
+    kd = build(FamilyParams(30, 5, -1, 28, 1))
+    start = time.perf_counter()
+    cert = certify(kd)
+    elapsed = time.perf_counter() - start
+    assert len(cert.trace) == 1
+    assert verify_certificate(kd, cert).passed
+    assert elapsed < 0.25

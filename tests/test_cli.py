@@ -4,6 +4,7 @@ import time
 import pytest
 
 from nlo.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from nlo.sweep import parse_range
 
 T35 = ["--p", "3", "--k", "2", "--sign", "-1", "--ell", "2", "--m", "1"]
 
@@ -188,6 +189,14 @@ def test_sweep_small_grid(tmp_path, capsys):
     assert stored["passed"] == 12
     verdicts = [r["verdict"] for r in stored["instances"]]
     assert set(verdicts) == {"PASS"}
+
+
+def test_parse_range():
+    assert parse_range("3:12") == (3, 12)
+    assert parse_range("5") == (5, 5)
+    assert parse_range("-2:0") == (-2, 0)
+    with pytest.raises(ValueError):
+        parse_range("3:x")
 
 
 def test_sweep_text_summary(capsys):

@@ -14,7 +14,7 @@ from nlo.homology import (
 )
 from nlo.presentation import Presentation
 from nlo.sweep import SweepSpec, grid_instances
-from nlo.words import parse_word
+from nlo.words import Word, exponent_sum, parse_word
 
 matrices = st.integers(1, 3).flatmap(
     lambda r: st.integers(1, 3).flatmap(
@@ -49,6 +49,16 @@ def test_abelianization_matrix_family():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
     assert abelianization_matrix(kd.presentation) == [[3, -5]]
     assert h1(kd.presentation) == Homology((), 1)
+
+
+@given(st.lists(st.lists(st.tuples(st.sampled_from("abc"), st.integers(-4, 4)), max_size=8),
+                max_size=4))
+def test_abelianization_matrix_matches_exponent_sums(raw_relators):
+    relators = [Word(raw) for raw in raw_relators]
+    pres = Presentation(("a", "b", "c"), relators)
+    assert abelianization_matrix(pres) == [
+        [exponent_sum(r, g) for g in pres.generators] for r in relators
+    ]
 
 
 def test_h1_free_group():

@@ -165,6 +165,17 @@ def test_substitute_is_homomorphism(u, v, img_a, img_b):
     assert substitute(~u, images) == ~substitute(u, images)
 
 
+@given(words, xy_words, xy_words)
+def test_substitute_matches_validating_construction(w, img_a, img_b):
+    # substitute skips the letter check; the result must equal a word
+    # built, with the check, from the raw concatenation of image powers.
+    images = {"a": img_a, "b": img_b}
+    raw = [syl for g, e in w.syllables for syl in (images[g] ** e).syllables]
+    assert substitute(w, images).syllables == Word(raw).syllables
+    with pytest.raises(ValueError):
+        Word([("A", 1)])
+
+
 @given(words, words)
 def test_exponent_sum_additive(u, v):
     for g in "ab":
