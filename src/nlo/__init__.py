@@ -33,7 +33,6 @@ from .presentation import (
     Relation,
     RewriteStep,
     apply_relation,
-    change_generators,
     find_relation_applications,
 )
 from .words import Word, format_word, parse_word
@@ -60,7 +59,6 @@ __all__ = [
     "build_minus",
     "build_plus",
     "certify",
-    "change_generators",
     "check_peripheral_commutation",
     "find_relation_applications",
     "format_word",

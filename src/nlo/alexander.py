@@ -3,9 +3,11 @@
 The Alexander polynomial of a two-generator, one-relator knot group comes
 from the free derivative of the relator, abelianized through the
 meridian-normalized identification of H1 with the integers (derived from
-Smith normal form, not hand-coded per family).  The classical torus-knot
-closed form serves as an independent oracle for the untwisted
-degenerations.
+Smith normal form, not hand-coded per family).  The abelianized derivative
+is computed in one pass over the relator; :func:`fox_derivative` with
+:func:`abelianize` is the slow reference the tests compare it against.
+The classical torus-knot closed form serves as an independent oracle for
+the untwisted degenerations.
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ class LaurentPolynomial:
 
     def __init__(self, coeffs: dict[int, int] | None = None):
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def t_power(cls, exponent: int, coefficient: int = 1) -> "LaurentPolynomial":
-        return cls({exponent: coefficient})
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPolynomial) and self.coeffs == other.coeffs
@@ -164,10 +158,6 @@ class GroupRingElement:
     def __init__(self, terms: dict[Word, int] | None = None):
         self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
 
-    @classmethod
-    def from_word(cls, w: Word, coefficient: int = 1) -> "GroupRingElement":
-        return cls({w: coefficient})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupRingElement) and self.terms == other.terms
 
@@ -225,6 +215,23 @@ def abelianize(element: GroupRingElement, classes: dict[str, int]) -> LaurentPol
     return LaurentPolynomial(out)
 
 
+def _abelian_fox(w: Word, gen: str, classes: dict[str, int]) -> LaurentPolynomial:
+    """``abelianize(fox_derivative(w, gen), classes)`` in one pass over the
+    syllables of ``w``, carrying the class of the prefix read so far."""
+    out: dict[int, int] = {}
+    prefix = 0
+    for g, e in w.syllables:
+        c = classes[g]
+        if g == gen:
+            # D(g^e) is 1 + g + ... + g^(e-1), or -(g^-1 + ... + g^e) for e < 0.
+            start, stop, sign = (0, e, 1) if e > 0 else (e, 0, -1)
+            for i in range(start, stop):
+                t = prefix + i * c
+                out[t] = out.get(t, 0) + sign
+        prefix += e * c
+    return LaurentPolynomial(out)
+
+
 def alexander_polynomial(kd: KnotData) -> LaurentPolynomial:
     """Normalized Alexander polynomial from the relator's Fox derivatives.
 
@@ -241,7 +248,7 @@ def alexander_polynomial(kd: KnotData) -> LaurentPolynomial:
     t_minus_1 = LaurentPolynomial({1: 1, 0: -1})
 
     def from_derivative(gen: str, other: str) -> LaurentPolynomial:
-        numerator = abelianize(fox_derivative(relator, gen), classes) * t_minus_1
+        numerator = _abelian_fox(relator, gen, classes) * t_minus_1
         divisor = LaurentPolynomial({classes[other]: 1, 0: -1})
         return numerator.divexact(divisor).normalized()
 

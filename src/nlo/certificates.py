@@ -7,7 +7,8 @@ least one x.  A certificate packages the generator change, the (at most
 one-step) relator rewrite needed, the positive word, and the framing
 coefficient v = p*q + ell^2*m; every surgery slope p'/q' with
 p', q' > 0 and p'/q' >= v then yields a quotient group that is not
-left-orderable.
+left-orderable.  Which parameters those are is decided by
+``families.certified_case``; a certificate's case reads ``sign=±1,<case>``.
 
 Nothing searches: construction builds and replays the relator step that
 the closed form names, and verification replays the recorded trace and
@@ -16,10 +17,19 @@ re-checks each hypothesis.  Only scripts/search_positive_ell2.py searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from .families import FamilyParams, KnotData, Slope
+from .families import (
+    CASE_NEXT,
+    CASE_TOP,
+    FamilyParams,
+    KnotData,
+    Slope,
+    certified_case,
+    in_verified_range,
+    is_lspace_knot,
+)
 from .presentation import (
     GeneratorChange,
     RewriteError,
@@ -30,12 +40,6 @@ from .presentation import (
 from .words import Word, contains, format_word, is_positive, substitute
 
 SCHEMA_VERSION = 1
-
-CASE_MINUS_TOP = "sign=-1,ell=p-1"
-CASE_MINUS_NEXT = "sign=-1,ell=p-2,m=1"
-CASE_PLUS_TOP = "sign=+1,ell=p-1"
-CASE_PLUS_NEXT = "sign=+1,ell=p-2,m=1"
-CASES = (CASE_MINUS_TOP, CASE_MINUS_NEXT, CASE_PLUS_TOP, CASE_PLUS_NEXT)
 
 ELL2_REFUSAL = (
     "no positive rewriting of the framing is known for ell = 2, m = 1 with "
@@ -125,18 +129,20 @@ def xy_change_plus(k: int) -> GeneratorChange:
 
 
 def _classify(params: FamilyParams) -> str:
+    """The certified case of ``params`` (see ``families.certified_case``);
+    anything else is refused with the reason that applies first."""
+    case = certified_case(params)
+    if case is not None:
+        return case
     p, ell, m, sign = params.p, params.ell, params.m, params.sign
     if m == 0:
         raise UnsupportedParameters(M_ZERO_REFUSAL)
-    if ell == p - 1:
-        return CASE_MINUS_TOP if sign == -1 else CASE_PLUS_TOP
-    if ell == p - 2:
-        if m == 1:
-            return CASE_MINUS_NEXT if sign == -1 else CASE_PLUS_NEXT
+    nearest = certified_case(replace(params, m=1))
+    if nearest is not None:
         raise UnsupportedParameters(
-            f"nearest case sign={sign:+d},ell=p-2,m=1 requires m = 1, got m = {m}"
+            f"nearest case sign={sign:+d},{nearest} requires m = 1, got m = {m}"
         )
-    if ell == 2 and m == 1 and p >= 5:
+    if is_lspace_knot(params).is_lspace and in_verified_range(params):
         raise UnsupportedParameters(ELL2_REFUSAL)
     raise UnsupportedParameters(
         f"ell = {ell} matches neither p-1 = {p - 1} nor p-2 = {p - 2}; "
@@ -145,7 +151,7 @@ def _classify(params: FamilyParams) -> str:
 
 
 def _closed_form(params: FamilyParams, case: str) -> tuple[Word, tuple[int, int] | None]:
-    """The positive word for s in x, y per certified case, plus the
+    """The positive word for s in x, y per sign and certified case, plus the
     (offset, position) of the one relator step (see ``insertion_step``)
     that rewrites s into its backward image, or None if they are equal.
 
@@ -157,22 +163,23 @@ def _closed_form(params: FamilyParams, case: str) -> tuple[Word, tuple[int, int]
     """
     p, k, m = params.p, params.k, params.m
     x, y = Word([("x", 1)]), Word([("y", 1)])
-    if case == CASE_MINUS_TOP:
+    key = (params.sign, case)
+    if key == (-1, CASE_TOP):
         if k == 1:
             return y ** m * (y * x * y ** m) ** (p - 2) * y * x, (0, m)
         run = (y * x) ** (k - 1)
         return (run * y ** (m + 1)) ** (p - 1) * run * y, None
-    if case == CASE_MINUS_NEXT:
+    if key == (-1, CASE_NEXT):
         run = (y * x) ** (k - 1)
         return x * run * (y * run * y) ** (p - 2) * run * y, (-1, 0)
-    if case == CASE_PLUS_TOP:
+    if key == (1, CASE_TOP):
         return ((x * y) ** (k + 1) * y ** (m - 1)) ** (p - 1) * (x * y) ** k * x, None
-    if case == CASE_PLUS_NEXT:
+    if key == (1, CASE_NEXT):
         return (
             (x * y) ** (2 * k + 1) * (y * (x * y) ** k) ** (p - 3) * (x * y) ** k * x,
             None,
         )
-    raise AssertionError(f"unknown case {case}")
+    raise AssertionError(f"unknown case {key}")
 
 
 def certify(kd: KnotData) -> Certificate:
@@ -211,7 +218,7 @@ def certify(kd: KnotData) -> Certificate:
     return Certificate(
         schema_version=SCHEMA_VERSION,
         params=params,
-        case=case,
+        case=f"sign={params.sign:+d},{case}",
         change=change,
         trace=trace,
         positive_s=closed,

@@ -130,14 +130,35 @@ class LSpaceStatus:
     case: str | None
 
 
+CASE_TOP = "ell=p-1"
+CASE_NEXT = "ell=p-2,m=1"
+# The L-space cases that positive-rewriting certificates cover.
+CERTIFIED_CASES = (CASE_TOP, CASE_NEXT)
+
+
 def is_lspace_knot(params: FamilyParams) -> LSpaceStatus:
     if params.ell == params.p - 1:
-        return LSpaceStatus(True, "ell=p-1")
+        return LSpaceStatus(True, CASE_TOP)
     if params.ell == params.p - 2 and params.m == 1:
-        return LSpaceStatus(True, "ell=p-2,m=1")
+        return LSpaceStatus(True, CASE_NEXT)
     if params.ell == 2 and params.m == 1:
         return LSpaceStatus(True, "ell=2,m=1")
     return LSpaceStatus(False, None)
+
+
+def certified_case(params: FamilyParams) -> str | None:
+    """The case of ``params`` among ``CERTIFIED_CASES``, or None.
+
+    Certificates cover those L-space cases for the twisted knots only,
+    m >= 1; every certified case admits m = 1.
+    """
+    case = is_lspace_knot(params).case
+    return case if params.m >= 1 and case in CERTIFIED_CASES else None
+
+
+def in_verified_range(params: FamilyParams) -> bool:
+    """Whether ell <= p-1, the range the closed-form presentations cover."""
+    return params.ell < params.p
 
 
 def _gen(name: str, exp: int = 1) -> Word:
@@ -146,7 +167,7 @@ def _gen(name: str, exp: int = 1) -> Word:
 
 def _check_range(params: FamilyParams, unverified_range: bool) -> tuple[str, ...]:
     notes = []
-    if params.ell == params.p:
+    if not in_verified_range(params):
         if not unverified_range:
             raise ParameterError(
                 f"ell = p = {params.p} is outside the verified range "

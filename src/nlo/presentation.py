@@ -1,10 +1,10 @@
 """Finitely presented groups: relators, single-step rewriting, and
 generator changes.
 
-A rewrite step replaces one occurrence of a relation side inside a word's
-unrolled letter sequence by the other side.  Relations are admitted up to
-cyclic rotation of a stored relator (or its inverse): group relations hold
-up to conjugation, and the rewrites appearing in certificates need rotated
+A rewrite step replaces one occurrence of a relation's left side inside a
+word's unrolled letter sequence by its right side.  Relations are admitted
+up to cyclic rotation of a stored relator (or its inverse): group relations
+hold up to conjugation, and the rewrites appearing in certificates need rotated
 forms to replay displayed computations letter-for-letter.  Applying a
 relation never searches.  :func:`find_relation_applications`, the bounded
 breadth-first search that *discovers* steps, serves only as the slow
@@ -24,12 +24,10 @@ from .words import (
     letters_list,
     rotations,
     substitute,
-    word_from_letters,
 )
 
+# The one direction a step runs in; documents name it, so it is checked.
 LHS_TO_RHS = "lhs_to_rhs"
-RHS_TO_LHS = "rhs_to_lhs"
-DIRECTIONS = (LHS_TO_RHS, RHS_TO_LHS)
 
 DEFAULT_NODE_CAP = 100_000
 
@@ -78,7 +76,7 @@ class RewriteStep:
     position: int
 
     def __post_init__(self):
-        if self.direction not in DIRECTIONS:
+        if self.direction != LHS_TO_RHS:
             raise ValueError(f"unknown direction {self.direction!r}")
         if self.position < 0:
             raise ValueError("position must be nonnegative")
@@ -158,19 +156,16 @@ class GeneratorChange:
 
 
 def apply_relation(w: Word, rel: Relation, step: RewriteStep) -> Word:
-    """Replace one occurrence of a side of ``rel`` inside ``w``.
+    """Replace one occurrence of ``rel.lhs`` inside ``w`` by ``rel.rhs``.
 
-    The step's side must occur letter-for-letter at ``step.position`` in
+    The left side must occur letter-for-letter at ``step.position`` in
     the unrolled expansion of ``w`` (an empty side occurs at every
     position, which realizes insertion of a rotated relator).  The result
-    is reduced and equals ``w`` in any group where lhs = rhs holds.
+    is reduced and equals ``w`` in any group where lhs = rhs holds.  The
+    reverse rewrite is the step on ``Relation(rel.rhs, rel.lhs)``.
     """
-    if step.direction == LHS_TO_RHS:
-        source, target = rel.lhs, rel.rhs
-    else:
-        source, target = rel.rhs, rel.lhs
     seq = letters_list(w)
-    src = letters_list(source)
+    src = letters_list(rel.lhs)
     pos = step.position
     if pos > len(seq) - len(src):
         raise RewriteError(
@@ -179,7 +174,7 @@ def apply_relation(w: Word, rel: Relation, step: RewriteStep) -> Word:
         )
     if seq[pos : pos + len(src)] != src:
         raise RewriteError(f"occurrence mismatch at position {pos}")
-    return word_from_letters(seq[:pos] + letters_list(target) + seq[pos + len(src):])
+    return Word(seq[:pos] + letters_list(rel.rhs) + seq[pos + len(src):])
 
 
 def replay_trace(w: Word, trace: Iterable[TraceStep], relators: tuple[Word, ...]) -> Word:
@@ -224,7 +219,7 @@ def insertion_step(relator: Word, offset: int, position: int) -> TraceStep:
     :func:`find_relation_applications` tries, built from one rotation."""
     seq = letters_list(~cyclic_reduce(relator))
     offset %= len(seq)
-    rel = Relation(Word(), word_from_letters(seq[offset:] + seq[:offset]))
+    rel = Relation(Word(), Word(seq[offset:] + seq[:offset]))
     return rel, RewriteStep(0, LHS_TO_RHS, position)
 
 
@@ -249,9 +244,10 @@ def find_relation_applications(
     """Breadth-first enumeration of words reachable from ``w`` by at most
     ``max_steps`` applications of ``rel``.
 
-    Applications run in both directions and at all positions, including
-    cyclic forms of the relator.  Results are deduplicated by word, each
-    kept with a shortest discovering trace, in deterministic order.
+    Each application inserts a cyclic rotation of the relator of ``rel``
+    or of its inverse, at every letter position.  Results are deduplicated
+    by word, each kept with a shortest discovering trace, in deterministic
+    order.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -277,19 +273,3 @@ def find_relation_applications(
         if not frontier:
             break
     return results
-
-
-def change_generators(pres: Presentation, gc: GeneratorChange) -> Presentation:
-    """Rewrite a presentation over a new alphabet via mutually inverse maps.
-
-    Relators and labels are replaced by their substituted, reduced images;
-    label names are preserved.
-    """
-    missing = set(pres.generators) - set(gc.forward)
-    if missing:
-        raise ValueError(f"change does not cover generators {sorted(missing)}")
-    return Presentation(
-        generators=gc.new_generators,
-        relators=tuple(substitute(r, gc.forward) for r in pres.relators),
-        labels={name: substitute(w, gc.forward) for name, w in pres.labels.items()},
-    )

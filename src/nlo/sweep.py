@@ -7,15 +7,15 @@ output order is canonical (sorted by parameters) either way.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
 from .certificates import certify, verify_certificate
-from .families import FamilyParams, build
+from .families import CERTIFIED_CASES, FamilyParams, build, certified_case
 from .serialize import certificate_to_doc, params_to_doc
 
-CASE_TOP = "ell=p-1"
-CASE_NEXT = "ell=p-2"
-ALL_CASES = (CASE_TOP, CASE_NEXT)
+# The ``cases`` values: the ell condition that opens each certified case.
+ALL_CASES = tuple(case.split(",")[0] for case in CERTIFIED_CASES)
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,19 @@ def parse_range(text: str) -> tuple[int, int]:
 def grid_instances(spec: SweepSpec = SweepSpec()) -> list[FamilyParams]:
     """Certifiable instances of the grid, in canonical sorted order.
 
-    The ell = p-1 case runs over the full m range; the ell = p-2 case
-    requires m = 1 (skipped when 1 is outside the range) and p >= 4
-    (ell >= 2).
+    Every grid point with ell in the builders' verified range
+    2 <= ell <= p-1 is kept when ``families.certified_case`` names a case
+    whose ell condition is in ``spec.cases``; p = 2 has no such ell.
     """
+    ranges = (spec.p_range, spec.k_range, spec.m_range)
+    ps, ks, ms = (range(lo, hi + 1) for lo, hi in ranges)
     out = []
-    p_lo, p_hi = spec.p_range
-    k_lo, k_hi = spec.k_range
-    m_lo, m_hi = spec.m_range
-    for p in range(p_lo, p_hi + 1):
-        for k in range(k_lo, k_hi + 1):
-            for sign in sorted(spec.signs):
-                if CASE_TOP in spec.cases:
-                    for m in range(max(m_lo, 1), m_hi + 1):
-                        out.append(FamilyParams(p, k, sign, p - 1, m))
-                if CASE_NEXT in spec.cases and p >= 4 and m_lo <= 1 <= m_hi:
-                    out.append(FamilyParams(p, k, sign, p - 2, 1))
+    for p, k, sign, m in product(ps, ks, spec.signs, ms):
+        for ell in range(2, p):
+            params = FamilyParams(p, k, sign, ell, m)
+            case = certified_case(params)
+            if case is not None and case.split(",")[0] in spec.cases:
+                out.append(params)
     return sorted(out, key=lambda q: (q.p, q.k, q.sign, q.ell, q.m))
 
 

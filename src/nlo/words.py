@@ -136,29 +136,6 @@ class Word:
         return {g for g, _ in self.syllables}
 
 
-IDENTITY = Word()
-
-
-def reduce(raw: Iterable[Syllable]) -> Word:
-    """Free reduction of a raw syllable list to canonical form."""
-    return Word(raw)
-
-
-def invert(w: Word) -> Word:
-    return ~w
-
-
-def concat(*words: Word) -> Word:
-    out: list[Syllable] = []
-    for w in words:
-        out.extend(w.syllables)
-    return Word(out)
-
-
-def power(w: Word, n: int) -> Word:
-    return w ** n
-
-
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     """Homomorphic image of ``w`` under generator -> word assignments.
 
@@ -207,10 +184,6 @@ def letters_list(w: Word) -> list[tuple[str, int]]:
     return list(letters(w))
 
 
-def word_from_letters(seq: Iterable[tuple[str, int]]) -> Word:
-    return Word(seq)
-
-
 def cyclic_reduce(w: Word) -> Word:
     """Conjugate ``w`` to a cyclically reduced core.
 
@@ -237,7 +210,7 @@ def rotations(w: Word) -> list[Word]:
     """
     seq = letters_list(w)
     n = len(seq)
-    return [word_from_letters(seq[j:] + seq[:j]) for j in range(n)] or [Word()]
+    return [Word(seq[j:] + seq[:j]) for j in range(n)] or [Word()]
 
 
 def is_cyclic_rotation(u: Word, v: Word) -> bool:

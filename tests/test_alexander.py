@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from nlo.alexander import (
     DivisionError,
+    _abelian_fox,
     GroupRingElement,
     LaurentPolynomial,
     abelianize,
@@ -15,6 +16,7 @@ from nlo.alexander import (
     torus_alexander,
 )
 from nlo.families import FamilyParams, build
+from nlo.homology import h1_class_map
 from nlo.words import Word, parse_word
 
 words = st.lists(
@@ -107,6 +109,33 @@ def test_abelianize_group_ring():
     element = gre(("a b", 2), ("b^-1", -1))
     poly = abelianize(element, {"a": 2, "b": 3})
     assert poly == LaurentPolynomial({5: 2, -3: -1})
+
+
+# The one-pass abelianized derivative against the reference Fox calculus.
+
+
+@given(words, st.sampled_from("ab"), st.integers(-5, 5), st.integers(-5, 5))
+def test_abelian_fox_matches_reference(w, gen, class_a, class_b):
+    classes = {"a": class_a, "b": class_b}
+    assert _abelian_fox(w, gen, classes) == abelianize(fox_derivative(w, gen), classes)
+
+
+def test_abelian_fox_matches_reference_on_relators():
+    pairs = 0
+    for p in range(3, 10):
+        for k in range(1, 6):
+            for sign in (-1, 1):
+                for ell in range(2, p):
+                    for m in range(0, 5):
+                        kd = build(FamilyParams(p, k, sign, ell, m))
+                        pres = kd.presentation
+                        classes = h1_class_map(pres, normalize_by=kd.peripheral.mu)
+                        for gen in pres.generators:
+                            relator = pres.relators[0]
+                            reference = abelianize(fox_derivative(relator, gen), classes)
+                            assert _abelian_fox(relator, gen, classes) == reference
+                            pairs += 1
+    assert pairs == 2800
 
 
 def test_threshold_trefoil():

@@ -4,10 +4,6 @@ import time
 import pytest
 
 from nlo.certificates import (
-    CASE_MINUS_NEXT,
-    CASE_MINUS_TOP,
-    CASE_PLUS_NEXT,
-    CASE_PLUS_TOP,
     CLAUSE_FRAMING,
     CLAUSE_MERIDIAN,
     CLAUSE_POSITIVITY,
@@ -30,7 +26,7 @@ from nlo.presentation import (
     replay_trace,
 )
 from nlo.sweep import SweepSpec, grid_instances
-from nlo.words import Word, parse_word, power, substitute
+from nlo.words import Word, parse_word, substitute
 
 STEP_GRID = grid_instances(SweepSpec(p_range=(3, 10), k_range=(1, 5), m_range=(1, 5)))
 
@@ -65,7 +61,7 @@ def test_xy_change_rejects_bad_k():
 def test_certify_minus_top_case():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
     cert = certify(kd)
-    assert cert.case == CASE_MINUS_TOP
+    assert cert.case == "sign=-1,ell=p-1"
     yx = parse_word("y x")
     assert cert.positive_s == (yx * parse_word("y^2")) ** 2 * yx * parse_word("y")
     assert cert.v == 19
@@ -76,8 +72,8 @@ def test_certify_minus_top_case():
 def test_certify_plus_top_case():
     kd = build(FamilyParams(3, 1, 1, 2, 1))
     cert = certify(kd)
-    assert cert.case == CASE_PLUS_TOP
-    assert cert.positive_s == power(parse_word("x y"), 5) * parse_word("x")
+    assert cert.case == "sign=+1,ell=p-1"
+    assert cert.positive_s == parse_word("x y") ** 5 * parse_word("x")
     assert cert.v == 16
     assert cert.trace == ()
     assert verify_certificate(kd, cert).passed
@@ -86,7 +82,7 @@ def test_certify_plus_top_case():
 def test_certify_minus_next_case_has_one_step_trace():
     kd = build(FamilyParams(4, 1, -1, 2, 1))
     cert = certify(kd)
-    assert cert.case == CASE_MINUS_NEXT
+    assert cert.case == "sign=-1,ell=p-2,m=1"
     assert cert.positive_s == parse_word("x y^5")
     assert len(cert.trace) == 1
     # The rewrite lands on the intermediate form whose image is positive_s.
@@ -98,7 +94,7 @@ def test_certify_minus_next_case_has_one_step_trace():
 def test_certify_plus_next_case():
     kd = build(FamilyParams(4, 1, 1, 2, 1))
     cert = certify(kd)
-    assert cert.case == CASE_PLUS_NEXT
+    assert cert.case == "sign=+1,ell=p-2,m=1"
     xy = parse_word("x y")
     assert cert.positive_s == xy ** 3 * parse_word("y") * xy * xy * parse_word("x")
     assert cert.trace == ()
@@ -130,6 +126,13 @@ def test_certify_rejects_middle_ell():
     with pytest.raises(UnsupportedParameters) as err:
         certify(kd)
     assert "neither" in str(err.value)
+    # ell = p, built outside the verified range, matches neither case
+    # either, even where ell = p = 2 is an L-space case with m = 1.
+    for ptuple in [(2, 1, 1, 2, 1), (5, 1, 1, 5, 1)]:
+        kd = build(FamilyParams(*ptuple), unverified_range=True)
+        with pytest.raises(UnsupportedParameters) as err:
+            certify(kd)
+        assert "neither" in str(err.value)
 
 
 def test_verify_rejects_tampered_positive_word():
@@ -210,19 +213,18 @@ def test_cross_formula_identity():
 
 
 def test_positive_word_class_equals_framing():
-    # Through the changed presentation, x maps to the H1 generator and the
-    # positive word's class lands exactly on v.
+    # Pulled back to a, b, x maps to the H1 generator and the positive
+    # word's class lands exactly on v.
     from nlo.homology import h1_class_map, word_class
-    from nlo.presentation import change_generators
 
     for ptuple in [(3, 2, -1, 2, 1), (4, 1, -1, 2, 1), (5, 1, 1, 4, 2), (6, 2, 1, 4, 1)]:
         kd = build(FamilyParams(*ptuple))
         cert = certify(kd)
-        changed = change_generators(kd.presentation, cert.change)
-        classes = h1_class_map(changed, normalize_by=parse_word("x"))
-        assert classes["x"] == 1
-        assert classes["y"] == kd.params.p - 1
-        assert word_class(cert.positive_s, classes) == cert.v
+        classes = h1_class_map(kd.presentation, normalize_by=kd.peripheral.mu)
+        back = cert.change.backward
+        assert word_class(back["x"], classes) == 1
+        assert word_class(back["y"], classes) == kd.params.p - 1
+        assert word_class(substitute(cert.positive_s, back), classes) == cert.v
 
 
 def test_clay_watson_and_twist_family_bounds():

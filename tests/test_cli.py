@@ -1,10 +1,19 @@
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from nlo.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from nlo.sweep import parse_range
+from nlo.sweep import SweepSpec, grid_instances, parse_range
+
+# sha256 of the canonical content of `nlo certify` on the grid
+# p 3:12, k 1:6, m 1:5, keyed "p,k,sign,ell,m"; the benchmark checks the
+# same file.  Read here, never written.
+CERTIFY_DIGESTS = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "certify_digests.json"
+)
 
 T35 = ["--p", "3", "--k", "2", "--sign", "-1", "--ell", "2", "--m", "1"]
 
@@ -102,6 +111,23 @@ def test_verify_tampered_certificate_exit_2(tmp_path, capsys):
     assert not content_of(out)["passed"]
 
 
+def test_verify_unknown_direction_exit_2(tmp_path, capsys):
+    _, out, _ = run(
+        capsys, "certify", "--p", "4", "--k", "1", "--sign", "-1", "--ell", "2", "--m", "1"
+    )
+    cert_doc = json.loads(out)["content"]["certificate"]
+    assert cert_doc["trace"][0]["direction"] == "lhs_to_rhs"
+    cert_doc["trace"][0]["direction"] = "rhs_to_lhs"
+    path = tmp_path / "direction.json"
+    path.write_text(json.dumps(cert_doc))
+    code, out, err = run(capsys, "verify", "--certificate", str(path))
+    assert code == EXIT_VERIFY
+    content = content_of(out)
+    assert content["verdict"] == "FAIL"
+    assert "unknown direction 'rhs_to_lhs'" in content["failures"][0]
+    assert "Traceback" not in err
+
+
 def test_verify_unknown_schema_exit_2(tmp_path, capsys):
     _, out, _ = run(capsys, "certify", *T35)
     cert_doc = json.loads(out)["content"]["certificate"]
@@ -189,6 +215,35 @@ def test_sweep_small_grid(tmp_path, capsys):
     assert stored["passed"] == 12
     verdicts = [r["verdict"] for r in stored["instances"]]
     assert set(verdicts) == {"PASS"}
+
+
+def test_sweep_p2_contributes_no_instances(capsys):
+    # ell = p-1 = 1 is below the builders' range, and q = 1 for sign -1, k = 1.
+    assert grid_instances(SweepSpec(p_range=(2, 5))) == grid_instances(
+        SweepSpec(p_range=(3, 5))
+    )
+    code, out, _ = run(capsys, "sweep", "--p-range", "2:4", "--format", "text")
+    assert code == EXIT_OK
+    assert out == run(capsys, "sweep", "--p-range", "3:4", "--format", "text")[1]
+
+
+def test_certify_content_matches_reference_digests(capsys):
+    digests = json.loads(CERTIFY_DIGESTS.read_text())
+    grid = grid_instances(SweepSpec((3, 12), (1, 6), (1, 5)))
+    assert len(grid) == 708
+    keys = [f"{q.p},{q.k},{q.sign},{q.ell},{q.m}" for q in grid]
+    assert set(keys) == set(digests)
+    mismatched = []
+    for key, q in zip(keys, grid):
+        code, out, _ = run(
+            capsys, "certify", "--p", str(q.p), "--k", str(q.k), "--sign", str(q.sign),
+            "--ell", str(q.ell), "--m", str(q.m),
+        )
+        assert code == EXIT_OK, key
+        canonical = json.dumps(content_of(out), sort_keys=True, separators=(",", ":"))
+        if hashlib.sha256(canonical.encode()).hexdigest() != digests[key]:
+            mismatched.append(key)
+    assert mismatched == []
 
 
 def test_parse_range():
