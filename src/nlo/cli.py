@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import __version__
 from .alexander import alexander_polynomial, lspace_surgery_threshold
 from .certificates import certify, verify_certificate
-from .cosets import check_peripheral_commutation, todd_coxeter
+from .cosets import COMMUTATION_MAX_COSETS, check_peripheral_commutation, todd_coxeter
 from .families import (
     FamilyParams,
     KnotData,
@@ -130,8 +131,9 @@ def _cmd_verify(args) -> int:
     else:
         with open(args.certificate) as handle:
             doc = json.load(handle)
-    if "content" in doc and "certificate" in doc.get("content", {}):
-        doc = doc["content"]["certificate"]
+    content = doc.get("content") if isinstance(doc, dict) else None
+    if isinstance(content, dict) and "certificate" in content:
+        doc = content["certificate"]
     try:
         cert = certificate_from_doc(doc)
     except ValueError as exc:
@@ -217,7 +219,7 @@ def _cmd_order(args) -> int:
 
 def _cmd_commutation(args) -> int:
     kd = _knot(args)
-    report = check_peripheral_commutation(kd, max_cosets=args.max_cosets or 5000)
+    report = check_peripheral_commutation(kd, max_cosets=args.max_cosets)
     content = {
         "consistent": report.consistent,
         "complete_enumerations": report.complete_enumerations,
@@ -251,7 +253,9 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if result["failed"] == 0 else EXIT_VERIFY
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="nlo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -274,8 +278,8 @@ def build_parser() -> _Parser:
     sub.choices["homology"].add_argument("--slope")
     sub.choices["order"].add_argument("--slope")
     sub.choices["order"].add_argument("--subgroup", action="append", default=[])
-    sub.choices["order"].add_argument("--max-cosets", type=int)
-    sub.choices["commutation"].add_argument("--max-cosets", type=int)
+    for name, cap in (("order", None), ("commutation", COMMUTATION_MAX_COSETS)):
+        sub.choices[name].add_argument("--max-cosets", type=int, default=cap)
 
     verify = sub.add_parser("verify")
     verify.set_defaults(fn=_cmd_verify)

@@ -1,11 +1,20 @@
 """Bounded Todd-Coxeter coset enumeration.
 
 The enumerator builds the Schreier graph of the coset action with a
-union-find over coset labels: scanning a relator (or a subgroup generator
-word) from a coset defines missing edges on the fly and identifies the two
-endpoints, and identifications cascade by merging neighbor rows.  Cosets
-are visited and edges defined in a fixed deterministic order, so two runs
-on the same input produce identical tables.
+union-find over coset labels.  The table is column-major: one int list
+per generator and one per inverse, indexed by label and growing by one
+entry per definition; each relator or subgroup word is precomputed once
+as its list of (column, inverse column) pairs.  Scanning a word from a
+coset defines missing entries on the fly and identifies the two ends;
+identifications cascade by merging rows column by column.
+
+The enumeration order is part of the output contract: cosets are visited
+in label order, entries defined in scan order, coincidences processed
+last in first out with the smaller label surviving, and the cap checked
+before each definition.  Capped tables, their coset counts and which
+enumerations finish under a cap (all printed by ``nlo order`` and the
+commutation battery) depend on it.  The tests compare every table with
+the earlier, slower enumerator in ``tests/reference_cosets.py``.
 
 Enumerations are bounded by a cap on coset definitions (including cosets
 later merged away); hitting the cap yields a table with status "capped",
@@ -22,6 +31,7 @@ from .presentation import Presentation
 from .words import Word, letters
 
 DEFAULT_MAX_COSETS = 10**6
+COMMUTATION_MAX_COSETS = 5000
 ENV_MAX_COSETS = "NLO_MAX_COSETS"
 
 COMPLETE = "complete"
@@ -66,15 +76,11 @@ class CosetTable:
     def is_complete(self) -> bool:
         return self.status == COMPLETE
 
-    def _column(self, gen: str, sign: int) -> int:
-        idx = self.generators.index(gen)
-        return 2 * idx + (0 if sign > 0 else 1)
-
     def action(self, w: Word) -> list[int]:
         """Permutation induced by right multiplication on the cosets."""
         if not self.is_complete():
             raise ValueError("coset action requires a complete table")
-        cols = [self._column(g, s) for g, s in letters(w)]
+        cols = [2 * self.generators.index(g) + (s < 0) for g, s in letters(w)]
         out = []
         for start in range(self.num_cosets):
             c = start
@@ -96,11 +102,6 @@ class CosetTable:
         return "\n".join(lines)
 
 
-def _word_cols(w: Word, generators: tuple[str, ...]) -> list[int]:
-    index = {g: i for i, g in enumerate(generators)}
-    return [2 * index[g] + (0 if s > 0 else 1) for g, s in letters(w)]
-
-
 def todd_coxeter(
     pres: Presentation,
     subgroup: list[Word] | tuple[Word, ...] = (),
@@ -115,111 +116,102 @@ def todd_coxeter(
     cap = resolve_max_cosets(max_cosets)
     if cap < 1:
         raise ValueError("max_cosets must be at least 1")
-    ncols = 2 * len(pres.generators)
-    relator_cols = [_word_cols(r, pres.generators) for r in pres.relators]
-    subgroup_cols = [_word_cols(w, pres.generators) for w in subgroup]
+    column = {g: 2 * i for i, g in enumerate(pres.generators)}
+    if any(not w.generators() <= column.keys() for w in subgroup):
+        raise ValueError("subgroup words must use only the presentation's generators")
+    columns = [[UNDEFINED] for _ in range(2 * len(column))]
+    pairs = [(col, columns[i ^ 1]) for i, col in enumerate(columns)]
 
+    def scan_pairs(w: Word) -> list[tuple[list[int], list[int]]]:
+        return [pairs[column[g] + (s < 0)] for g, s in letters(w)]
+
+    # Scanning g g^-1 from a live coset defines its g-entry when missing
+    # and otherwise returns to it, so these words complete a row.
+    completion = [[pair, pair[::-1]] for pair in pairs]
+    relators = [scan_pairs(r) for r in pres.relators] + completion
+    words = [scan_pairs(w) for w in subgroup] + relators
     parent = [0]
-    neighbors = [[UNDEFINED] * ncols]
 
     def find(c: int) -> int:
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    def define() -> int:
-        if len(parent) >= cap:
-            raise _Capped
-        c = len(parent)
-        parent.append(c)
-        neighbors.append([UNDEFINED] * ncols)
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
         return c
 
-    def follow(c: int, col: int) -> int:
-        c = find(c)
-        row = neighbors[c]
-        if row[col] == UNDEFINED:
-            n = define()
-            row[col] = n
-            neighbors[n][col ^ 1] = c
-        return find(row[col])
-
-    def trace(c: int, cols: list[int]) -> int:
-        for col in cols:
-            c = follow(c, col)
-        return c
-
-    def unify(c1: int, c2: int) -> None:
-        queue = [(c1, c2)]
-        while queue:
-            a, b = queue.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            a, b = min(a, b), max(a, b)
-            parent[b] = a
-            for col in range(ncols):
-                n1 = neighbors[a][col]
-                n2 = neighbors[b][col]
-                if n1 == UNDEFINED:
-                    neighbors[a][col] = n2
-                elif n2 != UNDEFINED:
-                    queue.append((n1, n2))
-
+    # UNDEFINED is -1 and labels are >= 0, so the hot loop tests signs.
     status = COMPLETE
+    c = 0
     try:
-        for cols in subgroup_cols:
-            unify(trace(0, cols), find(0))
-        to_visit = 0
-        while to_visit < len(parent):
-            c = find(to_visit)
-            if c == to_visit:
-                for cols in relator_cols:
-                    unify(trace(c, cols), c)
-                if find(to_visit) == to_visit:
-                    for col in range(ncols):
-                        follow(to_visit, col)
-            to_visit += 1
+        while c < len(parent):
+            if parent[c] == c:
+                for word in words:
+                    start = d = c if parent[c] == c else find(c)
+                    for fwd, inv in word:
+                        e = fwd[d]
+                        if e < 0:
+                            e = len(parent)
+                            if e >= cap:
+                                raise _Capped
+                            parent.append(e)
+                            for col in columns:
+                                col.append(-1)
+                            fwd[d] = e
+                            inv[e] = d
+                        elif parent[e] != e:
+                            e = find(e)
+                        d = e
+                    if d == start:
+                        continue
+                    # Identify the end with the start, then merge rows
+                    # column by column, the smaller label surviving.
+                    queue = [(d, start)]
+                    while queue:
+                        a, b = queue.pop()
+                        if parent[a] != a:
+                            a = find(a)
+                        if parent[b] != b:
+                            b = find(b)
+                        if a == b:
+                            continue
+                        if a > b:
+                            a, b = b, a
+                        parent[b] = a
+                        for col in columns:
+                            n2 = col[b]
+                            if n2 >= 0:
+                                n1 = col[a]
+                                if n1 < 0:
+                                    col[a] = n2
+                                else:
+                                    queue.append((n1, n2))
+            words = relators
+            c += 1
     except _Capped:
         status = CAPPED
 
-    live = [c for c in range(len(parent)) if find(c) == c]
-    renumber = {c: i for i, c in enumerate(live)}
-    rows = []
-    for c in live:
-        row = []
-        for entry in neighbors[c]:
-            row.append(UNDEFINED if entry == UNDEFINED else renumber[find(entry)])
-        rows.append(row)
+    # A merged label points to a smaller one, so one ascending pass numbers
+    # every label by its live coset; the extra last entry maps UNDEFINED.
+    index, live = [], []
+    for c, p in enumerate(parent):
+        if p == c:
+            index.append(len(live))
+            live.append(c)
+        else:
+            index.append(index[p])
+    index.append(UNDEFINED)
+    rows = [[index[col[c]] for col in columns] for c in live]
     table = CosetTable(pres.generators, rows, status, tuple(subgroup))
-
     if status == COMPLETE:
-        _check_closure(table, relator_cols, subgroup_cols)
+        _check_closure(table, pres.relators)
     return table
 
 
-def _check_closure(
-    table: CosetTable, relator_cols: list[list[int]], subgroup_cols: list[list[int]]
-) -> None:
-    for row in table.rows:
-        if UNDEFINED in row:
-            raise RuntimeError("complete table has undefined entries")
-    for cols in relator_cols:
-        for start in range(table.num_cosets):
-            c = start
-            for col in cols:
-                c = table.rows[c][col]
-            if c != start:
-                raise RuntimeError("complete table is not closed under a relator")
-    for cols in subgroup_cols:
-        c = 0
-        for col in cols:
-            c = table.rows[c][col]
-        if c != 0:
-            raise RuntimeError("row 0 is not fixed by a subgroup generator")
+def _check_closure(table: CosetTable, relators: tuple[Word, ...]) -> None:
+    if any(UNDEFINED in row for row in table.rows):
+        raise RuntimeError("complete table has undefined entries")
+    if any(table.action(r) != list(range(table.num_cosets)) for r in relators):
+        raise RuntimeError("complete table is not closed under a relator")
+    if any(table.action(w)[0] != 0 for w in table.subgroup):
+        raise RuntimeError("row 0 is not fixed by a subgroup generator")
 
 
 @dataclass(frozen=True)
@@ -240,7 +232,9 @@ class CommutationReport:
         return f"{word} across {self.complete_enumerations} complete enumerations"
 
 
-def check_peripheral_commutation(kd: KnotData, max_cosets: int = 5000) -> CommutationReport:
+def check_peripheral_commutation(
+    kd: KnotData, max_cosets: int = COMMUTATION_MAX_COSETS
+) -> CommutationReport:
     """Check that the meridian and framing commute in finite coset actions.
 
     Battery: the knot group itself and its surgery quotients at slopes

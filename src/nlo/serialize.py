@@ -24,6 +24,8 @@ class SchemaError(ValueError):
 
 
 def _check_version(doc: Doc, kind: str) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{kind} document must be a JSON object, not {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(
@@ -49,7 +51,7 @@ def presentation_from_doc(doc: Doc) -> Presentation:
             relators=tuple(parse_word(t) for t in doc["relators"]),
             labels={name: parse_word(t) for name, t in doc["labels"].items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed presentation document: {exc}") from exc
 
 
@@ -165,7 +167,7 @@ def certificate_from_doc(doc: Doc) -> Certificate:
                 s_contains_x=hyp["s_contains_x"],
             ),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise SchemaError(f"malformed certificate document: {exc}") from exc
 
 

@@ -40,7 +40,7 @@ class SweepSpec:
                 raise ValueError(f"empty {name} range {lo}:{hi}")
         if self.p_range[0] < 2 or self.k_range[0] < 1 or self.m_range[0] < 0:
             raise ValueError("ranges extend below the builder bounds")
-        if not self.signs or any(s not in (-1, 1) for s in self.signs):
+        if sorted(self.signs) not in ([-1], [1], [-1, 1]):
             raise ValueError("signs must be a nonempty subset of {-1, +1}")
         unknown = set(self.cases) - set(ALL_CASES)
         if unknown:

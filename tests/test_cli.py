@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nlo.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from nlo.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from nlo.sweep import SweepSpec, grid_instances, parse_range
 
 # sha256 of the canonical content of `nlo certify` on the grid
@@ -16,6 +16,7 @@ CERTIFY_DIGESTS = (
 )
 
 T35 = ["--p", "3", "--k", "2", "--sign", "-1", "--ell", "2", "--m", "1"]
+TREFOIL = ["--p", "3", "--k", "1", "--sign", "-1", "--ell", "2", "--m", "0"]
 
 
 def run(capsys, *argv):
@@ -282,3 +283,58 @@ def test_sweep_single_failure_exits_2(capsys, monkeypatch):
     )
     assert code == EXIT_VERIFY
     assert content_of(out)["failed"] == 1
+
+
+def test_parser_is_built_once_and_calls_stay_independent(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "order", *TREFOIL, "--slope", "1/1", "--subgroup", "a")
+    assert code == EXIT_OK
+    assert content_of(out) == {"status": "complete", "cosets": 20, "order": None}
+    # The second call must not see the first call's --subgroup.
+    code, out, _ = run(capsys, "order", *TREFOIL, "--slope", "1/1")
+    assert code == EXIT_OK
+    assert content_of(out) == {"status": "complete", "cosets": 120, "order": 120}
+    for _ in range(2):
+        assert run(capsys, "order", *TREFOIL, "--max-cosets", "x")[0] == EXIT_USAGE
+        assert run(capsys, "order", "--p", "3")[0] == EXIT_USAGE
+    assert run(capsys, "order", *TREFOIL, "--slope", "5/1", "--format", "text")[1] == "5\n"
+
+
+@pytest.mark.parametrize(
+    "text", ["[1]", '"x"', '{"content": 5}', '{"content": {"certificate": []}}',
+             '{"schema_version": 1, "generator_change": {"forward": []}}'],
+)
+def test_verify_non_object_document_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--certificate", str(path))
+    assert code == EXIT_VERIFY
+    content = content_of(out)
+    assert content["verdict"] == "FAIL" and not content["passed"]
+    assert err == ""
+
+
+def test_sweep_rejects_duplicate_signs(capsys):
+    with pytest.raises(ValueError, match="subset"):
+        SweepSpec(signs=(1, 1, -1))
+    grid = ["--p-range", "3:5", "--k-range", "1:2"]
+    code, _, err = run(capsys, "sweep", *grid, "--signs", "1,1,-1")
+    assert code == EXIT_DOMAIN
+    assert "subset" in err
+    code, out, _ = run(capsys, "sweep", *grid, "--signs", "1,-1")
+    assert code == EXIT_OK
+    assert content_of(out)["total"] == 44
+
+
+@pytest.mark.parametrize("command", ["order", "commutation"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_nonpositive_max_cosets_exit_domain(capsys, command, cap):
+    code, _, err = run(capsys, command, *TREFOIL, "--max-cosets", cap)
+    assert code == EXIT_DOMAIN
+    assert "max_cosets must be at least 1" in err
+
+
+def test_order_subgroup_outside_alphabet_exit_domain(capsys):
+    code, _, err = run(capsys, "order", *TREFOIL, "--slope", "1/1", "--subgroup", "c")
+    assert code == EXIT_DOMAIN
+    assert "generators" in err

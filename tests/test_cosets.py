@@ -1,5 +1,12 @@
-import pytest
+import json
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nlo.cosets
+import reference_cosets
 from nlo.cosets import (
     CAPPED,
     check_peripheral_commutation,
@@ -9,9 +16,15 @@ from nlo.cosets import (
 from nlo.families import FamilyParams, Slope, build, surgery_presentation
 from nlo.homology import h1
 from nlo.presentation import Presentation
-from nlo.words import letters_list, parse_word
+from nlo.words import Word, letters_list, parse_word
 
 from icosian import generated_subgroup, icosian_group, qpower
+
+# Status, coset count and order of `nlo order --slope n/1 --max-cosets 20000`
+# at the 71 slopes of the benchmark's finite_quotients workload, keyed
+# "p,k,sign,ell,m|n/1"; the benchmark checks the same file.  Read here,
+# never written.
+ORDERS = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "orders.json"
 
 
 def trefoil():
@@ -149,3 +162,71 @@ def test_commutator_abelianization_vanishes():
     assert exponent_sum(commutator, "a") == 0
     assert exponent_sum(commutator, "b") == 0
     assert letters_list(commutator)  # the commutator is not freely trivial
+
+
+def test_subgroup_word_outside_alphabet_is_refused():
+    with pytest.raises(ValueError, match="generators"):
+        todd_coxeter(surgery_presentation(trefoil(), Slope(1, 1)), [parse_word("c")])
+
+
+# The one-loop enumerator against the closure-based reference it replaced:
+# equal rows and status, capped tables included, since capped coset counts
+# and which enumerations complete are printed by `order` and `commutation`.
+
+
+def assert_same_table(pres, subgroup, cap):
+    fast = todd_coxeter(pres, subgroup, max_cosets=cap)
+    slow = reference_cosets.todd_coxeter(pres, subgroup, max_cosets=cap)
+    assert (fast.rows, fast.status) == (slow.rows, slow.status)
+    return fast
+
+
+short_words = st.lists(
+    st.tuples(st.sampled_from("ab"), st.integers(-3, 3)), min_size=1, max_size=4
+).map(Word)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(short_words, min_size=1, max_size=2),
+    st.lists(short_words, max_size=1),
+    st.integers(1, 300),
+)
+def test_enumeration_matches_reference(relators, subgroup, cap):
+    assert_same_table(Presentation(("a", "b"), relators), subgroup, cap)
+
+
+def order_presentations():
+    """(key, surgery presentation, reference entry) for every orders.json key."""
+    out = []
+    for key, entry in sorted(json.loads(ORDERS.read_text()).items()):
+        params, slope = key.split("|")
+        kd = build(FamilyParams(*(int(x) for x in params.split(","))))
+        out.append((key, surgery_presentation(kd, Slope.parse(slope)), entry))
+    return out
+
+
+def test_order_presentations_match_reference_at_cap_2000():
+    cases = order_presentations()
+    assert len(cases) == 71
+    for _, pres, _ in cases:
+        assert_same_table(pres, [], 2000)
+
+
+def test_trefoil_battery_matches_reference(monkeypatch):
+    calls = []
+
+    def both(pres, subgroup=(), max_cosets=None):
+        calls.append(max_cosets)
+        return assert_same_table(pres, subgroup, max_cosets)
+
+    monkeypatch.setattr(nlo.cosets, "todd_coxeter", both)
+    report = check_peripheral_commutation(trefoil(), max_cosets=2000)
+    assert calls == [2000] * 54
+    assert report.consistent and report.complete_enumerations == 45
+
+
+def test_order_presentations_pinned_at_cap_20000():
+    for key, pres, entry in order_presentations():
+        table = todd_coxeter(pres, [], max_cosets=20000)
+        assert (table.status, table.num_cosets) == (entry["status"], entry["cosets"]), key
