@@ -3,7 +3,6 @@
 from .alexander import (
     LaurentPolynomial,
     alexander_polynomial,
-    fox_derivative,
     lspace_surgery_threshold,
     torus_alexander,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "check_peripheral_commutation",
     "find_relation_applications",
     "format_word",
-    "fox_derivative",
     "h1",
     "is_lspace_knot",
     "lspace_surgery_threshold",

@@ -4,20 +4,22 @@ The Alexander polynomial of a two-generator, one-relator knot group comes
 from the free derivative of the relator, abelianized through the
 meridian-normalized identification of H1 with the integers (derived from
 Smith normal form, not hand-coded per family).  The abelianized derivative
-is computed in one pass over the relator; :func:`fox_derivative` with
-:func:`abelianize` is the slow reference the tests compare it against.
-The classical torus-knot closed form serves as an independent oracle for
-the untwisted degenerations.
+is computed in one pass over the relator, without building group ring
+elements; the tests compare it with the full Fox calculus kept in
+``tests/reference_fox.py``.  Laurent division, evaluation and
+normalization are linear in the breadth of their operands, and the tests
+compare them with the earlier quadratic versions in
+``tests/reference_laurent.py``.  The classical torus-knot closed form
+serves as an independent oracle for the untwisted degenerations.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .families import KnotData, is_lspace_knot
-from .homology import h1_class_map, word_class
+from .homology import h1_class_map
 from .words import Word
 
 _TERM = re.compile(r"\s*([+-]?\d+)\*t\^(-?\d+)\s*")
@@ -77,41 +79,47 @@ class LaurentPolynomial:
         return self.max_exp - self.min_exp if self.coeffs else 0
 
     def divexact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division; raises DivisionError on a nonzero remainder."""
+        """Exact division; raises DivisionError on a nonzero remainder.
+
+        Long division from the top degree down, each degree visited once:
+        a degree's coefficient is final once every higher one is divided out.
+        """
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPolynomial()
-        shift = self.min_exp - divisor.min_exp
-        rem = {e - self.min_exp: c for e, c in self.coeffs.items()}
-        div = {e - divisor.min_exp: c for e, c in divisor.coeffs.items()}
-        div_deg = max(div)
-        div_lead = div[div_deg]
+        low, div_low, div_top = self.min_exp, divisor.min_exp, divisor.max_exp
+        rem = {e - low: c for e, c in self.coeffs.items()}
+        div_deg = div_top - div_low
+        div_lead = divisor.coeffs[div_top]
+        rest = [(e - div_low, c) for e, c in divisor.coeffs.items() if e != div_top]
         quotient: dict[int, int] = {}
-        while rem:
-            deg = max(rem)
-            if deg < div_deg:
-                raise DivisionError("remainder of lower degree than divisor")
-            lead = rem[deg]
-            if lead % div_lead != 0:
+        for deg in range(max(rem), div_deg - 1, -1):
+            lead = rem.pop(deg, 0)
+            if not lead:
+                continue
+            q, r = divmod(lead, div_lead)
+            if r:
                 raise DivisionError("leading coefficient not divisible")
-            q = lead // div_lead
-            quotient[deg - div_deg] = q
-            for e, c in div.items():
-                pos = e + deg - div_deg
-                rem[pos] = rem.get(pos, 0) - q * c
-                if rem[pos] == 0:
-                    del rem[pos]
+            offset = deg - div_deg
+            quotient[offset] = q
+            for e, c in rest:
+                rem[e + offset] = rem.get(e + offset, 0) - q * c
+        if any(rem.values()):
+            raise DivisionError("nonzero remainder")
+        shift = low - div_low
         return LaurentPolynomial({e + shift: c for e, c in quotient.items()})
 
     def evaluate(self, value: int) -> int:
-        """Evaluate at a nonzero integer (via exact rationals)."""
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += c * Fraction(value) ** e
-        if total.denominator != 1:
+        """Evaluate at a nonzero integer; raises ValueError when the result
+        is not an integer.  The sum is taken over integers after
+        multiplying by ``value ** -min(min_exp, 0)``, then divided once."""
+        shift = min(self.min_exp, 0)
+        total = sum(c * value ** (e - shift) for e, c in self.coeffs.items())
+        result, remainder = divmod(total, value**-shift)
+        if remainder:
             raise ValueError(f"evaluation at {value} is not an integer")
-        return int(total)
+        return result
 
     def reciprocal(self) -> "LaurentPolynomial":
         """Substitute t -> 1/t."""
@@ -121,10 +129,9 @@ class LaurentPolynomial:
         """Fix the unit ambiguity: lowest exponent 0, top coefficient > 0."""
         if not self.coeffs:
             return LaurentPolynomial()
-        shifted = {e - self.min_exp: c for e, c in self.coeffs.items()}
-        if shifted[max(shifted)] < 0:
-            shifted = {e: -c for e, c in shifted.items()}
-        return LaurentPolynomial(shifted)
+        low = self.min_exp
+        sign = 1 if self.coeffs[self.max_exp] > 0 else -1
+        return LaurentPolynomial({e - low: sign * c for e, c in self.coeffs.items()})
 
     def to_text(self) -> str:
         """Sparse ``c*t^e`` terms sorted by exponent."""
@@ -150,74 +157,10 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self.to_text()!r})"
 
 
-class GroupRingElement:
-    """Formal integer combination of reduced words."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Word, int] | None = None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElement(out)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def word_mul(self, w: Word) -> "GroupRingElement":
-        """Left multiplication by a single word."""
-        return GroupRingElement({w * u: c for u, c in self.terms.items()})
-
-    def __repr__(self) -> str:
-        inner = " + ".join(f"{c}*[{u!r}]" for u, c in self.terms.items())
-        return f"GroupRingElement({inner or '0'})"
-
-
-def fox_derivative(w: Word, gen: str) -> GroupRingElement:
-    """Free derivative, satisfying D(uv) = D(u) + u D(v), D(g) = 1,
-    D(g^-1) = -g^-1, and D(h) = 0 for h != g."""
-    terms: dict[Word, int] = {}
-
-    def add(word: Word, coeff: int) -> None:
-        terms[word] = terms.get(word, 0) + coeff
-
-    prefix = Word()
-    for g, e in w.syllables:
-        if g == gen:
-            if e > 0:
-                for i in range(e):
-                    add(prefix * Word([(g, i)]), 1)
-            else:
-                for i in range(1, -e + 1):
-                    add(prefix * Word([(g, -i)]), -1)
-        prefix = prefix * Word([(g, e)])
-    return GroupRingElement(terms)
-
-
-def abelianize(element: GroupRingElement, classes: dict[str, int]) -> LaurentPolynomial:
-    """Image of a group ring element in Z[t, 1/t] under g -> t^class(g)."""
-    out: dict[int, int] = {}
-    for w, c in element.terms.items():
-        e = word_class(w, classes)
-        out[e] = out.get(e, 0) + c
-    return LaurentPolynomial(out)
-
-
 def _abelian_fox(w: Word, gen: str, classes: dict[str, int]) -> LaurentPolynomial:
-    """``abelianize(fox_derivative(w, gen), classes)`` in one pass over the
-    syllables of ``w``, carrying the class of the prefix read so far."""
+    """The Fox derivative of ``w`` by ``gen`` with each word mapped to
+    ``t^class``, in one pass over the syllables of ``w``, carrying the class
+    of the prefix read so far."""
     out: dict[int, int] = {}
     prefix = 0
     for g, e in w.syllables:

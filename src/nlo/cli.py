@@ -126,15 +126,17 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.certificate == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(args.certificate) as handle:
-            doc = json.load(handle)
-    content = doc.get("content") if isinstance(doc, dict) else None
-    if isinstance(content, dict) and "certificate" in content:
-        doc = content["certificate"]
+    # A file that cannot be opened is a domain error (OSError, exit 1);
+    # input that is not JSON fails verification like any other bad document.
     try:
+        if args.certificate == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(args.certificate) as handle:
+                doc = json.load(handle)
+        content = doc.get("content") if isinstance(doc, dict) else None
+        if isinstance(content, dict) and "certificate" in content:
+            doc = content["certificate"]
         cert = certificate_from_doc(doc)
     except ValueError as exc:
         content = {"passed": False, "verdict": "FAIL", "failures": [str(exc)]}

@@ -47,7 +47,10 @@ def resolve_max_cosets(explicit: int | None = None) -> int:
         return explicit
     env = os.environ.get(ENV_MAX_COSETS)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{ENV_MAX_COSETS} must be an integer, got {env!r}") from None
     return DEFAULT_MAX_COSETS
 
 

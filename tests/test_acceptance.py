@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from nlo.alexander import alexander_polynomial, fox_derivative, torus_alexander
+from nlo.alexander import alexander_polynomial, torus_alexander
 from nlo.certificates import (
     CLAUSE_FRAMING,
     CLAUSE_MERIDIAN,
@@ -36,6 +36,7 @@ from nlo.words import (
     parse_word,
     substitute,
 )
+from reference_fox import fox_derivative
 
 GRID = grid_instances(SweepSpec())
 

@@ -1,23 +1,25 @@
+import hashlib
+import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_laurent
 from nlo.alexander import (
     DivisionError,
     _abelian_fox,
-    GroupRingElement,
     LaurentPolynomial,
-    abelianize,
     alexander_polynomial,
-    fox_derivative,
     lspace_surgery_threshold,
     torus_alexander,
 )
-from nlo.families import FamilyParams, build
+from nlo.cli import EXIT_OK, main
+from nlo.families import FamilyParams, build, is_lspace_knot
 from nlo.homology import h1_class_map
 from nlo.words import Word, parse_word
+from reference_fox import GroupRingElement, abelianize, fox_derivative
 
 words = st.lists(
     st.tuples(st.sampled_from("ab"), st.integers(-3, 3)), max_size=6
@@ -66,6 +68,51 @@ def test_laurent_divexact_errors():
     assert t2_minus_1.divexact(t_minus_1) == LaurentPolynomial({1: 1, 0: 1})
     with pytest.raises(DivisionError):
         LaurentPolynomial({1: 1, 0: 1}).divexact(t_minus_1)
+
+
+# The linear Laurent methods against the quadratic reference.
+
+polys = st.dictionaries(
+    st.integers(-12, 12), st.integers(-4, 4), max_size=6
+).map(LaurentPolynomial)
+nonzero_polys = polys.filter(bool)
+
+
+def _outcome(fn, *args):
+    """The value ``fn`` returns, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(deadline=None)
+@given(polys, nonzero_polys, polys)
+def test_divexact_matches_reference(p, q, r):
+    assert (p * q).divexact(q) == p == reference_laurent.divexact(p * q, q)
+    assert _outcome(r.divexact, q) == _outcome(reference_laurent.divexact, r, q)
+    assert _outcome(p.divexact, LaurentPolynomial()) is ZeroDivisionError
+    assert _outcome(reference_laurent.divexact, p, LaurentPolynomial()) is ZeroDivisionError
+
+
+@settings(deadline=None)
+@given(polys, polys.filter(lambda q: len(q.coeffs) > 1), st.integers(-4, 4).filter(bool))
+def test_divexact_rejects_non_multiples(p, q, c):
+    # A nonzero constant is not a multiple of a polynomial with two or more
+    # terms, so neither is p*q + c.
+    off = p * q + LaurentPolynomial({0: c})
+    with pytest.raises(DivisionError):
+        off.divexact(q)
+    with pytest.raises(DivisionError):
+        reference_laurent.divexact(off, q)
+
+
+@settings(deadline=None)
+@given(polys)
+def test_evaluate_and_normalized_match_reference(p):
+    for value in (1, -1, 2, -2, 3):
+        assert _outcome(p.evaluate, value) == _outcome(reference_laurent.evaluate, p, value)
+    assert p.normalized() == reference_laurent.normalized(p)
 
 
 def test_laurent_text_round_trip():
@@ -156,3 +203,44 @@ def test_threshold_requires_lspace_parameters():
     kd = build(FamilyParams(5, 1, -1, 3, 2))
     with pytest.raises(ValueError):
         lspace_surgery_threshold(kd, alexander_polynomial(kd))
+
+
+# `nlo alexander` over the L-space instances of p 3:9, k 1:5, m 1:4 plus the
+# m = 0 torus knots T(p, pk±1), 460 in all (the benchmark's alexander grid).
+# sha256 of each instance's canonical content, one line per instance in
+# grid order, as computed before the Laurent arithmetic was made linear.
+ALEXANDER_GRID_SHA256 = "c647273698789ed67690ffbaf39552291571d5a52c69b9d65a4f066e4f6d9df8"
+
+
+def _lspace_grid():
+    out = []
+    for p in range(3, 10):
+        for k in range(1, 6):
+            for sign in (-1, 1):
+                out.append((p, k, sign, p - 1, 0))
+                for ell in range(2, p):
+                    for m in range(1, 5):
+                        if is_lspace_knot(FamilyParams(p, k, sign, ell, m)).is_lspace:
+                            out.append((p, k, sign, ell, m))
+    return out
+
+
+def test_alexander_grid_content_pinned_and_lspace_shaped(capsys):
+    grid = _lspace_grid()
+    assert len(grid) == 460
+    digest = hashlib.sha256()
+    for params in grid:
+        argv = [f"--{n}={x}" for n, x in zip(("p", "k", "sign", "ell", "m"), params)]
+        assert main(["alexander", *argv]) == EXIT_OK, params
+        content = json.loads(capsys.readouterr().out)["content"]
+        digest.update(json.dumps(content, sort_keys=True, separators=(",", ":")).encode())
+        digest.update(b"\n")
+        # Ozsvath-Szabo: an L-space knot's polynomial is symmetric, of even
+        # breadth, with coefficients +-1 alternating in sign.
+        delta = LaurentPolynomial.parse(content["polynomial"])
+        assert delta == delta.reciprocal().normalized(), params
+        assert content["degree"] == delta.breadth and delta.breadth % 2 == 0, params
+        ordered = [c for _, c in sorted(delta.coeffs.items())]
+        assert all(abs(c) == 1 for c in ordered), params
+        assert all(a == -b for a, b in zip(ordered, ordered[1:])), params
+    assert digest.hexdigest() == ALEXANDER_GRID_SHA256

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import time
 from pathlib import Path
@@ -312,6 +313,26 @@ def test_verify_non_object_document_exit_2(tmp_path, capsys, text):
     content = content_of(out)
     assert content["verdict"] == "FAIL" and not content["passed"]
     assert err == ""
+
+
+@pytest.mark.parametrize("text", ["xx", "", '{"schema_version": 1,'])
+def test_verify_unreadable_json_exit_2(tmp_path, capsys, monkeypatch, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    for source in (str(path), "-"):
+        code, out, err = run(capsys, "verify", "--certificate", source)
+        assert code == EXIT_VERIFY, source
+        content = content_of(out)
+        assert content["verdict"] == "FAIL" and not content["passed"]
+        assert err == ""
+
+
+def test_verify_missing_file_exit_domain(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "--certificate", str(tmp_path / "absent.json"))
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "No such file" in err
 
 
 def test_sweep_rejects_duplicate_signs(capsys):
