@@ -12,8 +12,9 @@ import argparse
 
 from nlo.certificates import xy_change_minus, xy_change_plus
 from nlo.families import FamilyParams, build
-from nlo.presentation import Relation, SearchCapExceeded, find_relation_applications
+from nlo.presentation import Relation
 from nlo.words import Word, contains, format_word, is_positive, substitute
+from rewrite_search import SearchCapExceeded, find_relation_applications
 
 
 def main() -> None:

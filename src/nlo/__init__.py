@@ -32,7 +32,6 @@ from .presentation import (
     Relation,
     RewriteStep,
     apply_relation,
-    find_relation_applications,
 )
 from .words import Word, format_word, parse_word
 
@@ -59,7 +58,6 @@ __all__ = [
     "build_plus",
     "certify",
     "check_peripheral_commutation",
-    "find_relation_applications",
     "format_word",
     "h1",
     "is_lspace_knot",

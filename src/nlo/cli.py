@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 
@@ -43,6 +44,11 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
+
+# Certificate documents nest about 5 levels; json recurses once per level.
+MAX_JSON_DEPTH = 16
+# A string (closed or running to the end of the text) or a bracket.
+_JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[][{}]')
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,15 +131,29 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
+def _load_json(text: str):
+    """Decode ``text`` after one linear pass has bounded its nesting."""
+    depth = 0
+    for token in _JSON_TOKEN.finditer(text):
+        bracket = token.group()
+        if bracket in ("[", "{"):
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                raise ValueError(f"document nests deeper than {MAX_JSON_DEPTH} levels")
+        elif bracket in ("]", "}"):
+            depth -= 1
+    return json.loads(text)
+
+
 def _cmd_verify(args) -> int:
     # A file that cannot be opened is a domain error (OSError, exit 1);
     # input that is not JSON fails verification like any other bad document.
     try:
         if args.certificate == "-":
-            doc = json.load(sys.stdin)
+            doc = _load_json(sys.stdin.read())
         else:
             with open(args.certificate) as handle:
-                doc = json.load(handle)
+                doc = _load_json(handle.read())
         content = doc.get("content") if isinstance(doc, dict) else None
         if isinstance(content, dict) and "certificate" in content:
             doc = content["certificate"]

@@ -92,18 +92,6 @@ class CosetTable:
             out.append(c)
         return out
 
-    def to_csv(self) -> str:
-        """Rows as CSV, cosets numbered from 1, blank for undefined."""
-        header = ["coset"]
-        for g in self.generators:
-            header.extend([g, f"{g}^-1"])
-        lines = [",".join(header)]
-        for i, row in enumerate(self.rows):
-            cells = [str(i + 1)]
-            cells.extend("" if e == UNDEFINED else str(e + 1) for e in row)
-            lines.append(",".join(cells))
-        return "\n".join(lines)
-
 
 def todd_coxeter(
     pres: Presentation,

@@ -5,31 +5,27 @@ A rewrite step replaces one occurrence of a relation's left side inside a
 word's unrolled letter sequence by its right side.  Relations are admitted
 up to cyclic rotation of a stored relator (or its inverse): group relations
 hold up to conjugation, and the rewrites appearing in certificates need rotated
-forms to replay displayed computations letter-for-letter.  Applying a
-relation never searches.  :func:`find_relation_applications`, the bounded
-breadth-first search that *discovers* steps, serves only as the slow
-reference for the step certificates take from their closed form and as the
-engine of scripts/search_positive_ell2.py.
+forms to replay displayed computations letter-for-letter.  Nothing here
+searches: steps are built from a named rotation and position, or replayed
+from a recorded trace.  The bounded search that *discovers* steps lives in
+scripts/rewrite_search.py, outside the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .words import (
     Word,
     cyclic_reduce,
     is_cyclic_rotation,
     letters_list,
-    rotations,
     substitute,
 )
 
 # The one direction a step runs in; documents name it, so it is checked.
 LHS_TO_RHS = "lhs_to_rhs"
-
-DEFAULT_NODE_CAP = 100_000
 
 
 class RewriteError(ValueError):
@@ -38,10 +34,6 @@ class RewriteError(ValueError):
 
 class RoundTripError(ValueError):
     """Forward/backward generator maps are not mutually inverse."""
-
-
-class SearchCapExceeded(RuntimeError):
-    """The rewrite search visited more nodes than its configured cap."""
 
 
 @dataclass(frozen=True)
@@ -196,80 +188,12 @@ def replay_trace(w: Word, trace: Iterable[TraceStep], relators: tuple[Word, ...]
     return current
 
 
-def _insertion_relations(relator: Word) -> list[Relation]:
-    """Relations lhs = rhs with empty lhs whose application inserts a
-    cyclic rotation of ``relator`` or of its inverse.
-
-    Enumeration order is fixed (relator rotations first, then inverse
-    rotations, each by increasing rotation offset) so searches are
-    deterministic.
-    """
-    core = cyclic_reduce(relator)
-    rels = []
-    for base in (core, ~core):
-        for rot in rotations(base):
-            rels.append(Relation(Word(), rot))
-    return rels
-
-
 def insertion_step(relator: Word, offset: int, position: int) -> TraceStep:
     """The step, against relator 0, that inserts the inverse of the cyclic
     core of ``relator`` rotated by ``offset`` letters (mod its length) at
-    letter ``position``: one of the steps that
-    :func:`find_relation_applications` tries, built from one rotation."""
+    letter ``position``: one of the steps that the rewrite search in
+    scripts/rewrite_search.py tries, built from one rotation."""
     seq = letters_list(~cyclic_reduce(relator))
     offset %= len(seq)
     rel = Relation(Word(), Word(seq[offset:] + seq[:offset]))
     return rel, RewriteStep(0, LHS_TO_RHS, position)
-
-
-def _successors(
-    w: Word, relations: list[Relation], relator_index: int
-) -> Iterator[tuple[TraceStep, Word]]:
-    length = w.letter_length
-    for pos in range(length + 1):
-        for rel in relations:
-            step = RewriteStep(relator_index, LHS_TO_RHS, pos)
-            yield (rel, step), apply_relation(w, rel, step)
-
-
-def find_relation_applications(
-    w: Word,
-    rel: Relation,
-    max_steps: int,
-    *,
-    relator_index: int = 0,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> list[tuple[tuple[TraceStep, ...], Word]]:
-    """Breadth-first enumeration of words reachable from ``w`` by at most
-    ``max_steps`` applications of ``rel``.
-
-    Each application inserts a cyclic rotation of the relator of ``rel``
-    or of its inverse, at every letter position.  Results are deduplicated
-    by word, each kept with a shortest discovering trace, in deterministic
-    order.
-    """
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
-    relations = _insertion_relations(rel.relator())
-    visited: dict[Word, tuple[TraceStep, ...]] = {w: ()}
-    results: list[tuple[tuple[TraceStep, ...], Word]] = [((), w)]
-    frontier = [w]
-    for _ in range(max_steps):
-        next_frontier: list[Word] = []
-        for node in frontier:
-            trace = visited[node]
-            for trace_step, result in _successors(node, relations, relator_index):
-                if result in visited:
-                    continue
-                if len(visited) >= node_cap:
-                    raise SearchCapExceeded(
-                        f"rewrite search exceeded node cap {node_cap}"
-                    )
-                visited[result] = trace + (trace_step,)
-                results.append((visited[result], result))
-                next_frontier.append(result)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return results

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from .certificates import Certificate, HypothesisRecord, VerificationReport
+from .certificates import SCHEMA_VERSION, Certificate, HypothesisRecord, VerificationReport
 from .families import FamilyParams, KnotData, PeripheralStructure, is_lspace_knot
 from .presentation import GeneratorChange, Presentation, Relation, RewriteStep
 from .words import Word, format_word, parse_word
-
-SCHEMA_VERSION = 1
 
 Doc = dict[str, Any]
 

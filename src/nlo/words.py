@@ -34,14 +34,6 @@ class SubstitutionError(ValueError):
     """A generator in the word has no image under the substitution."""
 
 
-def _reduce_syllables(raw: Iterable[Syllable]) -> tuple[Syllable, ...]:
-    raw = list(raw)
-    for gen, _ in raw:
-        if not (isinstance(gen, str) and len(gen) == 1 and "a" <= gen <= "z"):
-            raise ValueError(f"generator must be a single letter a-z, got {gen!r}")
-    return _free_reduce(raw)
-
-
 def _free_reduce(raw: Iterable[Syllable]) -> tuple[Syllable, ...]:
     """One-pass free reduction of syllables whose letters are valid."""
     out: list[Syllable] = []
@@ -63,7 +55,7 @@ class Word:
     """A freely reduced word; construction validates and reduces its argument.
 
     Only construction validates letters and runs the full reduction
-    ``_reduce_syllables``.  Products reduce only at the seam where the two
+    ``_free_reduce``.  Products reduce only at the seam where the two
     already reduced factors meet; the tests check them against the full
     reduction.
 
@@ -74,7 +66,11 @@ class Word:
     __slots__ = ("syllables",)
 
     def __init__(self, raw: Iterable[Syllable] = ()):
-        self.syllables: tuple[Syllable, ...] = _reduce_syllables(raw)
+        raw = list(raw)
+        for gen, _ in raw:
+            if not (isinstance(gen, str) and len(gen) == 1 and "a" <= gen <= "z"):
+                raise ValueError(f"generator must be a single letter a-z, got {gen!r}")
+        self.syllables: tuple[Syllable, ...] = _free_reduce(raw)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.syllables == other.syllables
@@ -200,17 +196,6 @@ def cyclic_reduce(w: Word) -> Word:
             syl.append((gen, merged))
             break
     return Word(syl)
-
-
-def rotations(w: Word) -> list[Word]:
-    """All letter-level cyclic rotations of ``w``.
-
-    Meaningful for cyclically reduced words, whose rotations are again
-    reduced words of the same length.
-    """
-    seq = letters_list(w)
-    n = len(seq)
-    return [Word(seq[j:] + seq[:j]) for j in range(n)] or [Word()]
 
 
 def is_cyclic_rotation(u: Word, v: Word) -> bool:

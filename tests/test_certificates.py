@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,15 +22,10 @@ from nlo.certificates import (
     xy_change_plus,
 )
 from nlo.families import FamilyParams, Slope, build
-from nlo.presentation import (
-    Relation,
-    _insertion_relations,
-    _successors,
-    find_relation_applications,
-    replay_trace,
-)
+from nlo.presentation import Relation, replay_trace
 from nlo.sweep import SweepSpec, grid_instances
 from nlo.words import Word, parse_word, substitute
+from rewrite_search import _insertion_relations, _successors, find_relation_applications
 
 STEP_GRID = grid_instances(SweepSpec(p_range=(3, 10), k_range=(1, 5), m_range=(1, 5)))
 
@@ -283,15 +282,43 @@ def test_certify_step_matches_reference_search():
 
 
 def test_certify_never_searches(monkeypatch):
-    import nlo.presentation
+    import nlo
+    import rewrite_search
 
     def refuse(*args, **kwargs):
         raise AssertionError("certify scanned for a rewrite")
 
-    monkeypatch.setattr(nlo.presentation, "_successors", refuse)
+    monkeypatch.setattr(rewrite_search, "_successors", refuse)
     for params in STEP_GRID:
         kd = build(params)
         assert verify_certificate(kd, certify(kd)).passed, params
+    assert not hasattr(nlo, "find_relation_applications")
+
+
+# Runs `nlo certify` and `nlo verify` in one fresh interpreter that could
+# import the search module, then reports whether anything did.
+CERTIFY_THEN_VERIFY = """
+import contextlib, io, sys
+from nlo.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    certified = main("certify --p 4 --k 1 --sign -1 --ell 2 --m 1".split())
+sys.stdin = io.StringIO(out.getvalue())
+with contextlib.redirect_stdout(io.StringIO()):
+    verified = main(["verify", "--certificate", "-"])
+print(certified, verified, "rewrite_search" in sys.modules)
+"""
+
+
+def test_cli_never_imports_the_search():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "scripts")])
+    proc = subprocess.run(
+        [sys.executable, "-c", CERTIFY_THEN_VERIFY],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "False"]
 
 
 def test_certify_large_step_case_is_fast():

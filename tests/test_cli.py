@@ -2,12 +2,13 @@ import hashlib
 import io
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from nlo.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
-from nlo.sweep import SweepSpec, grid_instances, parse_range
+from nlo.sweep import SweepSpec, grid_instances, parse_range, run_sweep
 
 # sha256 of the canonical content of `nlo certify` on the grid
 # p 3:12, k 1:6, m 1:5, keyed "p,k,sign,ell,m"; the benchmark checks the
@@ -219,6 +220,13 @@ def test_sweep_small_grid(tmp_path, capsys):
     assert set(verdicts) == {"PASS"}
 
 
+def test_sweep_process_pool_matches_serial():
+    spec = SweepSpec(p_range=(3, 4), k_range=(1, 2), m_range=(1, 2))
+    serial = run_sweep(spec)
+    assert serial["total"] > 2 and serial["failed"] == 0
+    assert run_sweep(replace(spec, jobs=2)) == serial
+
+
 def test_sweep_p2_contributes_no_instances(capsys):
     # ell = p-1 = 1 is below the builders' range, and q = 1 for sign -1, k = 1.
     assert grid_instances(SweepSpec(p_range=(2, 5))) == grid_instances(
@@ -326,6 +334,19 @@ def test_verify_unreadable_json_exit_2(tmp_path, capsys, monkeypatch, text):
         content = content_of(out)
         assert content["verdict"] == "FAIL" and not content["passed"]
         assert err == ""
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"a":' * 5000], ids=["arrays", "objects"])
+def test_verify_deep_nesting_exit_2(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--certificate", "-")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_VERIFY
+    content = content_of(out)
+    assert content["verdict"] == "FAIL" and not content["passed"]
+    assert "nests deeper" in content["failures"][0]
+    assert err == ""
 
 
 def test_verify_missing_file_exit_domain(tmp_path, capsys):

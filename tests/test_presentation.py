@@ -10,12 +10,11 @@ from nlo.presentation import (
     RewriteError,
     RewriteStep,
     RoundTripError,
-    SearchCapExceeded,
     apply_relation,
-    find_relation_applications,
     replay_trace,
 )
 from nlo.words import Word, exponent_sum, parse_word
+from rewrite_search import SearchCapExceeded, find_relation_applications
 
 
 def knot_relation(kd):

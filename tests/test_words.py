@@ -14,9 +14,9 @@ from nlo.words import (
     is_positive,
     letters_list,
     parse_word,
-    rotations,
     substitute,
 )
+from rewrite_search import _insertion_relations
 
 raw_syllables = st.lists(
     st.tuples(st.sampled_from("ab"), st.integers(-4, 4)), max_size=8
@@ -124,10 +124,12 @@ def test_cyclic_reduce():
 
 def test_rotations_and_cyclic_rotation():
     w = parse_word("a^2 b")
-    rots = rotations(w)
-    assert len(rots) == 3
+    inserted = [rel.rhs for rel in _insertion_relations(w)]
+    assert len(inserted) == 6
+    rots = inserted[:3]
     assert parse_word("a b a") in rots and parse_word("b a^2") in rots
     assert all(is_cyclic_rotation(r, w) for r in rots)
+    assert all(is_cyclic_rotation(r, ~w) for r in inserted[3:])
     assert not is_cyclic_rotation(parse_word("a b"), parse_word("a b^-1"))
 
 
