@@ -37,7 +37,7 @@ from .presentation import (
     insertion_step,
     replay_trace,
 )
-from .words import Word, contains, format_word, is_positive, substitute
+from .words import Word, abbreviate_word, contains, is_positive, substitute
 
 SCHEMA_VERSION = 1
 
@@ -200,8 +200,8 @@ def certify(kd: KnotData) -> Certificate:
     rewritten = substitute(replayed, change.forward)
     if rewritten != closed:
         raise CertificateError(
-            f"trace replay produced {format_word(rewritten)}, closed form is "
-            f"{format_word(closed)}; construction aborted"
+            f"trace replay produced {abbreviate_word(rewritten)}, closed form is "
+            f"{abbreviate_word(closed)}; construction aborted"
         )
 
     x_name = change.new_generators[0]
@@ -256,7 +256,7 @@ def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
         if back_x != kd.peripheral.mu:
             failures.append(
                 f"{CLAUSE_MERIDIAN}: backward image of {x_name} is "
-                f"{format_word(back_x)}, meridian is {format_word(kd.peripheral.mu)}"
+                f"{abbreviate_word(back_x)}, meridian is {abbreviate_word(kd.peripheral.mu)}"
             )
     except ValueError as exc:
         failures.append(f"{CLAUSE_MERIDIAN}: {exc}")
@@ -266,8 +266,8 @@ def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
         rewritten = substitute(replayed, change.forward)
         if rewritten != cert.positive_s:
             failures.append(
-                f"{CLAUSE_REPLAY}: trace replay gives {format_word(rewritten)}, "
-                f"certificate states {format_word(cert.positive_s)}"
+                f"{CLAUSE_REPLAY}: trace replay gives {abbreviate_word(rewritten)}, "
+                f"certificate states {abbreviate_word(cert.positive_s)}"
             )
     except (RewriteError, ValueError) as exc:
         failures.append(f"{CLAUSE_REPLAY}: {exc}")

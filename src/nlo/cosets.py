@@ -2,11 +2,15 @@
 
 The enumerator builds the Schreier graph of the coset action with a
 union-find over coset labels.  The table is column-major: one int list
-per generator and one per inverse, indexed by label and growing by one
-entry per definition; each relator or subgroup word is precomputed once
-as its list of (column, inverse column) pairs.  Scanning a word from a
-coset defines missing entries on the fly and identifies the two ends;
-identifications cascade by merging rows column by column.
+per generator and one per inverse, indexed by label; these lists and the
+union-find parents grow in doubling blocks clamped to the cap, so a
+definition only writes two entries.  Each relator or subgroup word is
+precomputed once as its list of (column, inverse column) pairs.
+Scanning a word from a coset defines missing entries on the fly and
+identifies the two ends; identifications cascade by merging rows column
+by column.  A live counter (+1 per definition, -1 per merge) gives
+``num_cosets``; the rows are renumbered from the labels only when first
+read, so a capped table that is only counted never builds them.
 
 The enumeration order is part of the output contract: cosets are visited
 in label order, entries defined in scan order, coincidences processed
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .families import KnotData, Slope, surgery_presentation
 from .presentation import Presentation
@@ -38,6 +43,9 @@ COMPLETE = "complete"
 CAPPED = "capped"
 
 UNDEFINED = -1
+
+# Labels the enumerator allocates before its first growth.
+FIRST_BLOCK = 64
 
 
 def resolve_max_cosets(explicit: int | None = None) -> int:
@@ -58,23 +66,64 @@ class _Capped(Exception):
     pass
 
 
-@dataclass
 class CosetTable:
     """Closed (or capped partial) coset table.
 
     Rows are cosets, row 0 the subgroup coset; columns alternate
     generator and inverse-generator images.  Entries of a complete table
     are all defined and closed under every relator and subgroup word.
+    For a table from ``todd_coxeter``, ``num_cosets`` is the enumerator's
+    live count and ``rows`` are built when first read.
     """
 
-    generators: tuple[str, ...]
-    rows: list[list[int]]
-    status: str
-    subgroup: tuple[Word, ...]
+    def __init__(
+        self,
+        generators: tuple[str, ...],
+        rows: list[list[int]],
+        status: str,
+        subgroup: tuple[Word, ...],
+    ):
+        self.generators = generators
+        self.rows = rows
+        self.status = status
+        self.subgroup = subgroup
+        self.num_cosets = len(rows)
 
-    @property
-    def num_cosets(self) -> int:
-        return len(self.rows)
+    @classmethod
+    def _from_labels(
+        cls,
+        generators: tuple[str, ...],
+        status: str,
+        subgroup: tuple[Word, ...],
+        num_cosets: int,
+        parent: list[int],
+        columns: list[list[int]],
+        n: int,
+    ) -> "CosetTable":
+        """A table whose rows are renumbered from the enumerator's first
+        ``n`` labels when first read."""
+        table = cls.__new__(cls)
+        table.generators, table.status, table.subgroup = generators, status, subgroup
+        table.num_cosets = num_cosets
+        table._labels = parent, columns, n
+        return table
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        # A merged label points to a smaller one, so one ascending pass
+        # numbers every label by its live coset; the extra last entry maps
+        # UNDEFINED.
+        parent, columns, n = self.__dict__.pop("_labels")
+        index, live = [], []
+        for c in range(n):
+            p = parent[c]
+            if p == c:
+                index.append(len(live))
+                live.append(c)
+            else:
+                index.append(index[p])
+        index.append(UNDEFINED)
+        return [[index[col[c]] for col in columns] for c in live]
 
     def is_complete(self) -> bool:
         return self.status == COMPLETE
@@ -83,14 +132,30 @@ class CosetTable:
         """Permutation induced by right multiplication on the cosets."""
         if not self.is_complete():
             raise ValueError("coset action requires a complete table")
+        unknown = w.generators().difference(self.generators)
+        if unknown:
+            raise ValueError(
+                f"generator {min(unknown)!r} is not one of the table's "
+                f"generators {', '.join(self.generators)}"
+            )
         cols = [2 * self.generators.index(g) + (s < 0) for g, s in letters(w)]
+        rows = self.rows
         out = []
-        for start in range(self.num_cosets):
+        for start in range(len(rows)):
             c = start
             for col in cols:
-                c = self.rows[c][col]
+                c = rows[c][col]
             out.append(c)
         return out
+
+
+def _grow(parent: list[int], columns: list[list[int]], size: int) -> None:
+    """Extend the labels to ``size``, each new one its own root and every
+    new entry undefined."""
+    old = len(parent)
+    parent.extend(range(old, size))
+    for col in columns:
+        col.extend([UNDEFINED] * (size - old))
 
 
 def todd_coxeter(
@@ -110,7 +175,9 @@ def todd_coxeter(
     column = {g: 2 * i for i, g in enumerate(pres.generators)}
     if any(not w.generators() <= column.keys() for w in subgroup):
         raise ValueError("subgroup words must use only the presentation's generators")
-    columns = [[UNDEFINED] for _ in range(2 * len(column))]
+    size = min(cap, FIRST_BLOCK)
+    parent = list(range(size))
+    columns = [[UNDEFINED] * size for _ in range(2 * len(column))]
     pairs = [(col, columns[i ^ 1]) for i, col in enumerate(columns)]
 
     def scan_pairs(w: Word) -> list[tuple[list[int], list[int]]]:
@@ -121,7 +188,6 @@ def todd_coxeter(
     completion = [[pair, pair[::-1]] for pair in pairs]
     relators = [scan_pairs(r) for r in pres.relators] + completion
     words = [scan_pairs(w) for w in subgroup] + relators
-    parent = [0]
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -129,22 +195,26 @@ def todd_coxeter(
         return c
 
     # UNDEFINED is -1 and labels are >= 0, so the hot loop tests signs.
+    # n counts labels defined so far, live those not merged away.
     status = COMPLETE
+    n = live = 1
     c = 0
     try:
-        while c < len(parent):
+        while c < n:
             if parent[c] == c:
                 for word in words:
                     start = d = c if parent[c] == c else find(c)
                     for fwd, inv in word:
                         e = fwd[d]
                         if e < 0:
-                            e = len(parent)
-                            if e >= cap:
-                                raise _Capped
-                            parent.append(e)
-                            for col in columns:
-                                col.append(-1)
+                            e = n
+                            if e == size:
+                                if size == cap:
+                                    raise _Capped
+                                size = min(cap, 2 * size)
+                                _grow(parent, columns, size)
+                            n += 1
+                            live += 1
                             fwd[d] = e
                             inv[e] = d
                         elif parent[e] != e:
@@ -166,6 +236,7 @@ def todd_coxeter(
                         if a > b:
                             a, b = b, a
                         parent[b] = a
+                        live -= 1
                         for col in columns:
                             n2 = col[b]
                             if n2 >= 0:
@@ -179,18 +250,9 @@ def todd_coxeter(
     except _Capped:
         status = CAPPED
 
-    # A merged label points to a smaller one, so one ascending pass numbers
-    # every label by its live coset; the extra last entry maps UNDEFINED.
-    index, live = [], []
-    for c, p in enumerate(parent):
-        if p == c:
-            index.append(len(live))
-            live.append(c)
-        else:
-            index.append(index[p])
-    index.append(UNDEFINED)
-    rows = [[index[col[c]] for col in columns] for c in live]
-    table = CosetTable(pres.generators, rows, status, tuple(subgroup))
+    table = CosetTable._from_labels(
+        pres.generators, status, tuple(subgroup), live, parent, columns, n
+    )
     if status == COMPLETE:
         _check_closure(table, pres.relators)
     return table

@@ -21,6 +21,9 @@ Syllable = tuple[str, int]
 # Guard for operations that unroll exponent runs into single letters.
 MAX_LETTERS = 1_000_000
 
+# Characters of word text that abbreviate_word keeps in a message.
+MESSAGE_WORD_CHARS = 200
+
 
 class WordSyntaxError(ValueError):
     """Raised by parse_word; carries the offending text position."""
@@ -121,7 +124,7 @@ class Word:
         return result
 
     def __repr__(self) -> str:
-        return f"Word({format_word(self)!r})"
+        return f"Word({abbreviate_word(self)!r})"
 
     @property
     def letter_length(self) -> int:
@@ -246,3 +249,18 @@ def parse_word(text: str) -> Word:
 def format_word(w: Word) -> str:
     """Minimal canonical text; inverse of parse_word on canonical words."""
     return " ".join(g if e == 1 else f"{g}^{e}" for g, e in w.syllables)
+
+
+def abbreviate_word(w: Word) -> str:
+    """format_word for messages and reprs: a word whose text would pass
+    MESSAGE_WORD_CHARS characters shows the whole syllables that fit,
+    then its syllable count, so hostile input cannot blow up a message."""
+    parts, size = [], -1
+    for g, e in w.syllables:
+        part = g if e == 1 else f"{g}^{e}"
+        size += len(part) + 1
+        if size > MESSAGE_WORD_CHARS:
+            parts.append(f"… ({len(w.syllables)} syllables)")
+            break
+        parts.append(part)
+    return " ".join(parts)

@@ -131,6 +131,30 @@ def test_verify_unknown_direction_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field, text",
+    [(("generator_change", "forward", "a"), "x^1000000 y x^-1000000"),
+     (("positive_s",), "y x " * 5000)],
+    ids=["forward", "positive_s"],
+)
+def test_verify_huge_word_failure_is_bounded(tmp_path, capsys, field, text):
+    _, out, _ = run(capsys, "certify", *T35)
+    cert_doc = json.loads(out)["content"]["certificate"]
+    target = cert_doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = text
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cert_doc))
+    code, out, err = run(capsys, "verify", "--certificate", str(path))
+    assert code == EXIT_VERIFY
+    assert len(out.encode()) < 4096
+    content = content_of(out)
+    assert content["verdict"] == "FAIL"
+    assert "syllables)" in content["failures"][0]
+    assert "Traceback" not in err
+
+
 def test_verify_unknown_schema_exit_2(tmp_path, capsys):
     _, out, _ = run(capsys, "certify", *T35)
     cert_doc = json.loads(out)["content"]["certificate"]

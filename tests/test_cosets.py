@@ -121,6 +121,12 @@ def test_coset_action():
     assert table.action(parse_word("a^3")) == list(range(table.num_cosets))
 
 
+def test_action_names_a_generator_outside_the_table():
+    table = todd_coxeter(surgery_presentation(trefoil(), Slope(5, 1)), [])
+    with pytest.raises(ValueError, match="generator 'c' is not one of the table's generators a, b"):
+        table.action(parse_word("a c^2 b"))
+
+
 def test_incomplete_table_refuses_action():
     pres = Presentation(("a", "b"))
     table = todd_coxeter(pres, [], max_cosets=50)
@@ -186,6 +192,8 @@ def test_subgroup_word_outside_alphabet_is_refused():
 def assert_same_table(pres, subgroup, cap):
     fast = todd_coxeter(pres, subgroup, max_cosets=cap)
     slow = reference_cosets.todd_coxeter(pres, subgroup, max_cosets=cap)
+    # The live counter, read before the rows are first renumbered.
+    assert fast.num_cosets == len(slow.rows)
     assert (fast.rows, fast.status) == (slow.rows, slow.status)
     return fast
 
@@ -213,6 +221,25 @@ def order_presentations():
         kd = build(FamilyParams(*(int(x) for x in params.split(","))))
         out.append((key, surgery_presentation(kd, Slope.parse(slope)), entry))
     return out
+
+
+def test_block_growth_boundaries_match_reference(monkeypatch):
+    # Cap 1000 is not a power of two, so the last doubling is clamped to it:
+    # trefoil 1/1 caps after growing through every block, and trefoil 2/1
+    # completes after at least two growths.
+    sizes = []
+    grow = nlo.cosets._grow
+
+    def counting_grow(parent, columns, size):
+        sizes.append(size)
+        grow(parent, columns, size)
+
+    monkeypatch.setattr(nlo.cosets, "_grow", counting_grow)
+    capped = assert_same_table(surgery_presentation(trefoil(), Slope(1, 1)), [], 1000)
+    assert capped.status == CAPPED and len(sizes) >= 2 and sizes[-1] == 1000
+    sizes.clear()
+    complete = assert_same_table(surgery_presentation(trefoil(), Slope(2, 1)), [], 1000)
+    assert complete.is_complete() and len(sizes) >= 2
 
 
 def test_order_presentations_match_reference_at_cap_2000():

@@ -3,9 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nlo.words import (
+    MESSAGE_WORD_CHARS,
     Word,
     WordSyntaxError,
     SubstitutionError,
+    abbreviate_word,
     contains,
     cyclic_reduce,
     exponent_sum,
@@ -91,6 +93,18 @@ def test_parse_format_examples():
     assert parse_word("") == Word()
     assert format_word(parse_word("a a a")) == "a^3"
     assert format_word(Word()) == ""
+
+
+def test_abbreviate_word_bounds_long_words():
+    short = parse_word("a^-1 b a^1000000")
+    assert abbreviate_word(short) == format_word(short)
+    assert repr(short) == "Word('a^-1 b a^1000000')"
+    long = parse_word("x^1000000 y^-1") ** 1000
+    text = abbreviate_word(long)
+    assert len(text) <= MESSAGE_WORD_CHARS + len(" … (2000 syllables)")
+    assert text.startswith("x^1000000 y^-1 x^1000000 y^-1 ")
+    assert text.endswith(" y^-1 … (2000 syllables)")
+    assert len(repr(long)) < 2 * MESSAGE_WORD_CHARS
 
 
 def test_parse_errors_carry_position():
