@@ -147,7 +147,8 @@ def _load_json(text: str):
 
 def _cmd_verify(args) -> int:
     # A file that cannot be opened is a domain error (OSError, exit 1);
-    # input that is not JSON fails verification like any other bad document.
+    # input that is not JSON, or names parameters that cannot be built,
+    # fails verification like any other bad document.
     try:
         if args.certificate == "-":
             doc = _load_json(sys.stdin.read())
@@ -158,11 +159,11 @@ def _cmd_verify(args) -> int:
         if isinstance(content, dict) and "certificate" in content:
             doc = content["certificate"]
         cert = certificate_from_doc(doc)
+        kd = build(cert.params)
     except ValueError as exc:
         content = {"passed": False, "verdict": "FAIL", "failures": [str(exc)]}
         _emit(args, content, [f"verdict: FAIL: {exc}"])
         return EXIT_VERIFY
-    kd = build(cert.params)
     report = verify_certificate(kd, cert)
     _emit(args, verification_to_doc(report), [f"verdict: {report}"])
     return EXIT_OK if report.passed else EXIT_VERIFY

@@ -7,6 +7,7 @@ human-readable and hash-stable.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any
 
 from .certificates import SCHEMA_VERSION, Certificate, HypothesisRecord, VerificationReport
@@ -21,13 +22,20 @@ class SchemaError(ValueError):
     """Unknown schema version or malformed document."""
 
 
+def _integer(value: Any, name: str) -> int:
+    """``value`` if it is a JSON integer; floats and booleans are refused."""
+    if type(value) is not int:
+        raise SchemaError(f"{name} must be an integer, not {type(value).__name__}")
+    return value
+
+
 def _check_version(doc: Doc, kind: str) -> None:
     if not isinstance(doc, dict):
         raise SchemaError(f"{kind} document must be a JSON object, not {type(doc).__name__}")
-    version = doc.get("schema_version")
+    version = _integer(doc.get("schema_version"), f"{kind} schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(
-            f"{kind} document has schema version {version!r}; "
+            f"{kind} document has schema version {version}; "
             f"this tool reads version {SCHEMA_VERSION}"
         )
 
@@ -54,19 +62,13 @@ def presentation_from_doc(doc: Doc) -> Presentation:
 
 
 def params_to_doc(params: FamilyParams) -> Doc:
-    return {
-        "p": params.p,
-        "k": params.k,
-        "sign": params.sign,
-        "ell": params.ell,
-        "m": params.m,
-    }
+    return dict(vars(params))
 
 
 def params_from_doc(doc: Doc) -> FamilyParams:
     try:
         return FamilyParams(
-            p=doc["p"], k=doc["k"], sign=doc["sign"], ell=doc["ell"], m=doc["m"]
+            *(_integer(doc[f.name], f"params.{f.name}") for f in fields(FamilyParams))
         )
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed parameter document: {exc}") from exc
@@ -123,11 +125,7 @@ def certificate_to_doc(cert: Certificate) -> Doc:
         ],
         "positive_s": format_word(cert.positive_s),
         "v": cert.v,
-        "hypotheses": {
-            "x_is_meridian": cert.hypotheses.x_is_meridian,
-            "s_positive": cert.hypotheses.s_positive,
-            "s_contains_x": cert.hypotheses.s_contains_x,
-        },
+        "hypotheses": dict(vars(cert.hypotheses)),
     }
 
 
@@ -143,9 +141,9 @@ def certificate_from_doc(doc: Doc) -> Certificate:
             (
                 Relation(parse_word(entry["lhs"]), parse_word(entry["rhs"])),
                 RewriteStep(
-                    relator_index=entry["relator_index"],
+                    relator_index=_integer(entry["relator_index"], "trace relator_index"),
                     direction=entry["direction"],
-                    position=entry["position"],
+                    position=_integer(entry["position"], "trace position"),
                 ),
             )
             for entry in doc["trace"]
@@ -158,12 +156,8 @@ def certificate_from_doc(doc: Doc) -> Certificate:
             change=change,
             trace=trace,
             positive_s=parse_word(doc["positive_s"]),
-            v=doc["v"],
-            hypotheses=HypothesisRecord(
-                x_is_meridian=hyp["x_is_meridian"],
-                s_positive=hyp["s_positive"],
-                s_contains_x=hyp["s_contains_x"],
-            ),
+            v=_integer(doc["v"], "v"),
+            hypotheses=HypothesisRecord(*(hyp[f.name] for f in fields(HypothesisRecord))),
         )
     except (AttributeError, KeyError, TypeError) as exc:
         raise SchemaError(f"malformed certificate document: {exc}") from exc

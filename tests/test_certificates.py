@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -7,14 +8,19 @@ from pathlib import Path
 
 import pytest
 
+import nlo.certificates as certificates
 from nlo.certificates import (
+    CLAUSE_CASE,
     CLAUSE_FRAMING,
+    CLAUSE_HYPOTHESES,
     CLAUSE_MERIDIAN,
     CLAUSE_POSITIVITY,
     CLAUSE_REPLAY,
     CLAUSE_SCHEMA,
     ELL2_REFUSAL,
+    HypothesisRecord,
     UnsupportedParameters,
+    case_label,
     certify,
     slope_range,
     verify_certificate,
@@ -22,7 +28,7 @@ from nlo.certificates import (
     xy_change_plus,
 )
 from nlo.families import FamilyParams, Slope, build
-from nlo.presentation import Relation, replay_trace
+from nlo.presentation import GeneratorChange, Relation, replay_trace
 from nlo.sweep import SweepSpec, grid_instances
 from nlo.words import Word, parse_word, substitute
 from rewrite_search import _insertion_relations, _successors, find_relation_applications
@@ -190,6 +196,73 @@ def test_verify_rejects_tampered_trace():
     report = verify_certificate(kd, tampered)
     assert not report.passed
     assert any(f.startswith(CLAUSE_REPLAY) for f in report.failures)
+
+
+def test_verify_rejects_wrong_case():
+    kd = build(FamilyParams(3, 2, -1, 2, 1))
+    cert = certify(kd)
+    for case in ("sign=+1,whatever", "sign=+1,ell=p-1", None, 7):
+        report = verify_certificate(kd, dataclasses.replace(cert, case=case))
+        assert [f for f in report.failures if f.startswith(CLAUSE_CASE)] == [
+            f"{CLAUSE_CASE}: stated case is not sign=-1,ell=p-1"
+        ], case
+
+
+def test_verify_case_follows_the_lspace_table():
+    # The case clause reads is_lspace_knot, not the certified cases, so
+    # an ell = 2, m = 1 certificate can pass it.
+    cert = certify(build(FamilyParams(3, 2, -1, 2, 1)))
+    ell2 = build(FamilyParams(5, 1, -1, 2, 1))
+    assert case_label(ell2.params) == "sign=-1,ell=2,m=1"
+    report = verify_certificate(ell2, dataclasses.replace(cert, case=case_label(ell2.params)))
+    assert not any(f.startswith(CLAUSE_CASE) for f in report.failures)
+    # A knot in no L-space case has no case to state.
+    middle = build(FamilyParams(7, 1, -1, 4, 1))
+    assert case_label(middle.params) is None
+    report = verify_certificate(middle, cert)
+    assert f"{CLAUSE_CASE}: the knot is in no L-space case" in report.failures
+
+
+def test_verify_rejects_hypotheses_not_recorded_true():
+    kd = build(FamilyParams(3, 2, -1, 2, 1))
+    cert = certify(kd)
+    assert cert.hypotheses == HypothesisRecord(True, True, True)
+    for record, unset in [
+        (HypothesisRecord("nonsense", False, None), "x_is_meridian, s_positive, s_contains_x"),
+        (HypothesisRecord(True, 1, True), "s_positive"),
+    ]:
+        report = verify_certificate(kd, dataclasses.replace(cert, hypotheses=record))
+        assert report.failures == (f"{CLAUSE_HYPOTHESES}: {unset} not recorded as true",)
+
+
+def test_certify_only_assembles(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify checked its own certificate")
+
+    monkeypatch.setattr(certificates, "replay_trace", refuse)
+    monkeypatch.setattr(certificates, "substitute", refuse)
+    for params in STEP_GRID:
+        cert = certify(build(params))
+        assert cert.hypotheses == HypothesisRecord(True, True, True), params
+
+
+def test_each_generator_change_is_checked_once(monkeypatch, capsys):
+    from nlo.cli import main
+
+    calls = []
+    real = GeneratorChange.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(GeneratorChange, "__post_init__", counting)
+    argv = "certify --p 4 --k 1 --sign -1 --ell 2 --m 1".split()
+    assert main(argv) == 0
+    assert len(calls) == 1
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["verify", "--certificate", "-"]) == 0
+    assert len(calls) == 2
 
 
 def test_slope_range_boundary_and_signs():

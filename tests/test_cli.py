@@ -165,6 +165,92 @@ def test_verify_unknown_schema_exit_2(tmp_path, capsys):
     assert code == EXIT_VERIFY
 
 
+T42 = ["--p", "4", "--k", "1", "--sign", "-1", "--ell", "2", "--m", "1"]
+
+
+def verify_edited(capsys, monkeypatch, flags, edit):
+    """Certify ``flags``, let ``edit`` change the certificate document in
+    place, and verify the result from stdin."""
+    _, out, _ = run(capsys, "certify", *flags)
+    cert_doc = json.loads(out)["content"]["certificate"]
+    edit(cert_doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(cert_doc)))
+    return run(capsys, "verify", "--certificate", "-")
+
+
+def test_verify_bounds_a_huge_schema_version(capsys, monkeypatch):
+    code, out, err = verify_edited(
+        capsys, monkeypatch, T35, lambda doc: doc.update(schema_version="1" * 1_000_000)
+    )
+    assert code == EXIT_VERIFY
+    assert len(out.encode()) < 4096
+    failures = content_of(out)["failures"]
+    assert failures == ["certificate schema_version must be an integer, not str"]
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("trace", 0, "position"), 1.0), (("params", "p"), 4.0), (("schema_version",), 1.0),
+     (("trace", 0, "relator_index"), False), (("trace", 0, "position"), True),
+     (("params", "m"), True), (("v",), 9.0)],
+    ids=["position-float", "p-float", "schema_version-float", "relator_index-false",
+         "position-true", "m-true", "v-float"],
+)
+def test_verify_integer_fields_must_be_integers(capsys, monkeypatch, path, value):
+    def retype(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        assert type(doc[path[-1]]) is int
+        doc[path[-1]] = value
+
+    code, out, err = verify_edited(capsys, monkeypatch, T42, retype)
+    assert code == EXIT_VERIFY
+    assert "must be an integer" in content_of(out)["failures"][0]
+    assert err == ""
+
+
+def test_verify_checks_recorded_case_and_hypotheses(capsys, monkeypatch):
+    def edit(doc):
+        doc["case"] = "sign=+1,whatever"
+        doc["hypotheses"] = {"x_is_meridian": "nonsense", "s_positive": False,
+                             "s_contains_x": None}
+
+    code, out, err = verify_edited(capsys, monkeypatch, T35, edit)
+    assert code == EXIT_VERIFY
+    assert content_of(out)["failures"] == [
+        "case: stated case is not sign=-1,ell=p-1",
+        "hypotheses: x_is_meridian, s_positive, s_contains_x not recorded as true",
+    ]
+    assert err == ""
+
+
+def test_verify_unbuildable_parameters_exit_2(capsys, monkeypatch):
+    code, out, err = verify_edited(
+        capsys, monkeypatch, T42, lambda doc: doc["params"].update(ell=4)
+    )
+    assert code == EXIT_VERIFY
+    assert "outside the verified range" in content_of(out)["failures"][0]
+    assert err == ""
+
+
+def test_certify_catches_a_wrong_closed_form(capsys, monkeypatch):
+    import nlo.certificates as certificates
+
+    real = certificates._closed_form
+
+    def one_x_too_many(params, case):
+        closed, step = real(params, case)
+        return closed * certificates.Word([("x", 1)]), step
+
+    monkeypatch.setattr(certificates, "_closed_form", one_x_too_many)
+    code, out, err = run(capsys, "certify", *T35)
+    assert code == EXIT_VERIFY
+    failures = content_of(out)["verification"]["failures"]
+    assert len(failures) == 1 and failures[0].startswith("trace_replay: ")
+    assert err == ""
+
+
 def test_surgery_document(capsys):
     code, out, _ = run(capsys, "surgery", *T35, "--slope", "19/1")
     assert code == EXIT_OK

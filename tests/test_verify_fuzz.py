@@ -1,0 +1,110 @@
+"""Fixed-seed fuzzing of `nlo verify` on mutated certificate documents.
+
+Each example takes a valid `nlo certify` certificate and applies one to
+three mutations: a scalar swapped for a value of another JSON type, an
+integer nudged by up to 2, a dict key dropped, or the `backward` keys
+reordered.  Whatever the document, `verify` must answer PASS with exit 0
+or FAIL with exit 2, quickly, in a bounded document, and never with a
+traceback.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import time
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlo.cli import EXIT_OK, EXIT_VERIFY, main
+
+
+def certificate_doc(flags: str) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["certify", *flags.split()]) == EXIT_OK
+    return json.loads(out.getvalue())["content"]["certificate"]
+
+
+# One certificate with an empty trace and one with a one-step trace.
+BASES = (
+    certificate_doc("--p 3 --k 2 --sign -1 --ell 2 --m 1"),
+    certificate_doc("--p 4 --k 1 --sign -1 --ell 2 --m 1"),
+)
+
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=8),
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=2),
+)
+
+
+def paths(node, prefix=()):
+    """The path of every value below ``node``, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+def locate(doc, path):
+    """The container holding ``path``'s value, and its key there."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc, path[-1]
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = [locate(doc, path) for path in paths(doc)]
+        kind = draw(st.sampled_from(("retype", "nudge", "drop", "reorder")))
+        if kind == "retype":
+            leaves = [(c, k) for c, k in slots if not isinstance(c[k], (dict, list))]
+            container, key = draw(st.sampled_from(leaves))
+            container[key] = draw(SCALARS)
+        elif kind == "nudge":
+            ints = [(c, k) for c, k in slots if type(c[k]) is int]
+            if ints:
+                container, key = draw(st.sampled_from(ints))
+                container[key] += draw(st.sampled_from((-2, -1, 1, 2)))
+        elif kind == "drop":
+            keyed = [(c, k) for c, k in slots if isinstance(c, dict)]
+            container, key = draw(st.sampled_from(keyed))
+            del container[key]
+        else:
+            change = doc.get("generator_change")
+            backward = change.get("backward") if isinstance(change, dict) else None
+            if isinstance(backward, dict):
+                change["backward"] = dict(reversed(list(backward.items())))
+    return doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_verify_answers_every_mutated_certificate(doc):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with (
+        mock.patch("sys.stdin", io.StringIO(json.dumps(doc))),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = main(["verify", "--certificate", "-"])
+    assert time.perf_counter() - start < 1.0
+    assert code in (EXIT_OK, EXIT_VERIFY)
+    assert err.getvalue() == ""
+    assert len(out.getvalue().encode()) < 4096
+    verdict = json.loads(out.getvalue())["content"]["verdict"]
+    assert verdict == ("PASS" if code == EXIT_OK else "FAIL")
