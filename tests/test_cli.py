@@ -490,3 +490,37 @@ def test_order_subgroup_outside_alphabet_exit_domain(capsys):
     code, _, err = run(capsys, "order", *TREFOIL, "--slope", "1/1", "--subgroup", "c")
     assert code == EXIT_DOMAIN
     assert "generators" in err
+
+
+# sha256 over the canonical `present` content, then `surgery` content at
+# slopes 1/1 and v/1, one line each, for p 3:7, k 1:3, both signs,
+# 2 <= ell <= p-1 and m 0:2, in that loop order.
+PRESENT_SURGERY_SHA256 = "9f7175bbd55b807fcaa218f82fc070cba3817a2dd30143e860d567240a139ff2"
+
+
+def test_present_and_surgery_content_pinned(capsys):
+    digest = hashlib.sha256()
+    count = 0
+    for p in range(3, 8):
+        for k in range(1, 4):
+            for sign in (-1, 1):
+                for ell in range(2, p):
+                    for m in range(3):
+                        flags = [f"--{n}={x}" for n, x in
+                                 zip(("p", "k", "sign", "ell", "m"), (p, k, sign, ell, m))]
+                        code, out, _ = run(capsys, "present", *flags)
+                        assert code == EXIT_OK, flags
+                        content = content_of(out)
+                        docs = [content]
+                        for slope in ("1/1", f"{content['v']}/1"):
+                            code, out, _ = run(capsys, "surgery", *flags, "--slope", slope)
+                            assert code == EXIT_OK, (flags, slope)
+                            docs.append(content_of(out))
+                        for doc in docs:
+                            digest.update(
+                                json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+                            )
+                            digest.update(b"\n")
+                        count += 1
+    assert count == 270
+    assert digest.hexdigest() == PRESENT_SURGERY_SHA256
