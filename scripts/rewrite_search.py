@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from nlo.presentation import LHS_TO_RHS, Relation, RewriteStep, TraceStep, apply_relation
+from nlo.presentation import Relation, RewriteStep, TraceStep, apply_relation
 from nlo.words import Word, cyclic_reduce, letters_list
 
 DEFAULT_NODE_CAP = 100_000
@@ -44,7 +44,7 @@ def _successors(
     length = w.letter_length
     for pos in range(length + 1):
         for rel in relations:
-            step = RewriteStep(relator_index, LHS_TO_RHS, pos)
+            step = RewriteStep(relator_index, pos)
             yield (rel, step), apply_relation(w, rel, step)
 
 

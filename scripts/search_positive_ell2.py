@@ -31,10 +31,10 @@ def main() -> None:
     change = xy_change_minus(args.k) if args.sign == -1 else xy_change_plus(args.k)
     relator = kd.presentation.relators[0]
     rel = Relation(relator, Word())
-    print(f"searching from s = {format_word(kd.peripheral.s)}")
+    print(f"searching from s = {format_word(kd.s)}")
     try:
         results = find_relation_applications(
-            kd.peripheral.s, rel, args.max_steps, node_cap=args.node_cap
+            kd.s, rel, args.max_steps, node_cap=args.node_cap
         )
     except SearchCapExceeded as exc:
         print(f"stopped: {exc}")

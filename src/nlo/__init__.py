@@ -22,7 +22,7 @@ from .families import (
     build,
     build_minus,
     build_plus,
-    is_lspace_knot,
+    lspace_case,
     surgery_presentation,
 )
 from .homology import abelianization_matrix, h1, smith_normal_form, surgery_h1
@@ -60,7 +60,7 @@ __all__ = [
     "check_peripheral_commutation",
     "format_word",
     "h1",
-    "is_lspace_knot",
+    "lspace_case",
     "lspace_surgery_threshold",
     "parse_word",
     "slope_range",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .families import KnotData, is_lspace_knot
+from .families import KnotData, lspace_case
 from .homology import h1_class_map
 from .words import Word
 
@@ -185,7 +185,7 @@ def alexander_polynomial(kd: KnotData) -> LaurentPolynomial:
     pres = kd.presentation
     if len(pres.generators) != 2 or len(pres.relators) != 1:
         raise ValueError("expected a two-generator, one-relator presentation")
-    classes = h1_class_map(pres, normalize_by=kd.peripheral.mu)
+    classes = h1_class_map(pres, normalize_by=kd.mu)
     g0, g1 = pres.generators
     relator = pres.relators[0]
     t_minus_1 = LaurentPolynomial({1: 1, 0: -1})
@@ -241,8 +241,7 @@ def lspace_surgery_threshold(kd: KnotData, delta: LaurentPolynomial) -> Threshol
     parameters; an odd polynomial breadth signals an inconsistency and
     raises.
     """
-    status = is_lspace_knot(kd.params)
-    if not status.is_lspace:
+    if lspace_case(kd.params) is None:
         raise ValueError(
             f"parameters {kd.params} are not in an L-space knot case"
         )
@@ -251,4 +250,4 @@ def lspace_surgery_threshold(kd: KnotData, delta: LaurentPolynomial) -> Threshol
             f"Alexander breadth {delta.breadth} is odd; expected even breadth"
         )
     genus = delta.breadth // 2
-    return ThresholdReport(genus=genus, threshold=2 * genus - 1, v=kd.peripheral.v)
+    return ThresholdReport(genus=genus, threshold=2 * genus - 1, v=kd.params.v)

@@ -29,7 +29,7 @@ from .families import (
     Slope,
     certified_case,
     in_verified_range,
-    is_lspace_knot,
+    lspace_case,
 )
 from .presentation import (
     GeneratorChange,
@@ -39,8 +39,6 @@ from .presentation import (
     replay_trace,
 )
 from .words import Word, abbreviate_word, contains, is_positive, substitute
-
-SCHEMA_VERSION = 1
 
 ELL2_REFUSAL = (
     "no positive rewriting of the framing is known for ell = 2, m = 1 with "
@@ -53,7 +51,6 @@ M_ZERO_REFUSAL = (
 )
 
 # Verification clauses, reported individually on failure.
-CLAUSE_SCHEMA = "schema_version"
 CLAUSE_CASE = "case"
 CLAUSE_MERIDIAN = "meridian"
 CLAUSE_REPLAY = "trace_replay"
@@ -75,7 +72,6 @@ class HypothesisRecord:
 
 @dataclass(frozen=True)
 class Certificate:
-    schema_version: int
     params: FamilyParams
     case: str
     change: GeneratorChange
@@ -128,8 +124,8 @@ def xy_change_plus(k: int) -> GeneratorChange:
 
 def case_label(params: FamilyParams) -> str | None:
     """A certificate's ``case``: ``sign=±1,<case>`` for the L-space case
-    that ``is_lspace_knot`` names, or None if it names none."""
-    case = is_lspace_knot(params).case
+    that ``lspace_case`` names, or None if it names none."""
+    case = lspace_case(params)
     return None if case is None else f"sign={params.sign:+d},{case}"
 
 
@@ -147,7 +143,7 @@ def _classify(params: FamilyParams) -> str:
         raise UnsupportedParameters(
             f"nearest case sign={sign:+d},{nearest} requires m = 1, got m = {m}"
         )
-    if is_lspace_knot(params).is_lspace and in_verified_range(params):
+    if lspace_case(params) is not None and in_verified_range(params):
         raise UnsupportedParameters(ELL2_REFUSAL)
     raise UnsupportedParameters(
         f"ell = {ell} matches neither p-1 = {p - 1} nor p-2 = {p - 2}; "
@@ -202,13 +198,12 @@ def certify(kd: KnotData) -> Certificate:
     closed, step = _closed_form(params, case)
     trace = () if step is None else (insertion_step(kd.presentation.relators[0], *step),)
     return Certificate(
-        schema_version=SCHEMA_VERSION,
         params=params,
         case=case_label(params),
         change=change,
         trace=trace,
         positive_s=closed,
-        v=kd.peripheral.v,
+        v=kd.params.v,
         hypotheses=HypothesisRecord(True, True, True),
     )
 
@@ -225,12 +220,6 @@ def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
     checks it).  No search is performed.
     """
     failures: list[str] = []
-    if cert.schema_version != SCHEMA_VERSION:
-        return VerificationReport(
-            False,
-            (f"{CLAUSE_SCHEMA}: unknown schema version {cert.schema_version}",),
-        )
-
     expected_case = case_label(kd.params)
     if expected_case is None:
         failures.append(f"{CLAUSE_CASE}: the knot is in no L-space case")
@@ -241,16 +230,16 @@ def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
     x_name = change.new_generators[0] if change.new_generators else "x"
     try:
         back_x = substitute(Word([(x_name, 1)]), change.backward)
-        if back_x != kd.peripheral.mu:
+        if back_x != kd.mu:
             failures.append(
                 f"{CLAUSE_MERIDIAN}: backward image of {x_name} is "
-                f"{abbreviate_word(back_x)}, meridian is {abbreviate_word(kd.peripheral.mu)}"
+                f"{abbreviate_word(back_x)}, meridian is {abbreviate_word(kd.mu)}"
             )
     except ValueError as exc:
         failures.append(f"{CLAUSE_MERIDIAN}: {exc}")
 
     try:
-        replayed = replay_trace(kd.peripheral.s, cert.trace, kd.presentation.relators)
+        replayed = replay_trace(kd.s, cert.trace, kd.presentation.relators)
         rewritten = substitute(replayed, change.forward)
         if rewritten != cert.positive_s:
             failures.append(
@@ -267,10 +256,10 @@ def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
             f"{CLAUSE_POSITIVITY}: stated word contains no {x_name}"
         )
 
-    if cert.v != kd.peripheral.v:
+    if cert.v != kd.params.v:
         failures.append(
             f"{CLAUSE_FRAMING}: certificate states v = {cert.v}, knot has "
-            f"v = {kd.peripheral.v}"
+            f"v = {kd.params.v}"
         )
 
     hyp = cert.hypotheses

@@ -25,7 +25,7 @@ from .families import (
     KnotData,
     Slope,
     build,
-    is_lspace_knot,
+    lspace_case,
     surgery_presentation,
 )
 from .homology import h1, surgery_h1
@@ -175,7 +175,7 @@ def _cmd_surgery(args) -> int:
     pres = surgery_presentation(kd, slope)
     doc = {
         "slope": str(slope),
-        "presentation": presentation_to_doc(pres),
+        "presentation": presentation_to_doc(pres, kd),
     }
     lines = [f"slope: {slope}"] + [
         f"relator: {r}" for r in doc["presentation"]["relators"]
@@ -206,10 +206,10 @@ def _cmd_alexander(args) -> int:
     content = {
         "polynomial": delta.to_text(),
         "degree": delta.breadth,
-        "v": kd.peripheral.v,
+        "v": kd.params.v,
     }
     lines = [f"alexander: {delta.to_text()}"]
-    if is_lspace_knot(kd.params).is_lspace:
+    if lspace_case(kd.params) is not None:
         report = lspace_surgery_threshold(kd, delta)
         content.update(
             {"genus": report.genus, "lspace_threshold": report.threshold}
@@ -259,15 +259,14 @@ def _cmd_sweep(args) -> int:
         m_range=parse_range(args.m_range),
         signs=tuple(int(s) for s in args.signs.split(",")),
         cases=tuple(args.cases.split(",")) if args.cases != "all" else ALL_CASES,
-        output=args.output,
         jobs=args.jobs,
     )
     result = run_sweep(spec)
-    if spec.output:
-        with open(spec.output, "w") as handle:
+    if args.output:
+        with open(args.output, "w") as handle:
             json.dump(result, handle, indent=2, sort_keys=True)
     summary = {k: result[k] for k in ("total", "passed", "failed")}
-    content = result if not spec.output else summary
+    content = result if not args.output else summary
     _emit(
         args,
         content,

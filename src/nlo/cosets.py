@@ -297,7 +297,7 @@ def check_peripheral_commutation(
     the cap contribute; each complete one must send the commutator
     [mu, s] to the identity permutation.
     """
-    mu, s = kd.peripheral.mu, kd.peripheral.s
+    mu, s = kd.mu, kd.s
     commutator = mu * s * ~mu * ~s
     presentations = [("knot-group", kd.presentation)]
     for n in range(1, 6):

@@ -67,17 +67,14 @@ class FamilyParams:
 
 
 @dataclass(frozen=True)
-class PeripheralStructure:
-    mu: Word
-    s: Word
-    v: int
-
-
-@dataclass(frozen=True)
 class KnotData:
+    """A knot group presentation with its meridian ``mu`` and surface
+    framing ``s``; the framing coefficient is ``params.v``."""
+
     params: FamilyParams
     presentation: Presentation
-    peripheral: PeripheralStructure
+    mu: Word
+    s: Word
     notes: tuple[str, ...] = ()
 
 
@@ -117,33 +114,26 @@ class Slope:
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True)
-class LSpaceStatus:
-    """Parameter-level L-space knot classification.
-
-    ``case`` names the first matching condition among ell = p-1;
-    ell = p-2 and m = 1; ell = 2 and m = 1.  Note that m = 0 inputs
-    degenerate to torus knots whatever the reported case.
-    """
-
-    is_lspace: bool
-    case: str | None
-
-
 CASE_TOP = "ell=p-1"
 CASE_NEXT = "ell=p-2,m=1"
 # The L-space cases that positive-rewriting certificates cover.
 CERTIFIED_CASES = (CASE_TOP, CASE_NEXT)
 
 
-def is_lspace_knot(params: FamilyParams) -> LSpaceStatus:
+def lspace_case(params: FamilyParams) -> str | None:
+    """The L-space knot case of ``params``, or None if it is in none.
+
+    The case is the first matching condition among ell = p-1;
+    ell = p-2 and m = 1; ell = 2 and m = 1.  Note that m = 0 inputs
+    degenerate to torus knots whatever the reported case.
+    """
     if params.ell == params.p - 1:
-        return LSpaceStatus(True, CASE_TOP)
+        return CASE_TOP
     if params.ell == params.p - 2 and params.m == 1:
-        return LSpaceStatus(True, CASE_NEXT)
+        return CASE_NEXT
     if params.ell == 2 and params.m == 1:
-        return LSpaceStatus(True, "ell=2,m=1")
-    return LSpaceStatus(False, None)
+        return "ell=2,m=1"
+    return None
 
 
 def certified_case(params: FamilyParams) -> str | None:
@@ -152,7 +142,7 @@ def certified_case(params: FamilyParams) -> str | None:
     Certificates cover those L-space cases for the twisted knots only,
     m >= 1; every certified case admits m = 1.
     """
-    case = is_lspace_knot(params).case
+    case = lspace_case(params)
     return case if params.m >= 1 and case in CERTIFIED_CASES else None
 
 
@@ -198,8 +188,7 @@ def build_minus(params: FamilyParams, *, unverified_range: bool = False) -> Knot
     relator = lhs * ~rhs
     mu = ~a * b ** k
     s = a ** (pl - 1) * (a * c ** m) ** ell * a
-    pres = Presentation(("a", "b"), (relator,), {"mu": mu, "s": s})
-    return KnotData(params, pres, PeripheralStructure(mu, s, params.v), notes)
+    return KnotData(params, Presentation(("a", "b"), (relator,)), mu, s, notes)
 
 
 def build_plus(params: FamilyParams, *, unverified_range: bool = False) -> KnotData:
@@ -221,8 +210,7 @@ def build_plus(params: FamilyParams, *, unverified_range: bool = False) -> KnotD
     relator = lhs * ~rhs
     mu = b ** (-k) * a
     s = (c ** m * a) ** ell * a ** pl
-    pres = Presentation(("a", "b"), (relator,), {"mu": mu, "s": s})
-    return KnotData(params, pres, PeripheralStructure(mu, s, params.v), notes)
+    return KnotData(params, Presentation(("a", "b"), (relator,)), mu, s, notes)
 
 
 def build(params: FamilyParams, *, unverified_range: bool = False) -> KnotData:
@@ -234,17 +222,17 @@ def build(params: FamilyParams, *, unverified_range: bool = False) -> KnotData:
 
 def surgery_exponents(kd: KnotData, slope: Slope) -> tuple[int, int]:
     """Exponents (p' - q'v, q') of mu and s in the surgery relator."""
-    return slope.numerator - slope.denominator * kd.peripheral.v, slope.denominator
+    return slope.numerator - slope.denominator * kd.params.v, slope.denominator
 
 
 def surgery_presentation(kd: KnotData, slope: Slope) -> Presentation:
     """Quotient presentation for surgery along ``slope``.
 
-    Adds the relator mu^(p' - q'v) s^(q') to the knot group presentation;
-    labels are retained.  Raises ValueError before building anything when
-    the relator would have more than ``MAX_LETTERS`` letters.
+    Adds the relator mu^(p' - q'v) s^(q') to the knot group presentation.
+    Raises ValueError before building anything when the relator would
+    have more than ``MAX_LETTERS`` letters.
     """
-    mu, s = kd.peripheral.mu, kd.peripheral.s
+    mu, s = kd.mu, kd.s
     exponent, den = surgery_exponents(kd, slope)
     size = abs(exponent) * mu.letter_length + den * s.letter_length
     if size > MAX_LETTERS:

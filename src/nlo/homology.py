@@ -163,7 +163,7 @@ def surgery_h1(kd: KnotData, slope: Slope) -> Homology:
     never built, so the cost does not grow with p'.
     """
     pres = kd.presentation
-    mu, s = kd.peripheral.mu, kd.peripheral.s
+    mu, s = kd.mu, kd.s
     exponent, den = surgery_exponents(kd, slope)
     row = [
         exponent * exponent_sum(mu, g) + den * exponent_sum(s, g)

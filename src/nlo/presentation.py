@@ -1,8 +1,12 @@
 """Finitely presented groups: relators, single-step rewriting, and
 generator changes.
 
+A presentation is generators and relators only; the meridian and framing
+of a knot live beside it in ``families.KnotData``.
+
 A rewrite step replaces one occurrence of a relation's left side inside a
-word's unrolled letter sequence by its right side.  Relations are admitted
+word's unrolled letter sequence by its right side, never the reverse: the
+reverse rewrite is a step on the swapped relation.  Relations are admitted
 up to cyclic rotation of a stored relator (or its inverse): group relations
 hold up to conjugation, and the rewrites appearing in certificates need rotated
 forms to replay displayed computations letter-for-letter.  Nothing here
@@ -13,7 +17,7 @@ scripts/rewrite_search.py, outside the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .words import (
@@ -23,10 +27,6 @@ from .words import (
     letters_list,
     substitute,
 )
-
-# The one direction a step runs in; documents name it, so it is checked.
-LHS_TO_RHS = "lhs_to_rhs"
-
 
 class RewriteError(ValueError):
     """The addressed occurrence does not match the stated relation side."""
@@ -64,12 +64,9 @@ class RewriteStep:
     """
 
     relator_index: int
-    direction: str
     position: int
 
     def __post_init__(self):
-        if self.direction != LHS_TO_RHS:
-            raise ValueError(f"unknown direction {self.direction!r}")
         if self.position < 0:
             raise ValueError("position must be nonnegative")
 
@@ -81,33 +78,23 @@ TraceStep = tuple[Relation, RewriteStep]
 
 @dataclass
 class Presentation:
-    """Generators, reduced relators, and optional named elements."""
+    """Generators and reduced relators."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...] = ()
-    labels: Mapping[str, Word] = field(default_factory=dict)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
         self.relators = tuple(self.relators)
-        self.labels = dict(self.labels)
         if len(set(self.generators)) != len(self.generators) or not self.generators:
             raise ValueError("alphabet must be nonempty with unique generators")
         alphabet = set(self.generators)
         for r in self.relators:
             if not r.generators() <= alphabet:
                 raise ValueError(f"relator {r!r} uses generators outside the alphabet")
-        for name, w in self.labels.items():
-            if not w.generators() <= alphabet:
-                raise ValueError(f"label {name!r} uses generators outside the alphabet")
-
-    def label(self, name: str) -> Word:
-        if name not in self.labels:
-            raise KeyError(f"presentation has no label {name!r}")
-        return self.labels[name]
 
     def with_relator(self, relator: Word) -> "Presentation":
-        return Presentation(self.generators, self.relators + (relator,), self.labels)
+        return Presentation(self.generators, self.relators + (relator,))
 
 
 @dataclass(frozen=True)
@@ -196,4 +183,4 @@ def insertion_step(relator: Word, offset: int, position: int) -> TraceStep:
     seq = letters_list(~cyclic_reduce(relator))
     offset %= len(seq)
     rel = Relation(Word(), Word(seq[offset:] + seq[:offset]))
-    return rel, RewriteStep(0, LHS_TO_RHS, position)
+    return rel, RewriteStep(0, position)

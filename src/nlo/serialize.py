@@ -1,8 +1,9 @@
-"""Versioned JSON document schemas with bit-exact round trips.
+"""Versioned JSON documents for presentations, knot data and certificates.
 
-Every document carries a ``schema_version``; parsers refuse versions they
-do not know.  Word-valued fields use the word grammar, so documents stay
-human-readable and hash-stable.
+Every document carries a ``schema_version``.  Presentations and knot data
+are only written; certificates are also read back, and the reader refuses
+a version or a trace direction it does not know.  Word-valued fields use
+the word grammar, so documents stay human-readable and hash-stable.
 """
 
 from __future__ import annotations
@@ -10,12 +11,16 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Any
 
-from .certificates import SCHEMA_VERSION, Certificate, HypothesisRecord, VerificationReport
-from .families import FamilyParams, KnotData, PeripheralStructure, is_lspace_knot
-from .presentation import GeneratorChange, Presentation, Relation, RewriteStep
-from .words import Word, format_word, parse_word
+from .certificates import Certificate, HypothesisRecord, VerificationReport
+from .families import FamilyParams, KnotData, lspace_case
+from .presentation import GeneratorChange, Presentation, Relation, RewriteStep, TraceStep
+from .words import format_word, parse_word
 
 Doc = dict[str, Any]
+
+SCHEMA_VERSION = 1
+# Every trace step replaces a relation's left side by its right side.
+DIRECTION = "lhs_to_rhs"
 
 
 class SchemaError(ValueError):
@@ -40,25 +45,15 @@ def _check_version(doc: Doc, kind: str) -> None:
         )
 
 
-def presentation_to_doc(pres: Presentation) -> Doc:
+def presentation_to_doc(pres: Presentation, kd: KnotData) -> Doc:
+    """``pres``, a presentation of the group of ``kd`` or of one of its
+    quotients, labelled with the meridian and framing of ``kd``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "generators": list(pres.generators),
         "relators": [format_word(r) for r in pres.relators],
-        "labels": {name: format_word(w) for name, w in sorted(pres.labels.items())},
+        "labels": {"mu": format_word(kd.mu), "s": format_word(kd.s)},
     }
-
-
-def presentation_from_doc(doc: Doc) -> Presentation:
-    _check_version(doc, "presentation")
-    try:
-        return Presentation(
-            generators=tuple(doc["generators"]),
-            relators=tuple(parse_word(t) for t in doc["relators"]),
-            labels={name: parse_word(t) for name, t in doc["labels"].items()},
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed presentation document: {exc}") from exc
 
 
 def params_to_doc(params: FamilyParams) -> Doc:
@@ -75,36 +70,23 @@ def params_from_doc(doc: Doc) -> FamilyParams:
 
 
 def knot_data_to_doc(kd: KnotData) -> Doc:
-    status = is_lspace_knot(kd.params)
+    case = lspace_case(kd.params)
     return {
         "schema_version": SCHEMA_VERSION,
         "params": params_to_doc(kd.params),
         "q": kd.params.q,
-        "presentation": presentation_to_doc(kd.presentation),
-        "mu": format_word(kd.peripheral.mu),
-        "s": format_word(kd.peripheral.s),
-        "v": kd.peripheral.v,
-        "lspace": {"is_lspace_knot": status.is_lspace, "case": status.case},
+        "presentation": presentation_to_doc(kd.presentation, kd),
+        "mu": format_word(kd.mu),
+        "s": format_word(kd.s),
+        "v": kd.params.v,
+        "lspace": {"is_lspace_knot": case is not None, "case": case},
         "notes": list(kd.notes),
     }
 
 
-def knot_data_from_doc(doc: Doc) -> KnotData:
-    _check_version(doc, "knot data")
-    try:
-        params = params_from_doc(doc["params"])
-        pres = presentation_from_doc(doc["presentation"])
-        peripheral = PeripheralStructure(
-            mu=parse_word(doc["mu"]), s=parse_word(doc["s"]), v=doc["v"]
-        )
-        return KnotData(params, pres, peripheral, tuple(doc.get("notes", ())))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed knot data document: {exc}") from exc
-
-
 def certificate_to_doc(cert: Certificate) -> Doc:
     return {
-        "schema_version": cert.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "params": params_to_doc(cert.params),
         "case": cert.case,
         "generator_change": {
@@ -116,7 +98,7 @@ def certificate_to_doc(cert: Certificate) -> Doc:
         "trace": [
             {
                 "relator_index": step.relator_index,
-                "direction": step.direction,
+                "direction": DIRECTION,
                 "position": step.position,
                 "lhs": format_word(rel.lhs),
                 "rhs": format_word(rel.rhs),
@@ -129,28 +111,36 @@ def certificate_to_doc(cert: Certificate) -> Doc:
     }
 
 
+def _trace_step(entry: Doc) -> TraceStep:
+    if entry["direction"] != DIRECTION:
+        raise SchemaError(f"trace direction must be {DIRECTION!r}")
+    return (
+        Relation(parse_word(entry["lhs"]), parse_word(entry["rhs"])),
+        RewriteStep(
+            relator_index=_integer(entry["relator_index"], "trace relator_index"),
+            position=_integer(entry["position"], "trace position"),
+        ),
+    )
+
+
 def certificate_from_doc(doc: Doc) -> Certificate:
     _check_version(doc, "certificate")
     try:
         gc_doc = doc["generator_change"]
-        change = GeneratorChange(
-            forward={g: parse_word(t) for g, t in gc_doc["forward"].items()},
-            backward={g: parse_word(t) for g, t in gc_doc["backward"].items()},
-        )
-        trace = tuple(
-            (
-                Relation(parse_word(entry["lhs"]), parse_word(entry["rhs"])),
-                RewriteStep(
-                    relator_index=_integer(entry["relator_index"], "trace relator_index"),
-                    direction=entry["direction"],
-                    position=_integer(entry["position"], "trace position"),
-                ),
-            )
-            for entry in doc["trace"]
-        )
+        forward = {g: parse_word(t) for g, t in gc_doc["forward"].items()}
+        backward = {g: parse_word(t) for g, t in gc_doc["backward"].items()}
+        for name, side, keys in (
+            ("old_generators", "forward", forward),
+            ("new_generators", "backward", backward),
+        ):
+            if gc_doc[name] != list(keys):
+                raise SchemaError(
+                    f"generator_change.{name} must list the {side} keys in order"
+                )
+        change = GeneratorChange(forward, backward)
+        trace = tuple(_trace_step(entry) for entry in doc["trace"])
         hyp = doc["hypotheses"]
         return Certificate(
-            schema_version=doc["schema_version"],
             params=params_from_doc(doc["params"]),
             case=doc["case"],
             change=change,

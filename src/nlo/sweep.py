@@ -27,7 +27,6 @@ class SweepSpec:
     m_range: tuple[int, int] = (1, 3)
     signs: tuple[int, ...] = (-1, 1)
     cases: tuple[str, ...] = ALL_CASES
-    output: str | None = None
     jobs: int = 1
 
     def __post_init__(self):

@@ -72,7 +72,10 @@ class Word:
         raw = list(raw)
         for gen, _ in raw:
             if not (isinstance(gen, str) and len(gen) == 1 and "a" <= gen <= "z"):
-                raise ValueError(f"generator must be a single letter a-z, got {gen!r}")
+                shown = repr(gen)
+                if len(shown) > MESSAGE_WORD_CHARS:
+                    shown = f"{shown[:MESSAGE_WORD_CHARS]}… ({len(shown)} characters)"
+                raise ValueError(f"generator must be a single letter a-z, got {shown}")
         self.syllables: tuple[Syllable, ...] = _free_reduce(raw)
 
     def __eq__(self, other) -> bool:

@@ -89,7 +89,7 @@ def test_criterion_1_closed_form_agreement():
         kd = build(params)
         cert = certify(kd)
         replayed = replay_trace(
-            kd.peripheral.s, cert.trace, kd.presentation.relators
+            kd.s, cert.trace, kd.presentation.relators
         )
         rewritten = substitute(replayed, cert.change.forward)
         assert rewritten == expected_positive_form(params), params

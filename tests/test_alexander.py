@@ -16,7 +16,7 @@ from nlo.alexander import (
     torus_alexander,
 )
 from nlo.cli import EXIT_OK, main
-from nlo.families import FamilyParams, build, is_lspace_knot
+from nlo.families import FamilyParams, build, lspace_case
 from nlo.homology import h1_class_map
 from nlo.words import Word, parse_word
 from reference_fox import GroupRingElement, abelianize, fox_derivative
@@ -176,7 +176,7 @@ def test_abelian_fox_matches_reference_on_relators():
                     for m in range(0, 5):
                         kd = build(FamilyParams(p, k, sign, ell, m))
                         pres = kd.presentation
-                        classes = h1_class_map(pres, normalize_by=kd.peripheral.mu)
+                        classes = h1_class_map(pres, normalize_by=kd.mu)
                         for gen in pres.generators:
                             relator = pres.relators[0]
                             reference = abelianize(fox_derivative(relator, gen), classes)
@@ -220,7 +220,7 @@ def _lspace_grid():
                 out.append((p, k, sign, p - 1, 0))
                 for ell in range(2, p):
                     for m in range(1, 5):
-                        if is_lspace_knot(FamilyParams(p, k, sign, ell, m)).is_lspace:
+                        if lspace_case(FamilyParams(p, k, sign, ell, m)) is not None:
                             out.append((p, k, sign, ell, m))
     return out
 

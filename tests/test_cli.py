@@ -127,7 +127,7 @@ def test_verify_unknown_direction_exit_2(tmp_path, capsys):
     assert code == EXIT_VERIFY
     content = content_of(out)
     assert content["verdict"] == "FAIL"
-    assert "unknown direction 'rhs_to_lhs'" in content["failures"][0]
+    assert content["failures"] == ["trace direction must be 'lhs_to_rhs'"]
     assert "Traceback" not in err
 
 
@@ -207,6 +207,39 @@ def test_verify_integer_fields_must_be_integers(capsys, monkeypatch, path, value
     code, out, err = verify_edited(capsys, monkeypatch, T42, retype)
     assert code == EXIT_VERIFY
     assert "must be an integer" in content_of(out)["failures"][0]
+    assert err == ""
+
+
+def test_verify_checks_the_generator_lists(capsys, monkeypatch):
+    def edit(doc):
+        doc["generator_change"].update(new_generators=["q"], old_generators="zz")
+
+    code, out, err = verify_edited(capsys, monkeypatch, T35, edit)
+    assert code == EXIT_VERIFY
+    content = content_of(out)
+    assert content["verdict"] == "FAIL"
+    assert content["failures"] == [
+        "generator_change.old_generators must list the forward keys in order"
+    ]
+    assert err == ""
+
+
+def _long_forward_key(doc):
+    name = "q" * 100_000
+    doc["generator_change"]["forward"][name] = "x"
+    doc["generator_change"]["old_generators"].append(name)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_long_forward_key, lambda doc: doc["trace"][0].update(direction="r" * 100_000)],
+    ids=["forward-key", "direction"],
+)
+def test_verify_bounds_echoed_document_strings(capsys, monkeypatch, edit):
+    code, out, err = verify_edited(capsys, monkeypatch, T42, edit)
+    assert code == EXIT_VERIFY
+    assert len(out.encode()) < 4096
+    assert content_of(out)["verdict"] == "FAIL"
     assert err == ""
 
 

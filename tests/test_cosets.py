@@ -170,7 +170,7 @@ def test_peripheral_commutation_twisted_instance():
 
 def test_commutator_abelianization_vanishes():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
-    mu, s = kd.peripheral.mu, kd.peripheral.s
+    mu, s = kd.mu, kd.s
     commutator = mu * s * ~mu * ~s
     from nlo.words import exponent_sum
 

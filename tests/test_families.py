@@ -9,7 +9,7 @@ from nlo.families import (
     build,
     build_minus,
     build_plus,
-    is_lspace_knot,
+    lspace_case,
     surgery_presentation,
 )
 from nlo.homology import h1_class_map, word_class
@@ -29,11 +29,9 @@ GRID = [
 def test_build_minus_t35_instance():
     kd = build_minus(FamilyParams(3, 2, -1, 2, 1))
     assert kd.presentation.relators[0] == parse_word("a^2 b^-1 a^2 b^-2 a^-1 b^-2")
-    assert kd.peripheral.mu == parse_word("a^-1 b^2")
-    assert kd.peripheral.s == parse_word("a b^-1 a^2 b^-1 a^2")
-    assert kd.peripheral.v == 19
-    assert kd.presentation.label("mu") == kd.peripheral.mu
-    assert kd.presentation.label("s") == kd.peripheral.s
+    assert kd.mu == parse_word("a^-1 b^2")
+    assert kd.s == parse_word("a b^-1 a^2 b^-1 a^2")
+    assert kd.params.v == 19
 
 
 def test_build_minus_m0_collapse():
@@ -42,26 +40,26 @@ def test_build_minus_m0_collapse():
         kd = build_minus(params, unverified_range=(ell == p))
         q = p * k - 1
         assert kd.presentation.relators[0] == Word([("a", p), ("b", -q)])
-        assert kd.peripheral.s == Word([("a", p)])
-        assert kd.peripheral.v == p * q
+        assert kd.s == Word([("a", p)])
+        assert kd.params.v == p * q
         assert M_ZERO_NOTE in kd.notes
 
 
 def test_build_minus_trefoil():
     kd = build_minus(FamilyParams(3, 1, -1, 2, 0))
     assert kd.presentation.relators[0] == parse_word("a^3 b^-2")
-    assert kd.peripheral.mu == parse_word("a^-1 b")
-    assert kd.peripheral.s == parse_word("a^3")
-    assert kd.peripheral.v == 6
+    assert kd.mu == parse_word("a^-1 b")
+    assert kd.s == parse_word("a^3")
+    assert kd.params.v == 6
 
 
 def test_build_plus_t34_instance():
     kd = build_plus(FamilyParams(3, 1, 1, 2, 1))
     lhs, rhs = parse_word("a b^2 a"), parse_word("b^3 a^-1 b^3")
     assert kd.presentation.relators[0] == lhs * ~rhs
-    assert kd.peripheral.mu == parse_word("b^-1 a")
-    assert kd.peripheral.s == parse_word("b^4 a")
-    assert kd.peripheral.v == 16
+    assert kd.mu == parse_word("b^-1 a")
+    assert kd.s == parse_word("b^4 a")
+    assert kd.params.v == 16
 
 
 def test_build_plus_m0_collapse():
@@ -81,9 +79,9 @@ def test_grid_invariants(ptuple):
     kd = build(params)
     r = kd.presentation.relators[0]
     assert (exponent_sum(r, "a"), exponent_sum(r, "b")) == (params.p, -params.q)
-    classes = h1_class_map(kd.presentation, normalize_by=kd.peripheral.mu)
-    assert word_class(kd.peripheral.mu, classes) == 1
-    assert word_class(kd.peripheral.s, classes) == kd.peripheral.v
+    classes = h1_class_map(kd.presentation, normalize_by=kd.mu)
+    assert word_class(kd.mu, classes) == 1
+    assert word_class(kd.s, classes) == kd.params.v
 
 
 def test_parameter_validation():
@@ -114,14 +112,12 @@ def test_ell_equals_p_needs_flag():
 
 
 def test_is_lspace_knot_cases():
-    status = is_lspace_knot(FamilyParams(5, 1, -1, 4, 3))
-    assert status.is_lspace and status.case == "ell=p-1"
-    status = is_lspace_knot(FamilyParams(5, 1, -1, 3, 1))
-    assert status.is_lspace and status.case == "ell=p-2,m=1"
-    status = is_lspace_knot(FamilyParams(5, 1, -1, 2, 1))
-    assert status.is_lspace and status.case == "ell=2,m=1"
-    status = is_lspace_knot(FamilyParams(5, 1, -1, 3, 2))
-    assert not status.is_lspace and status.case is None
+    for ell, m, case in [(4, 3, "ell=p-1"), (3, 1, "ell=p-2,m=1"), (2, 1, "ell=2,m=1"),
+                         (3, 2, None)]:
+        params = FamilyParams(5, 1, -1, ell, m)
+        assert lspace_case(params) == case
+        lspace = knot_data_to_doc(build(params))["lspace"]
+        assert lspace == {"is_lspace_knot": case is not None, "case": case}
 
 
 def test_slope_reduction_and_parse():
@@ -138,15 +134,15 @@ def test_slope_reduction_and_parse():
 def test_surgery_presentation_trefoil():
     tref = build(FamilyParams(3, 1, -1, 2, 0))
     pres = surgery_presentation(tref, Slope(1, 1))
-    expected = tref.peripheral.mu ** -5 * tref.peripheral.s
+    expected = tref.mu ** -5 * tref.s
     assert pres.relators == (tref.presentation.relators[0], expected)
-    assert pres.labels == tref.presentation.labels
+    assert pres.generators == tref.presentation.generators
 
 
 def test_surgery_presentation_at_framing_slope():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
     pres = surgery_presentation(kd, Slope(19, 1))
-    assert pres.relators[1] == kd.peripheral.s == parse_word("a b^-1 a^2 b^-1 a^2")
+    assert pres.relators[1] == kd.s == parse_word("a b^-1 a^2 b^-1 a^2")
 
 
 def test_surgery_presentation_refuses_oversized_relator():
@@ -155,7 +151,7 @@ def test_surgery_presentation_refuses_oversized_relator():
     with pytest.raises(ValueError, match="MAX_LETTERS"):
         surgery_presentation(kd, Slope(10**7, 1))
     # Just under the cap still builds.
-    exponent = (MAX_LETTERS - kd.peripheral.s.letter_length) // 3
+    exponent = (MAX_LETTERS - kd.s.letter_length) // 3
     pres = surgery_presentation(kd, Slope(exponent + 19, 1))
     assert pres.relators[1].letter_length <= MAX_LETTERS
 

@@ -105,9 +105,9 @@ def test_snf_properties(m):
 
 def test_class_map_normalizes_meridian():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
-    classes = h1_class_map(kd.presentation, normalize_by=kd.peripheral.mu)
-    assert word_class(kd.peripheral.mu, classes) == 1
-    assert word_class(kd.peripheral.s, classes) == kd.peripheral.v
+    classes = h1_class_map(kd.presentation, normalize_by=kd.mu)
+    assert word_class(kd.mu, classes) == 1
+    assert word_class(kd.s, classes) == kd.params.v
 
 
 def test_class_map_rejects_non_cyclic():
@@ -132,7 +132,7 @@ SLOPES = [(0, 1), (1, 1), (-1, 1), (19, 1), (-60, 7), (37, 12), (-13, 12), (59, 
 def test_surgery_h1_matches_built_relator():
     for params in grid_instances(SweepSpec()):
         kd = build(params)
-        for num, den in SLOPES + [(kd.peripheral.v, 1), (-kd.peripheral.v - 1, 2)]:
+        for num, den in SLOPES + [(kd.params.v, 1), (-kd.params.v - 1, 2)]:
             slope = Slope(num, den)
             assert surgery_h1(kd, slope) == h1(surgery_presentation(kd, slope)), (
                 params, slope,

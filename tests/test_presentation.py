@@ -4,7 +4,6 @@ from nlo.families import FamilyParams, build
 from nlo.homology import abelianization_matrix
 from nlo.presentation import (
     GeneratorChange,
-    LHS_TO_RHS,
     Presentation,
     Relation,
     RewriteError,
@@ -41,14 +40,12 @@ def test_presentation_validates_alphabet():
     with pytest.raises(ValueError):
         Presentation(("a",), (parse_word("a b"),))
     with pytest.raises(ValueError):
-        Presentation(("a", "b"), (), {"mu": parse_word("c")})
-    with pytest.raises(ValueError):
         Presentation(("a", "a"))
 
 
 def test_apply_relation_whole_word():
     rel = Relation(parse_word("a^3"), parse_word("b^2"))
-    step = RewriteStep(0, LHS_TO_RHS, 0)
+    step = RewriteStep(0, 0)
     assert apply_relation(parse_word("a^3"), rel, step) == parse_word("b^2")
     # Un-applying at the same position, through the reversed relation,
     # restores the original word; the reversed relation is backed by the
@@ -61,16 +58,16 @@ def test_apply_relation_whole_word():
 def test_apply_relation_occurrence_mismatch():
     rel = Relation(parse_word("a^3"), parse_word("b^2"))
     with pytest.raises(RewriteError):
-        apply_relation(parse_word("a^2 b"), rel, RewriteStep(0, LHS_TO_RHS, 0))
+        apply_relation(parse_word("a^2 b"), rel, RewriteStep(0, 0))
     with pytest.raises(RewriteError):
-        apply_relation(parse_word("a^3"), rel, RewriteStep(0, LHS_TO_RHS, 7))
+        apply_relation(parse_word("a^3"), rel, RewriteStep(0, 7))
 
 
 def test_apply_relation_replays_framing_rewrite_at_p4():
     # For the (p, pk-1; p-2, 1) family at p = 4, k = 1, one relator
     # application turns s = a(ab^-1a^2)^2 a into a^-1 b (a^2)^2 a.
     kd = build(FamilyParams(4, 1, -1, 2, 1))
-    s = kd.peripheral.s
+    s = kd.s
     assert s == parse_word("a^2 b^-1 a^3 b^-1 a^3")
     target = parse_word("a^-1 b a^5")
     trace = first_trace_to(s, kd.presentation.relators[0], target)
@@ -81,13 +78,13 @@ def test_apply_relation_replays_framing_rewrite_at_p4():
     # The plain subword occurrence of the displayed left side lands on the
     # cyclically rotated form of the same element.
     plain = knot_relation(kd)
-    rotated = apply_relation(s, plain, RewriteStep(0, LHS_TO_RHS, 3))
+    rotated = apply_relation(s, plain, RewriteStep(0, 3))
     assert rotated == parse_word("a^4 b")
 
 
 def test_replay_trace_validates_relations():
     kd = build(FamilyParams(4, 1, -1, 2, 1))
-    s = kd.peripheral.s
+    s = kd.s
     target = parse_word("a^-1 b a^5")
     trace = first_trace_to(s, kd.presentation.relators[0], target)
     assert replay_trace(s, trace, kd.presentation.relators) == target
@@ -95,7 +92,7 @@ def test_replay_trace_validates_relations():
     with pytest.raises(RewriteError):
         replay_trace(s, ((bogus, trace[0][1]),), kd.presentation.relators)
     with pytest.raises(RewriteError):
-        replay_trace(s, ((trace[0][0], RewriteStep(5, LHS_TO_RHS, 0)),),
+        replay_trace(s, ((trace[0][0], RewriteStep(5, 0)),),
                      kd.presentation.relators)
 
 
@@ -108,13 +105,13 @@ def test_find_relation_applications_zero_steps():
 def test_find_relation_applications_reaches_proof_form():
     kd = build(FamilyParams(4, 1, -1, 2, 1))
     rel = knot_relation(kd)
-    results = find_relation_applications(kd.peripheral.s, rel, 1)
+    results = find_relation_applications(kd.s, rel, 1)
     reachable = {w for _, w in results}
     assert parse_word("a^-1 b a^5") in reachable
     assert parse_word("a^4 b") in reachable
     # Every discovered trace replays to its recorded word.
     for trace, w in results[:50]:
-        assert replay_trace(kd.peripheral.s, trace, kd.presentation.relators) == w
+        assert replay_trace(kd.s, trace, kd.presentation.relators) == w
 
 
 def test_find_relation_applications_deduplicates():
@@ -128,7 +125,7 @@ def test_search_cap():
     kd = build(FamilyParams(4, 1, -1, 2, 1))
     rel = knot_relation(kd)
     with pytest.raises(SearchCapExceeded):
-        find_relation_applications(kd.peripheral.s, rel, 2, node_cap=50)
+        find_relation_applications(kd.s, rel, 2, node_cap=50)
 
 
 def test_generator_change_round_trip_enforced():
@@ -141,7 +138,7 @@ def test_generator_change_round_trip_enforced():
 
 def test_apply_relation_preserves_abelianization():
     kd = build(FamilyParams(4, 1, -1, 2, 1))
-    s = kd.peripheral.s
+    s = kd.s
     trace = first_trace_to(s, kd.presentation.relators[0], parse_word("a^-1 b a^5"))
     rel, step = trace[0]
     after = apply_relation(s, rel, step)

@@ -1,48 +1,13 @@
-import json
-
 import pytest
 
 from nlo.certificates import certify, verify_certificate
 from nlo.families import FamilyParams, build
-from nlo.presentation import Presentation
 from nlo.serialize import (
     SchemaError,
     certificate_from_doc,
     certificate_to_doc,
-    knot_data_from_doc,
     knot_data_to_doc,
-    presentation_from_doc,
-    presentation_to_doc,
 )
-from nlo.words import parse_word
-
-
-def test_presentation_round_trip_bit_exact():
-    pres = Presentation(
-        ("a", "b"),
-        (parse_word("a^3 b^-2"),),
-        {"mu": parse_word("a^-1 b"), "s": parse_word("a^3")},
-    )
-    doc = presentation_to_doc(pres)
-    text = json.dumps(doc, sort_keys=True)
-    again = presentation_to_doc(presentation_from_doc(json.loads(text)))
-    assert json.dumps(again, sort_keys=True) == text
-    assert presentation_from_doc(doc) == pres
-
-
-def test_presentation_rejects_unknown_version():
-    doc = presentation_to_doc(Presentation(("a",)))
-    doc["schema_version"] = 2
-    with pytest.raises(SchemaError):
-        presentation_from_doc(doc)
-
-
-def test_knot_data_round_trip():
-    kd = build(FamilyParams(4, 2, 1, 3, 1))
-    doc = knot_data_to_doc(kd)
-    back = knot_data_from_doc(doc)
-    assert back == kd
-    assert knot_data_to_doc(back) == doc
 
 
 def test_knot_data_doc_contents():
