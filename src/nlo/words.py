@@ -8,6 +8,12 @@ matter how large the parameters get; positions in rewriting certificates
 refer to the fully unrolled letter sequence instead, so they are
 independent of this encoding.
 
+Only construction (``Word(...)`` and ``parse_word``) validates letters and
+runs a full free reduction.  The algebra keeps words reduced without one:
+a product or a substitution merges or cancels only at the seams where
+reduced pieces meet, and a power is built in one tuple from the core
+left when the conjugator is peeled off its base.
+
 All values are immutable and all operations are pure.
 """
 
@@ -59,8 +65,8 @@ class Word:
 
     Only construction validates letters and runs the full reduction
     ``_free_reduce``.  Products reduce only at the seam where the two
-    already reduced factors meet; the tests check them against the full
-    reduction.
+    already reduced factors meet, and powers are built in closed form; the
+    tests check both against the full reduction.
 
     The identity is ``Word()``.  By convention the identity is *not*
     positive (see :func:`is_positive`).
@@ -114,17 +120,34 @@ class Word:
         return Word._trusted(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
-        base = self if n > 0 else ~self
-        n = abs(n)
-        result = Word()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # Closed form: peel the conjugator u off w = u c u^-1 until the end
+        # syllables of the core c no longer cancel, so w^n = u c^n u^-1.
+        # Each piece below is reduced and meets its neighbours over
+        # distinct generators, so the joined tuple needs no reduction.
+        if n == 1:
+            return self
+        syl = self.syllables
+        if n == 0 or not syl:
+            return _IDENTITY
+        if n < 0:
+            syl = tuple((g, -e) for g, e in reversed(syl))
+            n = -n
+        lo, hi = 0, len(syl) - 1
+        while lo < hi and syl[lo][0] == syl[hi][0] and syl[lo][1] == -syl[hi][1]:
+            lo += 1
+            hi -= 1
+        core = syl[lo : hi + 1]
+        first, last = core[0], core[-1]
+        if lo == hi:
+            power = ((first[0], first[1] * n),)
+        elif first[0] == last[0]:
+            # The core's ends fold together between consecutive copies.
+            inner = core[1:-1]
+            merged = (first[0], first[1] + last[1])
+            power = core[:1] + (inner + (merged,)) * (n - 1) + inner + core[-1:]
+        else:
+            power = core * n
+        return Word._trusted(syl[:lo] + power + syl[hi + 1 :])
 
     def __repr__(self) -> str:
         return f"Word({abbreviate_word(self)!r})"
@@ -138,19 +161,32 @@ class Word:
         return {g for g, _ in self.syllables}
 
 
+_IDENTITY = Word._trusted(())
+
+
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     """Homomorphic image of ``w`` under generator -> word assignments.
 
     Every generator occurring in ``w`` must have an image; the result is
-    reduced, so substitute(u*v) == substitute(u) * substitute(v).  The
-    images are valid words, so only free reduction is needed.
+    reduced, so substitute(u*v) == substitute(u) * substitute(v).  Each
+    image power is already reduced, so it is appended whole and merged or
+    cancelled only at the seam with what came before, as in a product.
     """
     out: list[Syllable] = []
     for gen, exp in w.syllables:
         if gen not in images:
             raise SubstitutionError(f"no image for generator {gen!r}")
-        out.extend((images[gen] ** exp).syllables)
-    return Word._trusted(_free_reduce(out))
+        piece = (images[gen] ** exp).syllables
+        j, n = 0, len(piece)
+        while out and j < n and out[-1][0] == piece[j][0]:
+            merged = out[-1][1] + piece[j][1]
+            j += 1
+            if merged:
+                out[-1] = (out[-1][0], merged)
+                break
+            out.pop()
+        out.extend(piece[j:])
+    return Word._trusted(tuple(out))
 
 
 def exponent_sum(w: Word, gen: str) -> int:

@@ -262,3 +262,78 @@ def test_input_boundary_still_validates():
         Word([("ab", 1)])
     with pytest.raises(WordSyntaxError):
         parse_word("a^")
+
+
+# The closed-form power and the seam-only substitution against the full
+# reduction.  Each strategy below reaches one branch of the closed form:
+# the core c of w = u c u^-1 is one syllable, has ends over one generator,
+# or has ends over distinct generators; the empty abc_words draw is the
+# identity, and exponents always include 0 and +-1.
+
+abc_words = st.lists(
+    st.tuples(st.sampled_from("abc"), st.integers(-4, 4)), max_size=6
+).map(Word)
+nonzero = st.integers(-4, 4).filter(bool)
+exponents = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-40, 40))
+
+
+def conjugate(u, c):
+    return ref_mul(ref_mul(u, c), ref_inv(u))
+
+
+@st.composite
+def shared_end_cores(draw):
+    # g^e0 m g^e1 with m nonempty over the other two generators; e0 + e1
+    # may be 0, which makes the core a conjugate of m.
+    g = draw(st.sampled_from("abc"))
+    others = [h for h in "abc" if h != g]
+    middle = draw(
+        st.lists(st.tuples(st.sampled_from(others), nonzero), min_size=1, max_size=4)
+        .map(Word)
+        .filter(bool)
+    )
+    return Word([(g, draw(nonzero)), *middle.syllables, (g, draw(nonzero))])
+
+
+single_syllable_cores = st.tuples(st.sampled_from("abc"), nonzero).map(
+    lambda s: Word([s])
+)
+cores = st.one_of(abc_words, shared_end_cores(), single_syllable_cores)
+
+
+def check_power(w, n):
+    got = w ** n
+    assert got.syllables == ref_pow(w, n).syllables
+    assert Word(got.syllables).syllables == got.syllables
+
+
+@given(abc_words, cores, exponents)
+def test_closed_power_of_conjugate_matches_reference(u, c, n):
+    check_power(conjugate(u, c), n)
+
+
+@given(shared_end_cores(), exponents)
+def test_closed_power_shared_end_core_matches_reference(c, n):
+    check_power(c, n)
+
+
+@given(abc_words, single_syllable_cores, exponents)
+def test_closed_power_single_syllable_core_matches_reference(u, c, n):
+    check_power(conjugate(u, c), n)
+    g, e = c.syllables[0]
+    if n:
+        assert (c ** n).syllables == ((g, e * n),)
+
+
+@given(abc_words, xy_words, xy_words, xy_words)
+def test_substitute_cascading_seams_match_reference(w, img_a, z_b, z_c):
+    # b's image starts with the inverse of a's and c's with the inverse of
+    # b's, so a seam can cancel a whole image and go on into the one before.
+    img_b = ref_mul(ref_inv(img_a), z_b)
+    img_c = ref_mul(ref_inv(img_b), z_c)
+    images = {"a": img_a, "b": img_b, "c": img_c}
+    raw = [syl for g, e in w.syllables for syl in ref_pow(images[g], e).syllables]
+    got = substitute(w, images)
+    assert got.syllables == Word(raw).syllables
+    assert substitute(parse_word("a b"), images) == z_b
+    assert substitute(parse_word("b c"), images) == z_c
