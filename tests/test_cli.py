@@ -557,3 +557,42 @@ def test_present_and_surgery_content_pinned(capsys):
                         count += 1
     assert count == 270
     assert digest.hexdigest() == PRESENT_SURGERY_SHA256
+
+
+# sha256 over the canonical content of bare `homology`, `homology --slope`
+# at five slopes (among them v/1 and a numerator of 10^12) and `alexander`,
+# on the same 270 instances, as computed with the general Smith normal form.
+HOMOLOGY_ALEXANDER_SHA256 = "2387a3958ea31ec374ec1e5ce533298f2601e95cb45c46e429a5d7a4c9ff0eb0"
+
+
+def test_homology_and_alexander_content_pinned(capsys):
+    digest = hashlib.sha256()
+    count = 0
+    for p in range(3, 8):
+        for k in range(1, 4):
+            for sign in (-1, 1):
+                for ell in range(2, p):
+                    for m in range(3):
+                        flags = [f"--{n}={x}" for n, x in
+                                 zip(("p", "k", "sign", "ell", "m"), (p, k, sign, ell, m))]
+                        code, out, _ = run(capsys, "alexander", *flags)
+                        assert code == EXIT_OK, flags
+                        alexander = content_of(out)
+                        commands = [("homology",)] + [
+                            ("homology", f"--slope={slope}")
+                            for slope in ("0/1", "1/1", "-1/1", f"{alexander['v']}/1",
+                                          "1000000000000/7")
+                        ]
+                        docs = []
+                        for command in commands:
+                            code, out, _ = run(capsys, *command, *flags)
+                            assert code == EXIT_OK, (flags, command)
+                            docs.append(content_of(out))
+                        for doc in docs + [alexander]:
+                            digest.update(
+                                json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+                            )
+                            digest.update(b"\n")
+                        count += 1
+    assert count == 270
+    assert digest.hexdigest() == HOMOLOGY_ALEXANDER_SHA256
