@@ -25,7 +25,7 @@ from .families import (
     lspace_case,
     surgery_presentation,
 )
-from .homology import abelianization_matrix, h1, smith_normal_form, surgery_h1
+from .homology import abelianization_matrix, h1, surgery_h1
 from .presentation import (
     GeneratorChange,
     Presentation,
@@ -64,7 +64,6 @@ __all__ = [
     "lspace_surgery_threshold",
     "parse_word",
     "slope_range",
-    "smith_normal_form",
     "surgery_h1",
     "surgery_presentation",
     "todd_coxeter",

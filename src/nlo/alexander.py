@@ -185,7 +185,7 @@ def alexander_polynomial(kd: KnotData) -> LaurentPolynomial:
     pres = kd.presentation
     if len(pres.generators) != 2 or len(pres.relators) != 1:
         raise ValueError("expected a two-generator, one-relator presentation")
-    classes = h1_class_map(pres, normalize_by=kd.mu)
+    classes = h1_class_map(pres, kd.mu)
     g0, g1 = pres.generators
     relator = pres.relators[0]
     t_minus_1 = LaurentPolynomial({1: 1, 0: -1})

@@ -1,11 +1,16 @@
-"""Integer homology of presentations via exact Smith normal form.
+"""Integer homology of two-generator presentations, in closed form.
 
-All arithmetic is arbitrary-precision integer; no modular shortcuts.
+Every presentation nlo builds has two generators, so its exponent-sum
+matrix has two columns, and the invariant factors come from determinantal
+divisors (M. Newman, *Integral Matrices*, 1972, ch. II).  All arithmetic
+is arbitrary-precision integer; no modular shortcuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import gcd
 
 from .families import KnotData, Slope, surgery_exponents
 from .presentation import Presentation
@@ -23,98 +28,6 @@ def abelianization_matrix(pres: Presentation) -> Matrix:
         for g, e in r.syllables:
             row[column[g]] += e
     return matrix
-
-
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _swap_rows(m: Matrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m: Matrix, i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m: Matrix, src: int, dst: int, factor: int) -> None:
-    m[dst] = [d + factor * s for d, s in zip(m[dst], m[src])]
-
-
-def _add_col(m: Matrix, src: int, dst: int, factor: int) -> None:
-    for row in m:
-        row[dst] += factor * row[src]
-
-
-def _scale_row(m: Matrix, i: int, factor: int) -> None:
-    m[i] = [factor * x for x in m[i]]
-
-
-def smith_normal_form(matrix: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    Returns (D, U, V) with U * matrix * V == D exactly, D diagonal with
-    d1 | d2 | ... and nonnegative diagonal, and U, V unimodular.
-    """
-    a = [list(row) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def pivot_search(t: int) -> tuple[int, int] | None:
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        found = pivot_search(t)
-        if found is None:
-            break
-        i, j = found
-        _swap_rows(a, t, i), _swap_rows(u, t, i)
-        _swap_cols(a, t, j), _swap_cols(v, t, j)
-        while True:
-            # Clear column t, re-searching while remainders shrink the pivot.
-            dirty = False
-            for i in range(rows):
-                if i != t and a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    _add_row(a, t, i, -q), _add_row(u, t, i, -q)
-                    if a[i][t] != 0:
-                        _swap_rows(a, t, i), _swap_rows(u, t, i)
-                        dirty = True
-            for j in range(cols):
-                if j != t and a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    _add_col(a, t, j, -q), _add_col(v, t, j, -q)
-                    if a[t][j] != 0:
-                        _swap_cols(a, t, j), _swap_cols(v, t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # Enforce the divisibility chain: fold any non-multiple into the pivot.
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _add_row(a, offender, t, 1), _add_row(u, offender, t, 1)
-            continue
-        t += 1
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            _scale_row(a, i, -1), _scale_row(u, i, -1)
-    return a, u, v
 
 
 @dataclass(frozen=True)
@@ -139,20 +52,24 @@ class Homology:
         return " + ".join(parts) if parts else "0"
 
 
-def _homology_of_matrix(matrix: Matrix, n: int) -> Homology:
-    """Cokernel of an exponent-sum matrix with ``n`` columns."""
-    if not matrix:
-        return Homology((), n)
-    d, _, _ = smith_normal_form(matrix)
-    diag = [d[i][i] for i in range(min(len(d), n))]
-    rank = sum(1 for x in diag if x != 0)
-    factors = tuple(x for x in diag if x not in (0, 1))
-    return Homology(factors, n - rank)
+def _two_columns(pres: Presentation) -> Matrix:
+    if len(pres.generators) != 2:
+        raise ValueError(f"expected a two-generator presentation, got {pres.generators}")
+    return abelianization_matrix(pres)
+
+
+def _homology_of_rows(rows: Matrix) -> Homology:
+    """Cokernel of a two-column matrix: d1 is the gcd of the entries and
+    d1 * d2 the gcd of the 2x2 minors; a zero divisor adds a free Z."""
+    d1 = gcd(*(x for row in rows for x in row))
+    d12 = gcd(*(a0 * b1 - a1 * b0 for (a0, a1), (b0, b1) in combinations(rows, 2)))
+    diag = [d for d in (d1, d12 // d1 if d12 else 0) if d]
+    return Homology(tuple(d for d in diag if d != 1), 2 - len(diag))
 
 
 def h1(pres: Presentation) -> Homology:
-    """Abelianization of the presented group."""
-    return _homology_of_matrix(abelianization_matrix(pres), len(pres.generators))
+    """Abelianization of a two-generator presented group."""
+    return _homology_of_rows(_two_columns(pres))
 
 
 def surgery_h1(kd: KnotData, slope: Slope) -> Homology:
@@ -163,47 +80,33 @@ def surgery_h1(kd: KnotData, slope: Slope) -> Homology:
     never built, so the cost does not grow with p'.
     """
     pres = kd.presentation
+    rows = _two_columns(pres)
     mu, s = kd.mu, kd.s
     exponent, den = surgery_exponents(kd, slope)
     row = [
         exponent * exponent_sum(mu, g) + den * exponent_sum(s, g)
         for g in pres.generators
     ]
-    return _homology_of_matrix(abelianization_matrix(pres) + [row], len(pres.generators))
+    return _homology_of_rows(rows + [row])
 
 
-def h1_class_map(pres: Presentation, normalize_by: Word | None = None) -> dict[str, int]:
+def h1_class_map(pres: Presentation, meridian: Word) -> dict[str, int]:
     """Identify H1 with the integers and return each generator's class.
 
-    Requires H1 to be infinite cyclic.  When ``normalize_by`` is given its
-    class is required to be a generator of H1 and the sign is fixed so that
-    it maps to +1.  The identification comes from the Smith normal form
-    change-of-basis matrices, not from any per-family formula.
+    Requires H1 to be infinite cyclic and ``meridian`` to generate it; the
+    sign is fixed so that the meridian maps to +1.  H1 is then Z^2 modulo
+    one primitive row w = (w_a, w_b), and (x, y) -> x w_b - y w_a is the
+    identification, unique up to the sign the meridian fixes.  Nothing
+    here depends on the knot family.
     """
-    matrix = abelianization_matrix(pres)
-    n = len(pres.generators)
-    if not matrix:
-        matrix = [[0] * n]
-    d, _, v = smith_normal_form(matrix)
-    diag = [d[i][i] if i < len(d) else 0 for i in range(n)]
-    free_cols = [j for j in range(n) if j >= len(d) or diag[j] == 0]
-    torsion = [x for x in diag[: min(len(d), n)] if x not in (0, 1)]
-    if len(free_cols) != 1 or torsion:
-        raise ValueError(f"H1 is {h1(pres)}, not infinite cyclic")
-    col = free_cols[0]
-    # Row vector of exponent sums e maps to the class (e . V)[col].
-    classes = {g: v[i][col] for i, g in enumerate(pres.generators)}
-    if normalize_by is not None:
-        cls = sum(exponent_sum(normalize_by, g) * classes[g] for g in pres.generators)
-        if abs(cls) != 1:
-            raise ValueError(
-                f"normalizing element has class {cls}, not a generator of H1"
-            )
-        if cls < 0:
-            classes = {g: -c for g, c in classes.items()}
-    return classes
-
-
-def word_class(w: Word, classes: dict[str, int]) -> int:
-    """Image of a word in H1 under a generator -> class assignment."""
-    return sum(exponent_sum(w, g) * classes[g] for g in classes)
+    rows = _two_columns(pres)
+    group = _homology_of_rows(rows)
+    if group != Homology((), 1):
+        raise ValueError(f"H1 is {group}, not infinite cyclic")
+    wa, wb = next(row for row in rows if any(row))
+    d = gcd(wa, wb)
+    classes = dict(zip(pres.generators, (wb // d, -wa // d)))
+    cls = sum(exponent_sum(meridian, g) * classes[g] for g in pres.generators)
+    if abs(cls) != 1:
+        raise ValueError(f"normalizing element has class {cls}, not a generator of H1")
+    return {g: c * cls for g, c in classes.items()}

@@ -9,8 +9,7 @@ reduced words, and its abelianization, so the tests can compare the two.
 from __future__ import annotations
 
 from nlo.alexander import LaurentPolynomial
-from nlo.homology import word_class
-from nlo.words import Word
+from nlo.words import Word, exponent_sum
 
 class GroupRingElement:
     """Formal integer combination of reduced words."""
@@ -66,6 +65,11 @@ def fox_derivative(w: Word, gen: str) -> GroupRingElement:
                     add(prefix * Word([(g, -i)]), -1)
         prefix = prefix * Word([(g, e)])
     return GroupRingElement(terms)
+
+
+def word_class(w: Word, classes: dict[str, int]) -> int:
+    """Image of a word in H1 under a generator -> class assignment."""
+    return sum(exponent_sum(w, g) * classes[g] for g in classes)
 
 
 def abelianize(element: GroupRingElement, classes: dict[str, int]) -> LaurentPolynomial:

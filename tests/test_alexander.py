@@ -176,7 +176,7 @@ def test_abelian_fox_matches_reference_on_relators():
                     for m in range(0, 5):
                         kd = build(FamilyParams(p, k, sign, ell, m))
                         pres = kd.presentation
-                        classes = h1_class_map(pres, normalize_by=kd.mu)
+                        classes = h1_class_map(pres, kd.mu)
                         for gen in pres.generators:
                             relator = pres.relators[0]
                             reference = abelianize(fox_derivative(relator, gen), classes)

@@ -277,12 +277,13 @@ def test_cross_formula_identity():
 def test_positive_word_class_equals_framing():
     # Pulled back to a, b, x maps to the H1 generator and the positive
     # word's class lands exactly on v.
-    from nlo.homology import h1_class_map, word_class
+    from nlo.homology import h1_class_map
+    from reference_fox import word_class
 
     for ptuple in [(3, 2, -1, 2, 1), (4, 1, -1, 2, 1), (5, 1, 1, 4, 2), (6, 2, 1, 4, 1)]:
         kd = build(FamilyParams(*ptuple))
         cert = certify(kd)
-        classes = h1_class_map(kd.presentation, normalize_by=kd.mu)
+        classes = h1_class_map(kd.presentation, kd.mu)
         back = cert.change.backward
         assert word_class(back["x"], classes) == 1
         assert word_class(back["y"], classes) == kd.params.p - 1

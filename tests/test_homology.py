@@ -1,3 +1,6 @@
+from dataclasses import replace
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,13 +11,13 @@ from nlo.homology import (
     abelianization_matrix,
     h1,
     h1_class_map,
-    smith_normal_form,
     surgery_h1,
-    word_class,
 )
 from nlo.presentation import Presentation
 from nlo.sweep import SweepSpec, grid_instances
 from nlo.words import Word, exponent_sum, parse_word
+from reference_fox import word_class
+from reference_snf import smith_normal_form
 
 matrices = st.integers(1, 3).flatmap(
     lambda r: st.integers(1, 3).flatmap(
@@ -105,24 +108,24 @@ def test_snf_properties(m):
 
 def test_class_map_normalizes_meridian():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
-    classes = h1_class_map(kd.presentation, normalize_by=kd.mu)
+    classes = h1_class_map(kd.presentation, kd.mu)
     assert word_class(kd.mu, classes) == 1
     assert word_class(kd.s, classes) == kd.params.v
 
 
 def test_class_map_rejects_non_cyclic():
-    with pytest.raises(ValueError):
-        h1_class_map(Presentation(("a", "b")))
+    with pytest.raises(ValueError, match=r"^H1 is Z \+ Z, not infinite cyclic$"):
+        h1_class_map(Presentation(("a", "b")), parse_word("a"))
     kd = build(FamilyParams(3, 1, -1, 2, 0))
     pres = surgery_presentation(kd, Slope(5, 1))
-    with pytest.raises(ValueError):
-        h1_class_map(pres)
+    with pytest.raises(ValueError, match=r"^H1 is Z/5, not infinite cyclic$"):
+        h1_class_map(pres, kd.mu)
 
 
 def test_class_map_rejects_non_generator():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
-    with pytest.raises(ValueError):
-        h1_class_map(kd.presentation, normalize_by=parse_word("a"))
+    with pytest.raises(ValueError, match=r"^normalizing element has class -?5, not a generator of H1$"):
+        h1_class_map(kd.presentation, parse_word("a"))
 
 
 # Slopes with p' = 0, negative numerators and q' up to 12.
@@ -144,3 +147,100 @@ def test_surgery_h1_huge_slope():
     group = surgery_h1(kd, Slope(10**12, 7))
     assert group.order() == 10**12
     assert surgery_h1(kd, Slope(0, 1)) == Homology((), 1)
+
+
+def _reference_homology(pres):
+    """H1 from the reference Smith normal form's diagonal."""
+    matrix = abelianization_matrix(pres)
+    n = len(pres.generators)
+    if not matrix:
+        return Homology((), n)
+    d, _, _ = smith_normal_form(matrix)
+    diag = [d[i][i] for i in range(min(len(d), n))]
+    rank = sum(1 for x in diag if x != 0)
+    return Homology(tuple(x for x in diag if x not in (0, 1)), n - rank)
+
+
+def _reference_classes(pres, meridian):
+    """Class map from the reference Smith normal form's V column, signed
+    so that the meridian maps to +1."""
+    d, _, v = smith_normal_form(abelianization_matrix(pres))
+    n = len(pres.generators)
+    (col,) = [j for j in range(n) if j >= len(d) or d[j][j] == 0]
+    classes = {g: v[i][col] for i, g in enumerate(pres.generators)}
+    if word_class(meridian, classes) < 0:
+        classes = {g: -c for g, c in classes.items()}
+    return classes
+
+
+def _bezout(x, y):
+    """(u, v) with u*y - v*x == 1, for coprime x and y."""
+    old_r, r, old_s, s, old_t, t = y, x, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    # old_s*y + old_t*x == old_r == +-1
+    return old_s * old_r, -old_t * old_r
+
+
+NEAR_TERA = 10**12
+exponents = st.one_of(
+    st.integers(-9, 9),
+    st.integers(NEAR_TERA - 9, NEAR_TERA + 9),
+    st.integers(-NEAR_TERA - 9, -NEAR_TERA + 9),
+)
+two_gen_words = st.lists(st.tuples(st.sampled_from("ab"), exponents), min_size=1, max_size=4).map(Word)
+# Up to three relators: independent words, or powers of one word, so that
+# rank-one matrices with large entries are drawn too.
+two_gen_relators = st.one_of(
+    st.lists(two_gen_words, max_size=3),
+    st.tuples(two_gen_words, st.lists(st.integers(-3, 3), min_size=1, max_size=3)).map(
+        lambda wc: [wc[0] ** c for c in wc[1]]
+    ),
+)
+
+
+@given(two_gen_relators)
+def test_h1_matches_reference_snf(relators):
+    pres = Presentation(("a", "b"), relators)
+    assert h1(pres) == _reference_homology(pres)
+
+
+@given(
+    st.tuples(exponents, exponents).filter(lambda w: gcd(*w) == 1),
+    st.integers(-NEAR_TERA, NEAR_TERA),
+    st.sampled_from((1, -1)),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.integers(0, 2),
+    st.booleans(),
+)
+def test_class_map_kills_relators_and_matches_reference_snf(row, t, sign, multiples, at, b_first):
+    x, y = row
+    u, v = _bezout(x, y)
+    # (u, v) has class 1 under (e_a, e_b) -> e_a*y - e_b*x; adding t*(x, y)
+    # keeps the class.
+    meridian = Word([("a", sign * u + t * x), ("b", sign * v + t * y)])
+    syllables = [("a", x), ("b", y)]
+    relator = Word(syllables[::-1] if b_first else syllables)
+    # The primitive relator among its multiples, not always first.
+    relators = [relator ** c for c in multiples]
+    relators.insert(at, relator)
+    pres = Presentation(("a", "b"), relators)
+    classes = h1_class_map(pres, meridian)
+    assert all(word_class(r, classes) == 0 for r in relators)
+    assert word_class(meridian, classes) == 1
+    assert classes == _reference_classes(pres, meridian)
+
+
+def test_two_generator_kernels_refuse_three_generators():
+    pres = Presentation(("a", "b", "c"), [parse_word("a^2 b^-3 c")])
+    kd = replace(build(FamilyParams(3, 2, -1, 2, 1)), presentation=pres)
+    with pytest.raises(ValueError, match="two-generator"):
+        h1(pres)
+    with pytest.raises(ValueError, match="two-generator"):
+        surgery_h1(kd, Slope(1, 1))
+    with pytest.raises(ValueError, match="two-generator"):
+        h1_class_map(pres, kd.mu)
+
