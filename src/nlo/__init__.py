@@ -20,8 +20,6 @@ from .families import (
     KnotData,
     Slope,
     build,
-    build_minus,
-    build_plus,
     lspace_case,
     surgery_presentation,
 )
@@ -54,8 +52,6 @@ __all__ = [
     "alexander_polynomial",
     "apply_relation",
     "build",
-    "build_minus",
-    "build_plus",
     "certify",
     "check_peripheral_commutation",
     "format_word",

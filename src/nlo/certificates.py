@@ -28,7 +28,6 @@ from .families import (
     KnotData,
     Slope,
     certified_case,
-    in_verified_range,
     lspace_case,
 )
 from .presentation import (
@@ -143,7 +142,7 @@ def _classify(params: FamilyParams) -> str:
         raise UnsupportedParameters(
             f"nearest case sign={sign:+d},{nearest} requires m = 1, got m = {m}"
         )
-    if lspace_case(params) is not None and in_verified_range(params):
+    if lspace_case(params) is not None:
         raise UnsupportedParameters(ELL2_REFUSAL)
     raise UnsupportedParameters(
         f"ell = {ell} matches neither p-1 = {p - 1} nor p-2 = {p - 2}; "

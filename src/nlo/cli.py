@@ -19,7 +19,12 @@ from functools import cache
 from . import __version__
 from .alexander import alexander_polynomial, lspace_surgery_threshold
 from .certificates import certify, verify_certificate
-from .cosets import COMMUTATION_MAX_COSETS, check_peripheral_commutation, todd_coxeter
+from .cosets import (
+    COMMUTATION_MAX_COSETS,
+    DEFAULT_MAX_COSETS,
+    check_peripheral_commutation,
+    todd_coxeter,
+)
 from .families import (
     FamilyParams,
     KnotData,
@@ -45,6 +50,9 @@ EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
 
+# argparse takes a separate value that starts with "-" for a flag.
+SLOPE_HELP = "p'/q' or p'; give a negative slope as --slope=-1/1, not --slope -1/1"
+
 # Certificate documents nest about 5 levels; json recurses once per level.
 MAX_JSON_DEPTH = 16
 # A string (closed or running to the end of the text) or a bracket.
@@ -64,19 +72,14 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sign", type=int, required=True, choices=(-1, 1))
     sub.add_argument("--ell", type=int, required=True)
     sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--unverified-range", action="store_true")
 
 
 def _add_format_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
-def _params(args) -> FamilyParams:
-    return FamilyParams(p=args.p, k=args.k, sign=args.sign, ell=args.ell, m=args.m)
-
-
 def _knot(args) -> KnotData:
-    return build(_params(args), unverified_range=args.unverified_range)
+    return build(FamilyParams(p=args.p, k=args.k, sign=args.sign, ell=args.ell, m=args.m))
 
 
 def _emit(args, content: dict, text_lines: list[str]) -> None:
@@ -296,11 +299,11 @@ def build_parser() -> _Parser:
             _add_param_flags(cmd)
         _add_format_flag(cmd)
 
-    sub.choices["surgery"].add_argument("--slope", required=True)
-    sub.choices["homology"].add_argument("--slope")
-    sub.choices["order"].add_argument("--slope")
+    sub.choices["surgery"].add_argument("--slope", required=True, help=SLOPE_HELP)
+    sub.choices["homology"].add_argument("--slope", help=SLOPE_HELP)
+    sub.choices["order"].add_argument("--slope", help=SLOPE_HELP)
     sub.choices["order"].add_argument("--subgroup", action="append", default=[])
-    for name, cap in (("order", None), ("commutation", COMMUTATION_MAX_COSETS)):
+    for name, cap in (("order", DEFAULT_MAX_COSETS), ("commutation", COMMUTATION_MAX_COSETS)):
         sub.choices[name].add_argument("--max-cosets", type=int, default=cap)
 
     verify = sub.add_parser("verify")

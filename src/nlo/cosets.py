@@ -27,7 +27,6 @@ which is a result, not an error.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,7 +36,6 @@ from .words import Word, letters
 
 DEFAULT_MAX_COSETS = 10**6
 COMMUTATION_MAX_COSETS = 5000
-ENV_MAX_COSETS = "NLO_MAX_COSETS"
 
 COMPLETE = "complete"
 CAPPED = "capped"
@@ -46,20 +44,6 @@ UNDEFINED = -1
 
 # Labels the enumerator allocates before its first growth.
 FIRST_BLOCK = 64
-
-
-def resolve_max_cosets(explicit: int | None = None) -> int:
-    """Effective definition cap: explicit argument, else the
-    NLO_MAX_COSETS environment variable, else the default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ENV_MAX_COSETS)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_MAX_COSETS} must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_COSETS
 
 
 class _Capped(Exception):
@@ -161,7 +145,7 @@ def _grow(parent: list[int], columns: list[list[int]], size: int) -> None:
 def todd_coxeter(
     pres: Presentation,
     subgroup: list[Word] | tuple[Word, ...] = (),
-    max_cosets: int | None = None,
+    max_cosets: int = DEFAULT_MAX_COSETS,
 ) -> CosetTable:
     """Enumerate cosets of the subgroup generated by ``subgroup``.
 
@@ -169,13 +153,12 @@ def todd_coxeter(
     row count) or a capped partial table when more than ``max_cosets``
     coset definitions would be needed.
     """
-    cap = resolve_max_cosets(max_cosets)
-    if cap < 1:
+    if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
     column = {g: 2 * i for i, g in enumerate(pres.generators)}
     if any(not w.generators() <= column.keys() for w in subgroup):
         raise ValueError("subgroup words must use only the presentation's generators")
-    size = min(cap, FIRST_BLOCK)
+    size = min(max_cosets, FIRST_BLOCK)
     parent = list(range(size))
     columns = [[UNDEFINED] * size for _ in range(2 * len(column))]
     pairs = [(col, columns[i ^ 1]) for i, col in enumerate(columns)]
@@ -209,9 +192,9 @@ def todd_coxeter(
                         if e < 0:
                             e = n
                             if e == size:
-                                if size == cap:
+                                if size == max_cosets:
                                     raise _Capped
-                                size = min(cap, 2 * size)
+                                size = min(max_cosets, 2 * size)
                                 _grow(parent, columns, size)
                             n += 1
                             live += 1

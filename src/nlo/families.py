@@ -1,11 +1,13 @@
 """Closed-form knot group presentations for the twisted torus knots
 T(p, pk±1; ell, m) and their Dehn surgery quotients.
 
-Conventions: p >= 2 strands on the torus side, q = p*k + sign with
+Conventions: p >= 3 strands on the torus side, q = p*k + sign with
 sign = ±1, and ell adjacent strands receiving m extra full twists with
-2 <= ell <= p and m >= 0.  Each knot group comes with two generators a, b,
-one relator, the meridian mu, and the surface framing s, a v-framed
-longitude with v = p*q + ell^2*m.
+2 <= ell <= p-1 and m >= 0.  (Full twists on all p strands give the torus
+knot T(p, q + p*m), which is the m = 0 instance with k + m in place of k.)
+Each knot group comes with two generators a, b, one relator, the meridian
+mu, and the surface framing s, a v-framed longitude with
+v = p*q + ell^2*m.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from dataclasses import dataclass
 from .presentation import Presentation
 from .words import MAX_LETTERS, Word
 
-UNVERIFIED_ELL_NOTE = (
-    "ell = p is outside the range covered by the closed-form presentations; "
-    "output is structurally well-formed but unverified"
-)
 M_ZERO_NOTE = (
     "m = 0 is the untwisted torus-knot degeneration, outside the standing "
     "assumption m > 0 of the certified families"
@@ -32,7 +30,12 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parameters (p, k, sign, ell, m) selecting T(p, pk+sign; ell, m)."""
+    """Parameters (p, k, sign, ell, m) selecting T(p, pk+sign; ell, m).
+
+    The one place the family parameters are range-checked: p >= 3,
+    k >= 1, sign = ±1, 2 <= ell <= p-1 and m >= 0, so q >= 2.  ell = p is refused with a
+    message that names the equal torus-knot instance (k + m, m = 0).
+    """
 
     p: int
     k: int
@@ -41,20 +44,25 @@ class FamilyParams:
     m: int
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ParameterError(f"require p >= 2, got p = {self.p}")
+        if self.p < 3:
+            raise ParameterError(f"require p >= 3, got p = {self.p}")
         if self.k < 1:
             raise ParameterError(f"require k >= 1, got k = {self.k}")
         if self.sign not in (1, -1):
             raise ParameterError(f"require sign in {{+1, -1}}, got {self.sign}")
-        if not 2 <= self.ell <= self.p:
-            raise ParameterError(
-                f"require 2 <= ell <= p = {self.p}, got ell = {self.ell}"
-            )
         if self.m < 0:
             raise ParameterError(f"require m >= 0, got m = {self.m}")
-        if self.q < 2:
-            raise ParameterError(f"require q = p*k + sign >= 2, got q = {self.q}")
+        if self.ell == self.p:
+            p, q, k, m = self.p, self.q, self.k, self.m
+            raise ParameterError(
+                f"ell = p = {p} is outside 2 <= ell <= p-1: T({p}, {q}; {p}, {m}) "
+                f"is the torus knot T({p}, {q + p * m}), the instance k = {k + m}, "
+                f"m = 0 with any 2 <= ell <= {p - 1}"
+            )
+        if not 2 <= self.ell <= self.p - 1:
+            raise ParameterError(
+                f"require 2 <= ell <= p-1 = {self.p - 1}, got ell = {self.ell}"
+            )
 
     @property
     def q(self) -> int:
@@ -75,7 +83,6 @@ class KnotData:
     presentation: Presentation
     mu: Word
     s: Word
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -146,39 +153,17 @@ def certified_case(params: FamilyParams) -> str | None:
     return case if params.m >= 1 and case in CERTIFIED_CASES else None
 
 
-def in_verified_range(params: FamilyParams) -> bool:
-    """Whether ell <= p-1, the range the closed-form presentations cover."""
-    return params.ell < params.p
-
-
 def _gen(name: str, exp: int = 1) -> Word:
     return Word([(name, exp)])
 
 
-def _check_range(params: FamilyParams, unverified_range: bool) -> tuple[str, ...]:
-    notes = []
-    if not in_verified_range(params):
-        if not unverified_range:
-            raise ParameterError(
-                f"ell = p = {params.p} is outside the verified range "
-                "2 <= ell <= p-1; enable the unverified-range option to build anyway"
-            )
-        notes.append(UNVERIFIED_ELL_NOTE)
-    if params.m == 0:
-        notes.append(M_ZERO_NOTE)
-    return tuple(notes)
-
-
-def build_minus(params: FamilyParams, *, unverified_range: bool = False) -> KnotData:
+def _build_minus(params: FamilyParams) -> KnotData:
     """Knot data for T(p, pk-1; ell, m).
 
     Relator:  a^(p-l) (a C^m)^(l-1) a  =  b^(k(p-l)-1) (b^k C^m)^(l-1) b^k
     with C = b^(1-k(p-l)) a^(p-l); meridian mu = a^-1 b^k; framing
     s = a^(p-l-1) (a C^m)^l a with coefficient v = p(pk-1) + l^2 m.
     """
-    if params.sign != -1:
-        raise ParameterError("build_minus requires sign = -1")
-    notes = _check_range(params, unverified_range)
     p, k, ell, m = params.p, params.k, params.ell, params.m
     pl = p - ell
     a, b = _gen("a"), _gen("b")
@@ -188,19 +173,16 @@ def build_minus(params: FamilyParams, *, unverified_range: bool = False) -> Knot
     relator = lhs * ~rhs
     mu = ~a * b ** k
     s = a ** (pl - 1) * (a * c ** m) ** ell * a
-    return KnotData(params, Presentation(("a", "b"), (relator,)), mu, s, notes)
+    return KnotData(params, Presentation(("a", "b"), (relator,)), mu, s)
 
 
-def build_plus(params: FamilyParams, *, unverified_range: bool = False) -> KnotData:
+def _build_plus(params: FamilyParams) -> KnotData:
     """Knot data for T(p, pk+1; ell, m).
 
     Relator:  a (C^m a)^(l-1) a^(p-l)  =  b^k (C^m b^k)^(l-1) b^(k(p-l)+1)
     with C = b^(k(p-l)+1) a^(l-p); meridian mu = b^-k a; framing
     s = (C^m a)^l a^(p-l) with coefficient v = p(pk+1) + l^2 m.
     """
-    if params.sign != 1:
-        raise ParameterError("build_plus requires sign = +1")
-    notes = _check_range(params, unverified_range)
     p, k, ell, m = params.p, params.k, params.ell, params.m
     pl = p - ell
     a, b = _gen("a"), _gen("b")
@@ -210,14 +192,12 @@ def build_plus(params: FamilyParams, *, unverified_range: bool = False) -> KnotD
     relator = lhs * ~rhs
     mu = b ** (-k) * a
     s = (c ** m * a) ** ell * a ** pl
-    return KnotData(params, Presentation(("a", "b"), (relator,)), mu, s, notes)
+    return KnotData(params, Presentation(("a", "b"), (relator,)), mu, s)
 
 
-def build(params: FamilyParams, *, unverified_range: bool = False) -> KnotData:
-    """Dispatch on the sign of q - p*k."""
-    if params.sign == -1:
-        return build_minus(params, unverified_range=unverified_range)
-    return build_plus(params, unverified_range=unverified_range)
+def build(params: FamilyParams) -> KnotData:
+    """Knot data for ``params``, dispatched on the sign of q - p*k."""
+    return (_build_minus if params.sign == -1 else _build_plus)(params)
 
 
 def surgery_exponents(kd: KnotData, slope: Slope) -> tuple[int, int]:

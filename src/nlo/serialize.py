@@ -12,7 +12,7 @@ from dataclasses import fields
 from typing import Any
 
 from .certificates import Certificate, HypothesisRecord, VerificationReport
-from .families import FamilyParams, KnotData, lspace_case
+from .families import M_ZERO_NOTE, FamilyParams, KnotData, lspace_case
 from .presentation import GeneratorChange, Presentation, Relation, RewriteStep, TraceStep
 from .words import format_word, parse_word
 
@@ -80,7 +80,7 @@ def knot_data_to_doc(kd: KnotData) -> Doc:
         "s": format_word(kd.s),
         "v": kd.params.v,
         "lspace": {"is_lspace_knot": case is not None, "case": case},
-        "notes": list(kd.notes),
+        "notes": [M_ZERO_NOTE] if kd.params.m == 0 else [],
     }
 
 

@@ -44,20 +44,25 @@ class SweepSpec:
         unknown = set(self.cases) - set(ALL_CASES)
         if unknown:
             raise ValueError(f"unknown cases {sorted(unknown)}")
+        if self.jobs < 1:
+            raise ValueError(f"require jobs >= 1, got jobs = {self.jobs}")
 
 
 def parse_range(text: str) -> tuple[int, int]:
     """Inclusive range from ``lo:hi``; a single number ``n`` means n:n."""
     lo, sep, hi = text.partition(":")
-    return (int(lo), int(hi if sep else lo))
+    try:
+        return (int(lo), int(hi if sep else lo))
+    except ValueError:
+        raise ValueError(f"malformed range {text!r}: expected lo:hi or n") from None
 
 
 def grid_instances(spec: SweepSpec = SweepSpec()) -> list[FamilyParams]:
     """Certifiable instances of the grid, in canonical sorted order.
 
-    Every grid point with ell in the builders' verified range
-    2 <= ell <= p-1 is kept when ``families.certified_case`` names a case
-    whose ell condition is in ``spec.cases``; p = 2 has no such ell.
+    Every grid point with ell in the buildable range 2 <= ell <= p-1 is
+    kept when ``families.certified_case`` names a case whose ell
+    condition is in ``spec.cases``; p = 2 has no such ell.
     """
     ranges = (spec.p_range, spec.k_range, spec.m_range)
     ps, ks, ms = (range(lo, hi + 1) for lo, hi in ranges)

@@ -11,10 +11,10 @@ from __future__ import annotations
 from nlo.cosets import (
     CAPPED,
     COMPLETE,
+    DEFAULT_MAX_COSETS,
     UNDEFINED,
     CosetTable,
     _check_closure,
-    resolve_max_cosets,
 )
 from nlo.presentation import Presentation
 from nlo.words import Word, letters
@@ -32,7 +32,7 @@ def _word_cols(w: Word, generators: tuple[str, ...]) -> list[int]:
 def todd_coxeter(
     pres: Presentation,
     subgroup: list[Word] | tuple[Word, ...] = (),
-    max_cosets: int | None = None,
+    max_cosets: int = DEFAULT_MAX_COSETS,
 ) -> CosetTable:
     """Enumerate cosets of the subgroup generated by ``subgroup``.
 
@@ -40,7 +40,7 @@ def todd_coxeter(
     row count) or a capped partial table when more than ``max_cosets``
     coset definitions would be needed.
     """
-    cap = resolve_max_cosets(max_cosets)
+    cap = max_cosets
     if cap < 1:
         raise ValueError("max_cosets must be at least 1")
     ncols = 2 * len(pres.generators)

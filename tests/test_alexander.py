@@ -16,9 +16,10 @@ from nlo.alexander import (
     torus_alexander,
 )
 from nlo.cli import EXIT_OK, main
-from nlo.families import FamilyParams, build, lspace_case
+from nlo.families import FamilyParams, ParameterError, build, lspace_case
 from nlo.homology import h1_class_map
 from nlo.words import Word, parse_word
+from reference_braid import braid_alexander
 from reference_fox import GroupRingElement, abelianize, fox_derivative
 
 words = st.lists(
@@ -141,6 +142,50 @@ def test_alexander_torus_degenerations():
     for p, k, sign in [(5, 1, -1), (3, 2, -1), (4, 1, 1), (5, 2, 1)]:
         kd = build(FamilyParams(p, k, sign, 2, 0))
         assert alexander_polynomial(kd) == torus_alexander(p, p * k + sign)
+
+
+def test_braid_alexander_trefoil():
+    assert braid_alexander(2, 3, 2, 0) == torus_alexander(2, 3)
+
+
+def test_braid_closure_matches_fox_on_grid():
+    # p 3:7, k 1:3, both signs, 2 <= ell <= p-1, m 0:2: 270 instances, of
+    # which the twisted non-L-space ones have no other value check.
+    mismatched = []
+    count = 0
+    for p in range(3, 8):
+        for k in range(1, 4):
+            for sign in (-1, 1):
+                for ell in range(2, p):
+                    for m in range(3):
+                        params = FamilyParams(p, k, sign, ell, m)
+                        braid = braid_alexander(p, params.q, ell, m).normalized()
+                        if braid != alexander_polynomial(build(params)).normalized():
+                            mismatched.append((p, k, sign, ell, m))
+                        count += 1
+    assert count == 270
+    assert mismatched == []
+
+
+def test_braid_closure_ell_equals_p_is_the_named_torus_knot():
+    # Full twists on all p strands give T(p, q + pm), the instance that
+    # the ell = p refusal names: k + m and m = 0, with any 2 <= ell <= p-1.
+    mismatched = []
+    count = 0
+    for p in range(3, 8):
+        for k in range(1, 4):
+            for sign in (-1, 1):
+                for m in range(3):
+                    q = p * k + sign
+                    with pytest.raises(ParameterError, match=f"k = {k + m}, m = 0"):
+                        FamilyParams(p, k, sign, p, m)
+                    named = build(FamilyParams(p, k + m, sign, p - 1, 0))
+                    braid = braid_alexander(p, q, p, m).normalized()
+                    if not braid == torus_alexander(p, q + p * m) == alexander_polynomial(named):
+                        mismatched.append((p, k, sign, m))
+                    count += 1
+    assert count == 90
+    assert mismatched == []
 
 
 def test_alexander_symmetry_and_unit_value():

@@ -130,13 +130,6 @@ def test_certify_rejects_middle_ell():
     with pytest.raises(UnsupportedParameters) as err:
         certify(kd)
     assert "neither" in str(err.value)
-    # ell = p, built outside the verified range, matches neither case
-    # either, even where ell = p = 2 is an L-space case with m = 1.
-    for ptuple in [(2, 1, 1, 2, 1), (5, 1, 1, 5, 1)]:
-        kd = build(FamilyParams(*ptuple), unverified_range=True)
-        with pytest.raises(UnsupportedParameters) as err:
-            certify(kd)
-        assert "neither" in str(err.value)
 
 
 def test_verify_rejects_tampered_positive_word():

@@ -80,6 +80,24 @@ def test_invalid_parameters_exit_domain(capsys):
     assert "ell" in err
 
 
+def test_ell_equals_p_exit_domain_names_torus_instance(capsys):
+    flags = ["--p", "5", "--k", "1", "--sign", "-1", "--ell", "5", "--m", "1"]
+    code, out, err = run(capsys, "present", *flags)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "T(5, 9)" in err and "k = 2, m = 0" in err
+
+
+@pytest.mark.parametrize("command", ["surgery", "homology", "order"])
+def test_negative_slope_needs_equals_sign(capsys, command):
+    cap = ["--max-cosets", "100"] if command == "order" else []
+    code, out, _ = run(capsys, command, *TREFOIL, "--slope=-1/1", *cap)
+    assert code == EXIT_OK and out
+    # argparse reads a separate "-1/1" as a flag.
+    code, _, err = run(capsys, command, *TREFOIL, "--slope", "-1/1", *cap)
+    assert code == EXIT_USAGE
+    assert "expected one argument" in err
+
+
 def test_usage_error_exit_64(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
     assert run(capsys, "present", "--p", "3")[0] == EXIT_USAGE
@@ -263,7 +281,7 @@ def test_verify_unbuildable_parameters_exit_2(capsys, monkeypatch):
         capsys, monkeypatch, T42, lambda doc: doc["params"].update(ell=4)
     )
     assert code == EXIT_VERIFY
-    assert "outside the verified range" in content_of(out)["failures"][0]
+    assert "outside 2 <= ell <= p-1" in content_of(out)["failures"][0]
     assert err == ""
 
 
@@ -370,6 +388,15 @@ def test_sweep_process_pool_matches_serial():
     assert run_sweep(replace(spec, jobs=2)) == serial
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_one_exit_domain(capsys, jobs):
+    with pytest.raises(ValueError, match=f"got jobs = {jobs}"):
+        SweepSpec(jobs=int(jobs))
+    code, out, err = run(capsys, "sweep", "--p-range", "3", f"--jobs={jobs}")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "jobs >= 1" in err
+
+
 def test_sweep_p2_contributes_no_instances(capsys):
     # ell = p-1 = 1 is below the builders' range, and q = 1 for sign -1, k = 1.
     assert grid_instances(SweepSpec(p_range=(2, 5))) == grid_instances(
@@ -405,6 +432,15 @@ def test_parse_range():
     assert parse_range("-2:0") == (-2, 0)
     with pytest.raises(ValueError):
         parse_range("3:x")
+
+
+@pytest.mark.parametrize("text", ["3:", ":5", "3:x", ""])
+def test_parse_range_names_malformed_text(capsys, text):
+    with pytest.raises(ValueError, match=f"malformed range {text!r}"):
+        parse_range(text)
+    code, _, err = run(capsys, "sweep", f"--p-range={text}")
+    assert code == EXIT_DOMAIN
+    assert f"malformed range {text!r}" in err and "invalid literal" not in err
 
 
 def test_sweep_text_summary(capsys):

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 import nlo.cosets
 import reference_cosets
-from nlo.cli import EXIT_DOMAIN, main
 from nlo.cosets import (
     CAPPED,
     check_peripheral_commutation,
-    resolve_max_cosets,
     todd_coxeter,
 )
 from nlo.families import FamilyParams, Slope, build, surgery_presentation
@@ -132,25 +130,6 @@ def test_incomplete_table_refuses_action():
     table = todd_coxeter(pres, [], max_cosets=50)
     with pytest.raises(ValueError):
         table.action(parse_word("a"))
-
-
-def test_resolve_max_cosets_env(monkeypatch):
-    monkeypatch.setenv("NLO_MAX_COSETS", "1234")
-    assert resolve_max_cosets() == 1234
-    assert resolve_max_cosets(99) == 99
-    monkeypatch.delenv("NLO_MAX_COSETS")
-    assert resolve_max_cosets() == 10**6
-
-
-def test_resolve_max_cosets_env_not_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("NLO_MAX_COSETS", "abc")
-    with pytest.raises(ValueError, match="NLO_MAX_COSETS must be an integer, got 'abc'"):
-        resolve_max_cosets()
-    assert resolve_max_cosets(99) == 99
-    argv = ["order", "--p", "3", "--k", "1", "--sign", "-1", "--ell", "2", "--m", "0"]
-    assert main([*argv, "--slope", "1/1"]) == EXIT_DOMAIN
-    err = capsys.readouterr().err
-    assert "NLO_MAX_COSETS" in err and "'abc'" in err and "Traceback" not in err
 
 
 def test_peripheral_commutation_trefoil():

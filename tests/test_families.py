@@ -5,10 +5,7 @@ from nlo.families import (
     M_ZERO_NOTE,
     ParameterError,
     Slope,
-    UNVERIFIED_ELL_NOTE,
     build,
-    build_minus,
-    build_plus,
     lspace_case,
     surgery_presentation,
 )
@@ -28,7 +25,7 @@ GRID = [
 
 
 def test_build_minus_t35_instance():
-    kd = build_minus(FamilyParams(3, 2, -1, 2, 1))
+    kd = build(FamilyParams(3, 2, -1, 2, 1))
     assert kd.presentation.relators[0] == parse_word("a^2 b^-1 a^2 b^-2 a^-1 b^-2")
     assert kd.mu == parse_word("a^-1 b^2")
     assert kd.s == parse_word("a b^-1 a^2 b^-1 a^2")
@@ -36,18 +33,18 @@ def test_build_minus_t35_instance():
 
 
 def test_build_minus_m0_collapse():
-    for p, k, ell in [(3, 1, 2), (5, 2, 3), (7, 4, 6), (4, 1, 4)]:
+    for p, k, ell in [(3, 1, 2), (5, 2, 3), (7, 4, 6)]:
         params = FamilyParams(p, k, -1, ell, 0)
-        kd = build_minus(params, unverified_range=(ell == p))
+        kd = build(params)
         q = p * k - 1
         assert kd.presentation.relators[0] == Word([("a", p), ("b", -q)])
         assert kd.s == Word([("a", p)])
         assert kd.params.v == p * q
-        assert M_ZERO_NOTE in kd.notes
+        assert knot_data_to_doc(kd)["notes"] == [M_ZERO_NOTE]
 
 
 def test_build_minus_trefoil():
-    kd = build_minus(FamilyParams(3, 1, -1, 2, 0))
+    kd = build(FamilyParams(3, 1, -1, 2, 0))
     assert kd.presentation.relators[0] == parse_word("a^3 b^-2")
     assert kd.mu == parse_word("a^-1 b")
     assert kd.s == parse_word("a^3")
@@ -55,7 +52,7 @@ def test_build_minus_trefoil():
 
 
 def test_build_plus_t34_instance():
-    kd = build_plus(FamilyParams(3, 1, 1, 2, 1))
+    kd = build(FamilyParams(3, 1, 1, 2, 1))
     lhs, rhs = parse_word("a b^2 a"), parse_word("b^3 a^-1 b^3")
     assert kd.presentation.relators[0] == lhs * ~rhs
     assert kd.mu == parse_word("b^-1 a")
@@ -64,12 +61,12 @@ def test_build_plus_t34_instance():
 
 
 def test_build_plus_m0_collapse():
-    kd = build_plus(FamilyParams(4, 2, 1, 3, 0))
+    kd = build(FamilyParams(4, 2, 1, 3, 0))
     assert kd.presentation.relators[0] == Word([("a", 4), ("b", -9)])
 
 
 def test_build_plus_exponent_sums():
-    kd = build_plus(FamilyParams(5, 1, 1, 4, 1))
+    kd = build(FamilyParams(5, 1, 1, 4, 1))
     r = kd.presentation.relators[0]
     assert (exponent_sum(r, "a"), exponent_sum(r, "b")) == (5, -6)
 
@@ -88,6 +85,8 @@ def test_grid_invariants(ptuple):
 def test_parameter_validation():
     with pytest.raises(ParameterError):
         FamilyParams(1, 1, -1, 2, 1)
+    with pytest.raises(ParameterError, match="require p >= 3"):
+        FamilyParams(2, 1, 1, 2, 1)
     with pytest.raises(ParameterError):
         FamilyParams(3, 0, -1, 2, 1)
     with pytest.raises(ParameterError):
@@ -98,18 +97,16 @@ def test_parameter_validation():
         FamilyParams(4, 1, -1, 5, 1)  # ell above p
     with pytest.raises(ParameterError):
         FamilyParams(3, 1, -1, 2, -1)
-    with pytest.raises(ParameterError):
-        build_minus(FamilyParams(3, 1, 1, 2, 1))  # sign mismatch
-    with pytest.raises(ParameterError):
-        build_plus(FamilyParams(3, 1, -1, 2, 1))
 
 
-def test_ell_equals_p_needs_flag():
-    params = FamilyParams(3, 2, -1, 3, 1)
-    with pytest.raises(ParameterError):
-        build_minus(params)
-    kd = build_minus(params, unverified_range=True)
-    assert UNVERIFIED_ELL_NOTE in kd.notes
+def test_ell_equals_p_refusal_names_torus_instance():
+    # T(3, 5; 3, 1) is the torus knot T(3, 8), the instance k = 3, m = 0.
+    with pytest.raises(ParameterError) as err:
+        FamilyParams(3, 2, -1, 3, 1)
+    message = str(err.value)
+    assert "T(3, 5; 3, 1) is the torus knot T(3, 8)" in message
+    assert "k = 3, m = 0" in message
+    assert FamilyParams(3, 3, -1, 2, 0).q == 8
 
 
 def test_is_lspace_knot_cases():
