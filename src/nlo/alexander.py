@@ -2,8 +2,9 @@
 
 The Alexander polynomial of a two-generator, one-relator knot group comes
 from the free derivative of the relator, abelianized through the
-meridian-normalized identification of H1 with the integers (derived from
-Smith normal form, not hand-coded per family).  The abelianized derivative
+meridian-normalized identification of H1 with the integers (read from
+the determinantal divisors in ``nlo.homology``, not hand-coded per
+family).  The abelianized derivative
 is computed in one pass over the relator, without building group ring
 elements; the tests compare it with the full Fox calculus kept in
 ``tests/reference_fox.py``.  Laurent division, evaluation and

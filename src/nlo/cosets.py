@@ -6,11 +6,19 @@ per generator and one per inverse, indexed by label; these lists and the
 union-find parents grow in doubling blocks clamped to the cap, so a
 definition only writes two entries.  Each relator or subgroup word is
 precomputed once as its list of (column, inverse column) pairs.
-Scanning a word from a coset defines missing entries on the fly and
-identifies the two ends; identifications cascade by merging rows column
-by column.  A live counter (+1 per definition, -1 per merge) gives
-``num_cosets``; the rows are renumbered from the labels only when first
-read, so a capped table that is only counted never builds them.
+
+Scanning a word from a coset follows defined entries until the first
+missing one.  From there the scan is a fresh chain: a new label's only
+entry is the inverse just written and words are freely reduced, so the
+rest of the word only defines.  The chain's last label is then folded
+into the start directly, since only its last inverse column is defined;
+any coincidence that fold or a scan ending elsewhere exposes cascades by
+merging rows column by column.  After the relator scans of a coset, its
+row is completed by defining each missing entry in column order: no
+coincidence can arise there, because a defined entry's target already
+points back.  ``num_cosets`` is the labels defined less the merges; the
+rows are renumbered from the labels only when first read, so a capped
+table that is only counted never builds them.
 
 The enumeration order is part of the output contract: cosets are visited
 in label order, entries defined in scan order, coincidences processed
@@ -142,6 +150,18 @@ def _grow(parent: list[int], columns: list[list[int]], size: int) -> None:
         col.extend([UNDEFINED] * (size - old))
 
 
+def _make_room(
+    parent: list[int], columns: list[list[int]], size: int, max_cosets: int
+) -> int:
+    """The new array size when all ``size`` labels are taken: the next
+    doubling block clamped to the cap, or ``_Capped`` at the cap."""
+    if size == max_cosets:
+        raise _Capped
+    size = min(max_cosets, 2 * size)
+    _grow(parent, columns, size)
+    return size
+
+
 def todd_coxeter(
     pres: Presentation,
     subgroup: list[Word] | tuple[Word, ...] = (),
@@ -166,60 +186,80 @@ def todd_coxeter(
     def scan_pairs(w: Word) -> list[tuple[list[int], list[int]]]:
         return [pairs[column[g] + (s < 0)] for g, s in letters(w)]
 
-    # Scanning g g^-1 from a live coset defines its g-entry when missing
-    # and otherwise returns to it, so these words complete a row.
-    completion = [[pair, pair[::-1]] for pair in pairs]
-    relators = [scan_pairs(r) for r in pres.relators] + completion
+    relators = [scan_pairs(r) for r in pres.relators]
     words = [scan_pairs(w) for w in subgroup] + relators
 
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
     # UNDEFINED is -1 and labels are >= 0, so the hot loop tests signs.
-    # n counts labels defined so far, live those not merged away.
+    # n counts labels defined so far; find is inlined as path halving.
+    # The queue holds pending coincidences as flat (a, b) pairs.
     status = COMPLETE
-    n = live = 1
+    n = 1
+    merges = 0
+    queue: list[int] = []
     c = 0
     try:
         while c < n:
             if parent[c] == c:
                 for word in words:
-                    start = d = c if parent[c] == c else find(c)
-                    for fwd, inv in word:
+                    start = c
+                    while parent[start] != start:
+                        parent[start] = start = parent[parent[start]]
+                    d = start
+                    scan = iter(word)
+                    for fwd, inv in scan:
                         e = fwd[d]
                         if e < 0:
-                            e = n
-                            if e == size:
-                                if size == max_cosets:
-                                    raise _Capped
-                                size = min(max_cosets, 2 * size)
-                                _grow(parent, columns, size)
+                            # A fresh label's one entry is the inverse just
+                            # written, and the word is freely reduced, so
+                            # the rest of the scan only defines.
+                            if n == size:
+                                size = _make_room(parent, columns, size, max_cosets)
+                            fwd[d] = n
+                            inv[n] = d
+                            d = n
                             n += 1
-                            live += 1
-                            fwd[d] = e
-                            inv[e] = d
-                        elif parent[e] != e:
-                            e = find(e)
+                            for fwd, inv in scan:
+                                if n == size:
+                                    size = _make_room(parent, columns, size, max_cosets)
+                                fwd[d] = n
+                                inv[n] = d
+                                d = n
+                                n += 1
+                            # Fold the fresh end d > start into the root
+                            # start: only the last inverse column of d is
+                            # defined.
+                            parent[d] = start
+                            merges += 1
+                            e = inv[start]
+                            if e < 0:
+                                inv[start] = inv[d]
+                            else:
+                                queue.append(e)
+                                queue.append(inv[d])
+                            break
+                        while parent[e] != e:
+                            parent[e] = e = parent[parent[e]]
                         d = e
-                    if d == start:
-                        continue
-                    # Identify the end with the start, then merge rows
-                    # column by column, the smaller label surviving.
-                    queue = [(d, start)]
+                    else:
+                        if d == start:
+                            continue
+                        queue.append(d)
+                        queue.append(start)
+                    # Merge rows column by column, last in first out, the
+                    # smaller label surviving.
                     while queue:
-                        a, b = queue.pop()
-                        if parent[a] != a:
-                            a = find(a)
-                        if parent[b] != b:
-                            b = find(b)
+                        b = queue.pop()
+                        a = queue.pop()
+                        while parent[a] != a:
+                            parent[a] = a = parent[parent[a]]
+                        while parent[b] != b:
+                            parent[b] = b = parent[parent[b]]
                         if a == b:
                             continue
                         if a > b:
                             a, b = b, a
                         parent[b] = a
-                        live -= 1
+                        merges += 1
                         for col in columns:
                             n2 = col[b]
                             if n2 >= 0:
@@ -227,14 +267,28 @@ def todd_coxeter(
                                 if n1 < 0:
                                     col[a] = n2
                                 else:
-                                    queue.append((n1, n2))
+                                    queue.append(n1)
+                                    queue.append(n2)
+                # Complete the row of find(c).  Once coincidences are
+                # processed, fwd[d] = e implies inv[find(e)] ~ d, so only
+                # missing entries need work and none of it merges.
+                d = c
+                while parent[d] != d:
+                    parent[d] = d = parent[parent[d]]
+                for fwd, inv in pairs:
+                    if fwd[d] < 0:
+                        if n == size:
+                            size = _make_room(parent, columns, size, max_cosets)
+                        fwd[d] = n
+                        inv[n] = d
+                        n += 1
             words = relators
             c += 1
     except _Capped:
         status = CAPPED
 
     table = CosetTable._from_labels(
-        pres.generators, status, tuple(subgroup), live, parent, columns, n
+        pres.generators, status, tuple(subgroup), n - merges, parent, columns, n
     )
     if status == COMPLETE:
         _check_closure(table, pres.relators)

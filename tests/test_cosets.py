@@ -192,6 +192,25 @@ def test_enumeration_matches_reference(relators, subgroup, cap):
     assert_same_table(Presentation(("a", "b"), relators), subgroup, cap)
 
 
+abc_words = st.lists(
+    st.tuples(st.sampled_from("abc"), st.integers(-3, 3)), min_size=1, max_size=4
+).map(Word)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.builds(pow, abc_words, st.integers(1, 4)), min_size=1, max_size=3
+    ),
+    st.lists(abc_words, max_size=2),
+    st.integers(1, 400),
+)
+def test_three_generator_enumeration_matches_reference(relators, subgroup, cap):
+    # Proper powers make long relators whose scans run fresh chains, and
+    # small caps stop the enumeration inside one.
+    assert_same_table(Presentation(("a", "b", "c"), relators), subgroup, cap)
+
+
 def order_presentations():
     """(key, surgery presentation, reference entry) for every orders.json key."""
     out = []
@@ -245,3 +264,21 @@ def test_order_presentations_pinned_at_cap_20000():
     for key, pres, entry in order_presentations():
         table = todd_coxeter(pres, [], max_cosets=20000)
         assert (table.status, table.num_cosets) == (entry["status"], entry["cosets"]), key
+
+
+def test_vacuous_battery_matches_reference(monkeypatch):
+    # T(3,2;2,1) completes none of its 54 enumerations at cap 2000, so
+    # every table here is capped, many inside a fresh chain or its fold.
+    calls = []
+
+    def both(pres, subgroup=(), max_cosets=None):
+        table = assert_same_table(pres, subgroup, max_cosets)
+        calls.append(table.status)
+        return table
+
+    monkeypatch.setattr(nlo.cosets, "todd_coxeter", both)
+    report = check_peripheral_commutation(
+        build(FamilyParams(3, 1, -1, 2, 1)), max_cosets=2000
+    )
+    assert calls == [CAPPED] * 54
+    assert report.complete_enumerations == 0
