@@ -238,7 +238,7 @@ def _cmd_order(args) -> int:
     if table.is_complete():
         lines = [str(table.num_cosets)]
     else:
-        lines = [f"capped (>= {table.num_cosets} cosets)"]
+        lines = [f"capped at {args.max_cosets} definitions ({table.num_cosets} live cosets)"]
     _emit(args, content, lines)
     return EXIT_OK
 
@@ -262,7 +262,6 @@ def _cmd_sweep(args) -> int:
         m_range=parse_range(args.m_range),
         signs=tuple(int(s) for s in args.signs.split(",")),
         cases=tuple(args.cases.split(",")) if args.cases != "all" else ALL_CASES,
-        jobs=args.jobs,
     )
     result = run_sweep(spec)
     if args.output:
@@ -284,19 +283,18 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="nlo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, needs_params in (
-        ("present", _cmd_present, True),
-        ("certify", _cmd_certify, True),
-        ("surgery", _cmd_surgery, True),
-        ("homology", _cmd_homology, True),
-        ("alexander", _cmd_alexander, True),
-        ("order", _cmd_order, True),
-        ("commutation", _cmd_commutation, True),
+    for name, fn in (
+        ("present", _cmd_present),
+        ("certify", _cmd_certify),
+        ("surgery", _cmd_surgery),
+        ("homology", _cmd_homology),
+        ("alexander", _cmd_alexander),
+        ("order", _cmd_order),
+        ("commutation", _cmd_commutation),
     ):
         cmd = sub.add_parser(name)
         cmd.set_defaults(fn=fn)
-        if needs_params:
-            _add_param_flags(cmd)
+        _add_param_flags(cmd)
         _add_format_flag(cmd)
 
     sub.choices["surgery"].add_argument("--slope", required=True, help=SLOPE_HELP)
@@ -319,7 +317,6 @@ def build_parser() -> _Parser:
     swp.add_argument("--signs", default="-1,1")
     swp.add_argument("--cases", default="all")
     swp.add_argument("--output")
-    swp.add_argument("--jobs", type=int, default=1)
     _add_format_flag(swp)
     return parser
 

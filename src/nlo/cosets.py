@@ -40,7 +40,7 @@ from functools import cached_property
 
 from .families import KnotData, Slope, surgery_presentation
 from .presentation import Presentation
-from .words import Word, letters
+from .words import Word, check_letter_cap, letters
 
 DEFAULT_MAX_COSETS = 10**6
 COMMUTATION_MAX_COSETS = 5000
@@ -171,13 +171,15 @@ def todd_coxeter(
 
     Returns a complete table (the subgroup then has index equal to the
     row count) or a capped partial table when more than ``max_cosets``
-    coset definitions would be needed.
+    coset definitions would be needed.  Refuses words over MAX_LETTERS letters.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
     column = {g: 2 * i for i, g in enumerate(pres.generators)}
     if any(not w.generators() <= column.keys() for w in subgroup):
         raise ValueError("subgroup words must use only the presentation's generators")
+    for w in (*subgroup, *pres.relators):
+        check_letter_cap(w)
     size = min(max_cosets, FIRST_BLOCK)
     parent = list(range(size))
     columns = [[UNDEFINED] * size for _ in range(2 * len(column))]

@@ -214,12 +214,24 @@ def letters(w: Word) -> Iterator[tuple[str, int]]:
             yield (gen, sign)
 
 
-def letters_list(w: Word) -> list[tuple[str, int]]:
+def check_letter_cap(w: Word) -> None:
+    """Refuse, before any work, to unroll more than MAX_LETTERS letters."""
     if w.letter_length > MAX_LETTERS:
         raise ValueError(
-            f"letter expansion of size {w.letter_length} exceeds cap {MAX_LETTERS}"
+            f"letter expansion of size {w.letter_length} exceeds "
+            f"the cap MAX_LETTERS = {MAX_LETTERS}"
         )
+
+
+def letters_list(w: Word) -> list[tuple[str, int]]:
+    check_letter_cap(w)
     return list(letters(w))
+
+
+def _letter_text(w: Word) -> str:
+    """The unrolled letters as one character each, an inverse in upper case."""
+    check_letter_cap(w)
+    return "".join((g if e > 0 else g.upper()) * abs(e) for g, e in w.syllables)
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -241,15 +253,10 @@ def cyclic_reduce(w: Word) -> Word:
 
 
 def is_cyclic_rotation(u: Word, v: Word) -> bool:
-    """True iff the letter sequences of u and v are cyclic rotations."""
-    a = letters_list(u)
-    b = letters_list(v)
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    doubled = b + b
-    return any(doubled[i : i + len(a)] == a for i in range(len(b)))
+    """True iff the letter sequences of u and v are cyclic rotations; one
+    substring search of u's letter text in v's doubled, linear in letters."""
+    a, b = _letter_text(u), _letter_text(v)
+    return len(a) == len(b) and a in b + b
 
 
 _TOKEN = re.compile(r"\s*([a-z])(?:\^(-?\d+))?")

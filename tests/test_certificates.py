@@ -27,7 +27,7 @@ from nlo.certificates import (
     xy_change_plus,
 )
 from nlo.families import FamilyParams, Slope, build
-from nlo.presentation import GeneratorChange, Relation, replay_trace
+from nlo.presentation import GeneratorChange, Relation, insertion_step, replay_trace
 from nlo.sweep import SweepSpec, grid_instances
 from nlo.words import Word, parse_word, substitute
 from rewrite_search import _insertion_relations, _successors, find_relation_applications
@@ -386,3 +386,19 @@ def test_certify_large_step_case_is_fast():
     assert len(cert.trace) == 1
     assert verify_certificate(kd, cert).passed
     assert elapsed < 0.25
+
+
+def test_verify_hostile_rotated_step_fails_fast():
+    # The trace step inserts the relator rotated by half its 94,875 letters,
+    # a true cyclic form, so matching it must not scan every rotation.
+    kd = build(FamilyParams(160, 200, -1, 158, 1))
+    cert = certify(kd)
+    relator = kd.presentation.relators[0]
+    step = insertion_step(relator, relator.letter_length // 2, 0)
+    hostile = dataclasses.replace(cert, trace=(step,))
+    start = time.perf_counter()
+    report = verify_certificate(kd, hostile)
+    elapsed = time.perf_counter() - start
+    assert not report.passed
+    assert report.failures[0].startswith(f"{CLAUSE_REPLAY}:")
+    assert elapsed < 1.0, f"hostile verify took {elapsed:.2f}s"

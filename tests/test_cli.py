@@ -1,14 +1,16 @@
 import hashlib
 import io
 import json
+import re
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from nlo.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
-from nlo.sweep import SweepSpec, grid_instances, parse_range, run_sweep
+from nlo.families import ParameterError
+from nlo.sweep import SweepSpec, grid_instances, parse_range
+from nlo.words import MAX_LETTERS
 
 # sha256 of the canonical content of `nlo certify` on the grid
 # p 3:12, k 1:6, m 1:5, keyed "p,k,sign,ell,m"; the benchmark checks the
@@ -356,12 +358,28 @@ def test_order_trefoil_slope_1(capsys):
 
 
 def test_order_capped(capsys):
-    code, out, _ = run(
-        capsys, "order", "--p", "3", "--k", "2", "--sign", "-1", "--ell", "2",
-        "--m", "1", "--max-cosets", "100"
-    )
+    flags = ["order", *T35, "--max-cosets", "100"]
+    code, out, _ = run(capsys, *flags)
     assert code == EXIT_OK
-    assert content_of(out)["status"] == "capped"
+    content = content_of(out)
+    assert content["status"] == "capped"
+    # The live count is not a bound on the index, so the text states the
+    # cap and the count as they are.
+    code, out, _ = run(capsys, *flags, "--format", "text")
+    assert code == EXIT_OK
+    assert out == f"capped at 100 definitions ({content['cosets']} live cosets)\n"
+    code, out, _ = run(capsys, "order", *TREFOIL, "--slope", "1/1", "--max-cosets", "1000",
+                       "--format", "text")
+    assert out == "capped at 1000 definitions (379 live cosets)\n"
+
+
+def test_order_oversized_subgroup_word_exits_domain_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "order", *TREFOIL, "--subgroup", f"a^{10 * MAX_LETTERS}")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert f"MAX_LETTERS = {MAX_LETTERS}" in err and "Traceback" not in err
+    assert elapsed < 1.0, f"order took {elapsed:.2f}s to refuse"
 
 
 def test_sweep_small_grid(tmp_path, capsys):
@@ -381,30 +399,22 @@ def test_sweep_small_grid(tmp_path, capsys):
     assert set(verdicts) == {"PASS"}
 
 
-def test_sweep_process_pool_matches_serial():
-    spec = SweepSpec(p_range=(3, 4), k_range=(1, 2), m_range=(1, 2))
-    serial = run_sweep(spec)
-    assert serial["total"] > 2 and serial["failed"] == 0
-    assert run_sweep(replace(spec, jobs=2)) == serial
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_sweep_jobs_below_one_exit_domain(capsys, jobs):
-    with pytest.raises(ValueError, match=f"got jobs = {jobs}"):
-        SweepSpec(jobs=int(jobs))
-    code, out, err = run(capsys, "sweep", "--p-range", "3", f"--jobs={jobs}")
+@pytest.mark.parametrize(
+    "field, lo, refusal",
+    [("p_range", 2, "require p >= 3, got p = 2"),
+     ("k_range", 0, "require k >= 1, got k = 0"),
+     ("m_range", -1, "require m >= 0, got m = -1")],
+    ids=["p", "k", "m"],
+)
+def test_sweep_lower_corner_refused_by_family_params(capsys, field, lo, refusal):
+    # The sweep keeps no bounds of its own: the grid's lower corner is
+    # built as FamilyParams, whose refusal reaches the user unchanged.
+    with pytest.raises(ParameterError, match=re.escape(refusal)):
+        SweepSpec(**{field: (lo, 4)})
+    flag = "--" + field.replace("_", "-")
+    code, out, err = run(capsys, "sweep", f"{flag}={lo}:4", "--format", "text")
     assert (code, out) == (EXIT_DOMAIN, "")
-    assert "jobs >= 1" in err
-
-
-def test_sweep_p2_contributes_no_instances(capsys):
-    # ell = p-1 = 1 is below the builders' range, and q = 1 for sign -1, k = 1.
-    assert grid_instances(SweepSpec(p_range=(2, 5))) == grid_instances(
-        SweepSpec(p_range=(3, 5))
-    )
-    code, out, _ = run(capsys, "sweep", "--p-range", "2:4", "--format", "text")
-    assert code == EXIT_OK
-    assert out == run(capsys, "sweep", "--p-range", "3:4", "--format", "text")[1]
+    assert refusal in err
 
 
 def test_certify_content_matches_reference_digests(capsys):

@@ -128,6 +128,8 @@ def test_large_exponents_stay_symbolic():
     assert w.syllables == (("a", 10**9), ("b", -1))
     with pytest.raises(ValueError):
         letters_list(w)
+    with pytest.raises(ValueError, match="MAX_LETTERS"):
+        is_cyclic_rotation(w, w)
 
 
 def test_cyclic_reduce():
@@ -337,3 +339,30 @@ def test_substitute_cascading_seams_match_reference(w, img_a, z_b, z_c):
     assert got.syllables == Word(raw).syllables
     assert substitute(parse_word("a b"), images) == z_b
     assert substitute(parse_word("b c"), images) == z_c
+
+
+# The linear cyclic-rotation test against the quadratic letter-list scan
+# it replaced.
+
+
+def ref_is_cyclic_rotation(u, v):
+    a = letters_list(u)
+    b = letters_list(v)
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    doubled = b + b
+    return any(doubled[i : i + len(a)] == a for i in range(len(b)))
+
+
+@given(abc_words, abc_words, st.integers(0, 30), st.booleans())
+def test_cyclic_rotation_matches_reference(u, v, offset, rotate):
+    # Rotating u's letters gives true cases; Word() reduces the seam of a
+    # rotation of a word that is not cyclically reduced, as it may.
+    if rotate:
+        seq = letters_list(u)
+        k = offset % len(seq) if seq else 0
+        v = Word(seq[k:] + seq[:k])
+    for a, b in ((u, v), (u, ~v), (v, u), (u, u)):
+        assert is_cyclic_rotation(a, b) == ref_is_cyclic_rotation(a, b)
