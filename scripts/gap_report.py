@@ -21,11 +21,14 @@ def main() -> None:
     parser.add_argument("--m-range", default="1:3")
     args = parser.parse_args()
 
-    spec = SweepSpec(
-        p_range=parse_range(args.p_range),
-        k_range=parse_range(args.k_range),
-        m_range=parse_range(args.m_range),
-    )
+    try:
+        spec = SweepSpec(
+            p_range=parse_range(args.p_range),
+            k_range=parse_range(args.k_range),
+            m_range=parse_range(args.m_range),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"{'p':>3} {'k':>3} {'sign':>5} {'ell':>4} {'m':>3} "
           f"{'genus':>6} {'2g-1':>6} {'v':>7} {'gap':>6}")
     worst = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from nlo.presentation import Relation, RewriteStep, TraceStep, apply_relation
-from nlo.words import Word, cyclic_reduce, letters_list
+from nlo.words import Word, cyclic_reduce, letter_text, word_from_text
 
 DEFAULT_NODE_CAP = 100_000
 
@@ -32,9 +32,9 @@ def _insertion_relations(relator: Word) -> list[Relation]:
     core = cyclic_reduce(relator)
     rels = []
     for base in (core, ~core):
-        seq = letters_list(base)
-        for j in range(len(seq) or 1):
-            rels.append(Relation(Word(), Word(seq[j:] + seq[:j])))
+        text = letter_text(base)
+        for j in range(len(text) or 1):
+            rels.append(Relation(Word(), word_from_text(text[j:] + text[:j])))
     return rels
 
 

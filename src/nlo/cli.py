@@ -1,9 +1,9 @@
 """Batch command line front end.
 
 Subcommands: present, certify, verify, surgery, homology, alexander,
-order, sweep.  Flags are long-form only.  Output is a deterministic
-document whose header (tool name/version, schema version) is separate
-from the content, so content hashes are stable across runs.
+order, commutation, sweep.  Flags are long-form only.  Output is a
+deterministic document whose header (tool name/version, schema version)
+is separate from the content, so content hashes are stable across runs.
 
 Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage.
 """
@@ -18,7 +18,7 @@ from functools import cache
 
 from . import __version__
 from .alexander import alexander_polynomial, lspace_surgery_threshold
-from .certificates import certify, verify_certificate
+from .certificates import VerificationReport, certify, verify_certificate
 from .cosets import (
     COMMUTATION_MAX_COSETS,
     DEFAULT_MAX_COSETS,
@@ -164,10 +164,9 @@ def _cmd_verify(args) -> int:
         cert = certificate_from_doc(doc)
         kd = build(cert.params)
     except ValueError as exc:
-        content = {"passed": False, "verdict": "FAIL", "failures": [str(exc)]}
-        _emit(args, content, [f"verdict: FAIL: {exc}"])
-        return EXIT_VERIFY
-    report = verify_certificate(kd, cert)
+        report = VerificationReport(False, (str(exc),))
+    else:
+        report = verify_certificate(kd, cert)
     _emit(args, verification_to_doc(report), [f"verdict: {report}"])
     return EXIT_OK if report.passed else EXIT_VERIFY
 

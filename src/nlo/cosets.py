@@ -5,7 +5,9 @@ union-find over coset labels.  The table is column-major: one int list
 per generator and one per inverse, indexed by label; these lists and the
 union-find parents grow in doubling blocks clamped to the cap, so a
 definition only writes two entries.  Each relator or subgroup word is
-precomputed once as its list of (column, inverse column) pairs.
+precomputed once as its list of (column, inverse column) pairs, read from
+its letter text through one map from letter to column (an upper-case
+letter names the inverse column).
 
 Scanning a word from a coset follows defined entries until the first
 missing one.  From there the scan is a fresh chain: a new label's only
@@ -40,7 +42,7 @@ from functools import cached_property
 
 from .families import KnotData, Slope, surgery_presentation
 from .presentation import Presentation
-from .words import Word, check_letter_cap, letters
+from .words import Word, letter_text
 
 DEFAULT_MAX_COSETS = 10**6
 COMMUTATION_MAX_COSETS = 5000
@@ -64,26 +66,12 @@ class CosetTable:
     Rows are cosets, row 0 the subgroup coset; columns alternate
     generator and inverse-generator images.  Entries of a complete table
     are all defined and closed under every relator and subgroup word.
-    For a table from ``todd_coxeter``, ``num_cosets`` is the enumerator's
-    live count and ``rows`` are built when first read.
+    ``num_cosets`` is the live count given at construction, and ``rows``
+    are built from the labels when first read.
     """
 
     def __init__(
         self,
-        generators: tuple[str, ...],
-        rows: list[list[int]],
-        status: str,
-        subgroup: tuple[Word, ...],
-    ):
-        self.generators = generators
-        self.rows = rows
-        self.status = status
-        self.subgroup = subgroup
-        self.num_cosets = len(rows)
-
-    @classmethod
-    def _from_labels(
-        cls,
         generators: tuple[str, ...],
         status: str,
         subgroup: tuple[Word, ...],
@@ -91,14 +79,12 @@ class CosetTable:
         parent: list[int],
         columns: list[list[int]],
         n: int,
-    ) -> "CosetTable":
-        """A table whose rows are renumbered from the enumerator's first
-        ``n`` labels when first read."""
-        table = cls.__new__(cls)
-        table.generators, table.status, table.subgroup = generators, status, subgroup
-        table.num_cosets = num_cosets
-        table._labels = parent, columns, n
-        return table
+    ):
+        """A table whose rows are renumbered from the first ``n`` labels
+        of a union-find ``parent`` and its ``columns`` when first read."""
+        self.generators, self.status, self.subgroup = generators, status, subgroup
+        self.num_cosets = num_cosets
+        self._labels = parent, columns, n
 
     @cached_property
     def rows(self) -> list[list[int]]:
@@ -130,7 +116,8 @@ class CosetTable:
                 f"generator {min(unknown)!r} is not one of the table's "
                 f"generators {', '.join(self.generators)}"
             )
-        cols = [2 * self.generators.index(g) + (s < 0) for g, s in letters(w)]
+        column = _letter_columns(self.generators)
+        cols = [column[c] for c in letter_text(w)]
         rows = self.rows
         out = []
         for start in range(len(rows)):
@@ -139,6 +126,16 @@ class CosetTable:
                 c = rows[c][col]
             out.append(c)
         return out
+
+
+def _letter_columns(generators: tuple[str, ...]) -> dict[str, int]:
+    """The column of each letter of the letter text: 2i for generator i,
+    2i + 1 for its inverse."""
+    return {
+        c: 2 * i + inv
+        for i, g in enumerate(generators)
+        for inv, c in enumerate((g, g.upper()))
+    }
 
 
 def _grow(parent: list[int], columns: list[list[int]], size: int) -> None:
@@ -175,21 +172,19 @@ def todd_coxeter(
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    column = {g: 2 * i for i, g in enumerate(pres.generators)}
+    column = _letter_columns(pres.generators)
     if any(not w.generators() <= column.keys() for w in subgroup):
         raise ValueError("subgroup words must use only the presentation's generators")
-    for w in (*subgroup, *pres.relators):
-        check_letter_cap(w)
     size = min(max_cosets, FIRST_BLOCK)
     parent = list(range(size))
-    columns = [[UNDEFINED] * size for _ in range(2 * len(column))]
+    columns = [[UNDEFINED] * size for _ in range(len(column))]
     pairs = [(col, columns[i ^ 1]) for i, col in enumerate(columns)]
 
-    def scan_pairs(w: Word) -> list[tuple[list[int], list[int]]]:
-        return [pairs[column[g] + (s < 0)] for g, s in letters(w)]
-
-    relators = [scan_pairs(r) for r in pres.relators]
-    words = [scan_pairs(w) for w in subgroup] + relators
+    # Subgroup words are unrolled first, so an oversized one is refused
+    # before an oversized relator.
+    words = [[pairs[column[c]] for c in letter_text(w)] for w in subgroup]
+    relators = [[pairs[column[c]] for c in letter_text(r)] for r in pres.relators]
+    words += relators
 
     # UNDEFINED is -1 and labels are >= 0, so the hot loop tests signs.
     # n counts labels defined so far; find is inlined as path halving.
@@ -289,7 +284,7 @@ def todd_coxeter(
     except _Capped:
         status = CAPPED
 
-    table = CosetTable._from_labels(
+    table = CosetTable(
         pres.generators, status, tuple(subgroup), n - merges, parent, columns, n
     )
     if status == COMPLETE:

@@ -6,10 +6,13 @@ of a knot live beside it in ``families.KnotData``.
 
 A rewrite step replaces one occurrence of a relation's left side inside a
 word's unrolled letter sequence by its right side, never the reverse: the
-reverse rewrite is a step on the swapped relation.  Relations are admitted
-up to cyclic rotation of a stored relator (or its inverse): group relations
-hold up to conjugation, and the rewrites appearing in certificates need rotated
-forms to replay displayed computations letter-for-letter.  Nothing here
+reverse rewrite is a step on the swapped relation.  Steps work on the
+letter text of ``nlo.words``: an occurrence is a prefix test at the step's
+position and the rewrite a splice, read back without validating again.
+Relations are admitted up to cyclic rotation of a stored relator (or its
+inverse): group relations hold up to conjugation, and the rewrites
+appearing in certificates need rotated forms to replay displayed
+computations letter-for-letter.  Nothing here
 searches: steps are built from a named rotation and position, or replayed
 from a recorded trace.  The bounded search that *discovers* steps lives in
 scripts/rewrite_search.py, outside the package.
@@ -24,8 +27,9 @@ from .words import (
     Word,
     cyclic_reduce,
     is_cyclic_rotation,
-    letters_list,
+    letter_text,
     substitute,
+    word_from_text,
 )
 
 class RewriteError(ValueError):
@@ -143,17 +147,17 @@ def apply_relation(w: Word, rel: Relation, step: RewriteStep) -> Word:
     is reduced and equals ``w`` in any group where lhs = rhs holds.  The
     reverse rewrite is the step on ``Relation(rel.rhs, rel.lhs)``.
     """
-    seq = letters_list(w)
-    src = letters_list(rel.lhs)
+    text = letter_text(w)
+    src = letter_text(rel.lhs)
     pos = step.position
-    if pos > len(seq) - len(src):
+    if pos > len(text) - len(src):
         raise RewriteError(
             f"no room for a length-{len(src)} occurrence at position {pos} "
-            f"in a word of {len(seq)} letters"
+            f"in a word of {len(text)} letters"
         )
-    if seq[pos : pos + len(src)] != src:
+    if not text.startswith(src, pos):
         raise RewriteError(f"occurrence mismatch at position {pos}")
-    return Word(seq[:pos] + letters_list(rel.rhs) + seq[pos + len(src):])
+    return word_from_text(text[:pos] + letter_text(rel.rhs) + text[pos + len(src):])
 
 
 def replay_trace(w: Word, trace: Iterable[TraceStep], relators: tuple[Word, ...]) -> Word:
@@ -180,7 +184,7 @@ def insertion_step(relator: Word, offset: int, position: int) -> TraceStep:
     core of ``relator`` rotated by ``offset`` letters (mod its length) at
     letter ``position``: one of the steps that the rewrite search in
     scripts/rewrite_search.py tries, built from one rotation."""
-    seq = letters_list(~cyclic_reduce(relator))
-    offset %= len(seq)
-    rel = Relation(Word(), Word(seq[offset:] + seq[:offset]))
+    text = letter_text(~cyclic_reduce(relator))
+    offset %= len(text)
+    rel = Relation(Word(), word_from_text(text[offset:] + text[:offset]))
     return rel, RewriteStep(0, position)

@@ -6,13 +6,17 @@ adjacent syllables sharing a generator.  The empty tuple is the identity.
 Keeping exponent runs symbolic means words like b^(1-k(p-l)) stay small no
 matter how large the parameters get; positions in rewriting certificates
 refer to the fully unrolled letter sequence instead, so they are
-independent of this encoding.
+independent of this encoding.  ``letter_text`` is the one unrolled form,
+one character a letter with an inverse in upper case, and the one place
+the MAX_LETTERS cap is checked.
 
 Only construction (``Word(...)`` and ``parse_word``) validates letters and
 runs a full free reduction.  The algebra keeps words reduced without one:
 a product or a substitution merges or cancels only at the seams where
-reduced pieces meet, and a power is built in one tuple from the core
-left when the conjugator is peeled off its base.
+reduced pieces meet, a power is built in one tuple from the core left
+when the conjugator is peeled off its base, and ``cyclic_reduce`` peels
+the same way.  ``word_from_text`` reduces text the package made without
+validating its letters again.
 
 All values are immutable and all operations are pure.
 """
@@ -20,7 +24,7 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Syllable = tuple[str, int]
 
@@ -29,6 +33,9 @@ MAX_LETTERS = 1_000_000
 
 # Characters of word text that abbreviate_word keeps in a message.
 MESSAGE_WORD_CHARS = 200
+
+# A run of one repeated character in letter text.
+_RUN = re.compile(r"(.)\1*")
 
 
 class WordSyntaxError(ValueError):
@@ -92,9 +99,6 @@ class Word:
 
     def __bool__(self) -> bool:
         return bool(self.syllables)
-
-    def __iter__(self) -> Iterator[Syllable]:
-        return iter(self.syllables)
 
     @classmethod
     def _trusted(cls, syllables: tuple[Syllable, ...]) -> "Word":
@@ -206,56 +210,52 @@ def contains(w: Word, gen: str) -> bool:
     return any(g == gen for g, _ in w.syllables)
 
 
-def letters(w: Word) -> Iterator[tuple[str, int]]:
-    """Yield the unrolled letter sequence as (generator, +1 or -1) pairs."""
-    for gen, exp in w.syllables:
-        sign = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            yield (gen, sign)
-
-
-def check_letter_cap(w: Word) -> None:
-    """Refuse, before any work, to unroll more than MAX_LETTERS letters."""
-    if w.letter_length > MAX_LETTERS:
+def letter_text(w: Word) -> str:
+    """The unrolled letters, one character each with an inverse in upper
+    case: the one unrolled form of a word.  Refuses, before any work, to
+    unroll more than MAX_LETTERS letters."""
+    size = w.letter_length
+    if size > MAX_LETTERS:
         raise ValueError(
-            f"letter expansion of size {w.letter_length} exceeds "
-            f"the cap MAX_LETTERS = {MAX_LETTERS}"
+            f"letter expansion of size {size} exceeds the cap MAX_LETTERS = {MAX_LETTERS}"
         )
-
-
-def letters_list(w: Word) -> list[tuple[str, int]]:
-    check_letter_cap(w)
-    return list(letters(w))
-
-
-def _letter_text(w: Word) -> str:
-    """The unrolled letters as one character each, an inverse in upper case."""
-    check_letter_cap(w)
     return "".join((g if e > 0 else g.upper()) * abs(e) for g, e in w.syllables)
+
+
+def word_from_text(text: str) -> Word:
+    """The reduced word of letter text made by ``letter_text`` or spliced
+    from it; its letters are not validated again."""
+    runs = (m.group() for m in _RUN.finditer(text))
+    return Word._trusted(
+        _free_reduce((r[0].lower(), len(r) if r[0].islower() else -len(r)) for r in runs)
+    )
 
 
 def cyclic_reduce(w: Word) -> Word:
     """Conjugate ``w`` to a cyclically reduced core.
 
-    Whenever the first and last syllable share a generator they are folded
-    together (a conjugation), until the two ends are over distinct
-    generators or one syllable remains.
+    The end syllables are peeled inward while they cancel; the first pair
+    over one generator that does not cancel is folded into one syllable,
+    placed last.  Stops when the two ends are over distinct generators or
+    one syllable remains.
     """
-    syl = list(w.syllables)
-    while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
-        gen = syl[0][0]
-        merged = syl[0][1] + syl[-1][1]
-        syl = syl[1:-1]
-        if merged != 0:
-            syl.append((gen, merged))
-            break
-    return Word(syl)
+    syl = w.syllables
+    lo, hi = 0, len(syl) - 1
+    while lo < hi and syl[lo][0] == syl[hi][0]:
+        gen, merged = syl[lo][0], syl[lo][1] + syl[hi][1]
+        lo += 1
+        hi -= 1
+        if merged:
+            # syl[hi] and the folded syl[hi + 1] are over distinct
+            # generators, so appending the fold needs no reduction.
+            return Word._trusted(syl[lo : hi + 1] + ((gen, merged),))
+    return Word._trusted(syl[lo : hi + 1])
 
 
 def is_cyclic_rotation(u: Word, v: Word) -> bool:
     """True iff the letter sequences of u and v are cyclic rotations; one
     substring search of u's letter text in v's doubled, linear in letters."""
-    a, b = _letter_text(u), _letter_text(v)
+    a, b = letter_text(u), letter_text(v)
     return len(a) == len(b) and a in b + b
 
 

@@ -17,7 +17,7 @@ from nlo.cosets import (
     _check_closure,
 )
 from nlo.presentation import Presentation
-from nlo.words import Word, letters
+from nlo.words import Word
 
 
 class _Capped(Exception):
@@ -26,7 +26,7 @@ class _Capped(Exception):
 
 def _word_cols(w: Word, generators: tuple[str, ...]) -> list[int]:
     index = {g: i for i, g in enumerate(generators)}
-    return [2 * index[g] + (0 if s > 0 else 1) for g, s in letters(w)]
+    return [2 * index[g] + (0 if e > 0 else 1) for g, e in w.syllables for _ in range(abs(e))]
 
 
 def todd_coxeter(
@@ -122,7 +122,10 @@ def todd_coxeter(
         for entry in neighbors[c]:
             row.append(UNDEFINED if entry == UNDEFINED else renumber[find(entry)])
         rows.append(row)
-    table = CosetTable(pres.generators, rows, status, tuple(subgroup))
+    # Identity labels: each row is its own live coset.
+    n = len(rows)
+    columns = [list(col) for col in zip(*rows)]
+    table = CosetTable(pres.generators, status, tuple(subgroup), n, list(range(n)), columns, n)
 
     if status == COMPLETE:
         _check_closure(table, pres.relators)

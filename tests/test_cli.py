@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -152,21 +153,27 @@ def test_verify_unknown_direction_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, text",
-    [(("generator_change", "forward", "a"), "x^1000000 y x^-1000000"),
-     (("positive_s",), "y x " * 5000)],
-    ids=["forward", "positive_s"],
+    "edits",
+    [{("generator_change", "forward", "a"): "x^1000000 y x^-1000000"},
+     {("positive_s",): "y x " * 5000},
+     # One trace step whose side is the conjugate (a b)^20000 c (b^-1 a^-1)^20000.
+     {("trace",): [{"relator_index": 0, "direction": "lhs_to_rhs", "position": 0,
+                    "lhs": "a b " * 20000 + "c " + "b^-1 a^-1 " * 20000, "rhs": ""}]}],
+    ids=["forward", "positive_s", "trace"],
 )
-def test_verify_huge_word_failure_is_bounded(tmp_path, capsys, field, text):
+def test_verify_huge_word_failure_is_bounded(tmp_path, capsys, edits):
     _, out, _ = run(capsys, "certify", *T35)
     cert_doc = json.loads(out)["content"]["certificate"]
-    target = cert_doc
-    for key in field[:-1]:
-        target = target[key]
-    target[field[-1]] = text
+    for field, value in edits.items():
+        target = cert_doc
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(cert_doc))
+    start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--certificate", str(path))
+    assert time.perf_counter() - start < 1.0
     assert code == EXIT_VERIFY
     assert len(out.encode()) < 4096
     content = content_of(out)
@@ -481,6 +488,13 @@ def test_sweep_single_failure_exits_2(capsys, monkeypatch):
     )
     assert code == EXIT_VERIFY
     assert content_of(out)["failed"] == 1
+
+
+def test_help_description_lists_every_subcommand():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    listed = re.search(r"Subcommands: ([^.]*)\.", parser.description).group(1)
+    assert set(re.split(r",\s*", listed)) == set(sub.choices)
 
 
 def test_parser_is_built_once_and_calls_stay_independent(capsys):

@@ -14,9 +14,10 @@ from nlo.words import (
     format_word,
     is_cyclic_rotation,
     is_positive,
-    letters_list,
+    letter_text,
     parse_word,
     substitute,
+    word_from_text,
 )
 from rewrite_search import _insertion_relations
 
@@ -119,15 +120,16 @@ def test_parse_errors_carry_position():
 
 def test_letters_round_trip():
     w = parse_word("a^3 b^-2 a")
-    assert Word(letters_list(w)) == w
+    assert letter_text(w) == "aaaBBa"
+    assert word_from_text(letter_text(w)) == w
     assert w.letter_length == 6
 
 
 def test_large_exponents_stay_symbolic():
     w = parse_word("a") ** 10**9 * parse_word("b^-1")
     assert w.syllables == (("a", 10**9), ("b", -1))
-    with pytest.raises(ValueError):
-        letters_list(w)
+    with pytest.raises(ValueError, match="MAX_LETTERS"):
+        letter_text(w)
     with pytest.raises(ValueError, match="MAX_LETTERS"):
         is_cyclic_rotation(w, w)
 
@@ -342,12 +344,16 @@ def test_substitute_cascading_seams_match_reference(w, img_a, z_b, z_c):
 
 
 # The linear cyclic-rotation test against the quadratic letter-list scan
-# it replaced.
+# it replaced.  The references unroll from the syllables themselves.
+
+
+def ref_letters(w):
+    return [(g, 1 if e > 0 else -1) for g, e in w.syllables for _ in range(abs(e))]
 
 
 def ref_is_cyclic_rotation(u, v):
-    a = letters_list(u)
-    b = letters_list(v)
+    a = ref_letters(u)
+    b = ref_letters(v)
     if len(a) != len(b):
         return False
     if not a:
@@ -361,8 +367,54 @@ def test_cyclic_rotation_matches_reference(u, v, offset, rotate):
     # Rotating u's letters gives true cases; Word() reduces the seam of a
     # rotation of a word that is not cyclically reduced, as it may.
     if rotate:
-        seq = letters_list(u)
+        seq = ref_letters(u)
         k = offset % len(seq) if seq else 0
         v = Word(seq[k:] + seq[:k])
     for a, b in ((u, v), (u, ~v), (v, u), (u, u)):
         assert is_cyclic_rotation(a, b) == ref_is_cyclic_rotation(a, b)
+
+
+# The one-pass cyclic reduction against the fold that copied the syllable
+# list once per folded end.  Conjugates u c u^-1 peel u before folding the
+# ends of c; plain words often stop at once.
+
+
+def ref_cyclic_reduce(w):
+    syl = list(w.syllables)
+    while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
+        gen = syl[0][0]
+        merged = syl[0][1] + syl[-1][1]
+        syl = syl[1:-1]
+        if merged != 0:
+            syl.append((gen, merged))
+            break
+    return Word(syl)
+
+
+@given(st.one_of(abc_words, st.tuples(abc_words, cores).map(lambda t: conjugate(*t))))
+def test_cyclic_reduce_matches_reference(w):
+    got = cyclic_reduce(w)
+    assert got.syllables == ref_cyclic_reduce(w).syllables
+    assert Word(got.syllables).syllables == got.syllables
+
+
+# Letter text back to a word without validation, against Word(...) of the
+# same letters.
+
+
+@given(abc_words)
+def test_word_from_text_round_trip(w):
+    assert word_from_text(letter_text(w)) == w
+
+
+@given(cancelling_pairs, st.integers(0, 30))
+def test_word_from_text_reduces_a_cancelling_seam(pair, cut):
+    # Splice the letters of v into those of u, as a rewrite does: at the
+    # end of u the seam cancels, elsewhere it may.  The result must equal
+    # the validated construction.
+    u, v = pair
+    text_u, text_v = letter_text(u), letter_text(v)
+    for k in (len(text_u), cut % (len(text_u) + 1)):
+        spliced = text_u[:k] + text_v + text_u[k:]
+        letters = ref_letters(u)[:k] + ref_letters(v) + ref_letters(u)[k:]
+        assert word_from_text(spliced).syllables == Word(letters).syllables
