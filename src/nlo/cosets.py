@@ -12,15 +12,25 @@ letter names the inverse column).
 Scanning a word from a coset follows defined entries until the first
 missing one.  From there the scan is a fresh chain: a new label's only
 entry is the inverse just written and words are freely reduced, so the
-rest of the word only defines.  The chain's last label is then folded
-into the start directly, since only its last inverse column is defined;
-any coincidence that fold or a scan ending elsewhere exposes cascades by
-merging rows column by column.  After the relator scans of a coset, its
-row is completed by defining each missing entry in column order: no
-coincidence can arise there, because a defined entry's target already
-points back.  ``num_cosets`` is the labels defined less the merges; the
-rows are renumbered from the labels only when first read, so a capped
-table that is only counted never builds them.
+rest of the word would only define, and the chain's last label would
+fold into the start.  Before defining anything, the rest of the word is
+scanned backward from the start through the inverse columns (the
+scan from both ends of Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, 2005, section 5.1).  A chain label matched there to an
+existing coset is one the fold would merge into that coset: it is
+counted as defined and merged, so the cap still counts every
+definition, and pointed at that coset, but never written.  Only the
+labels before the first unmatched letter are defined, and the last of
+them, or the coset where the forward scan stopped if none is, is linked
+to the last matched coset.  A chain that would pass the cap is defined
+label by label up to it, so a capped table stops at the same definition.
+Any coincidence that the link or a scan ending elsewhere exposes
+cascades by merging rows column by column.  After the relator scans of
+a coset, its row is completed by defining each missing entry in column
+order: no coincidence can arise there, because a defined entry's target
+already points back.  ``num_cosets`` is the labels defined less the
+merges; the rows are renumbered from the labels only when first read, so
+a capped table that is only counted never builds them.
 
 The enumeration order is part of the output contract: cosets are visited
 in label order, entries defined in scan order, coincidences processed
@@ -39,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import length_hint
 
 from .families import KnotData, Slope, surgery_presentation
 from .presentation import Presentation
@@ -206,33 +217,59 @@ def todd_coxeter(
                     for fwd, inv in scan:
                         e = fwd[d]
                         if e < 0:
-                            # A fresh label's one entry is the inverse just
-                            # written, and the word is freely reduced, so
-                            # the rest of the scan only defines.
-                            if n == size:
-                                size = _make_room(parent, columns, size, max_cosets)
-                            fwd[d] = n
-                            inv[n] = d
-                            d = n
-                            n += 1
-                            for fwd, inv in scan:
+                            # A fresh chain from d at letter i (scan holds
+                            # the letters after it) defines label n + t - i
+                            # after each letter t >= i, up to top - 1, and
+                            # folds that last label into start.
+                            L = len(word)
+                            i = L - 1 - length_hint(scan)
+                            top = n + L - i
+                            j = L
+                            if top <= max_cosets:
+                                while size < top:
+                                    size = _make_room(parent, columns, size, max_cosets)
+                                # Scan back from start: a chain label that
+                                # the fold would merge into an existing coset
+                                # x is counted as defined and merged, pointed
+                                # at x, and never written.  Once coincidences
+                                # are processed, inv[x] = y implies
+                                # fwd[y] ~ x, so its merge would add nothing.
+                                j -= 1
+                                x = start
+                                parent[top - 1] = x
+                                while j > i:
+                                    y = word[j][1][x]
+                                    if y < 0:
+                                        break
+                                    while parent[y] != y:
+                                        parent[y] = y = parent[parent[y]]
+                                    x = y
+                                    j -= 1
+                                    parent[n + j - i] = x
+                                merges += L - j
+                            # Define the labels after letters i .. j - 1;
+                            # a chain that would pass the cap defines up to
+                            # it and stops there.
+                            for fwd, inv in word[i:j]:
                                 if n == size:
                                     size = _make_room(parent, columns, size, max_cosets)
                                 fwd[d] = n
                                 inv[n] = d
                                 d = n
                                 n += 1
-                            # Fold the fresh end d > start into the root
-                            # start: only the last inverse column of d is
-                            # defined.
-                            parent[d] = start
-                            merges += 1
-                            e = inv[start]
+                            # Link d to x through letter j.  inv[x] is
+                            # defined only if no label survives, or if the
+                            # first definition wrote it (x is the old d and
+                            # letter j inverts letter i).
+                            fwd, inv = word[j]
+                            fwd[d] = x
+                            e = inv[x]
                             if e < 0:
-                                inv[start] = inv[d]
+                                inv[x] = d
                             else:
                                 queue.append(e)
-                                queue.append(inv[d])
+                                queue.append(d)
+                            n = top
                             break
                         while parent[e] != e:
                             parent[e] = e = parent[parent[e]]

@@ -197,18 +197,29 @@ abc_words = st.lists(
 ).map(Word)
 
 
+abc_powers = st.builds(pow, abc_words, st.integers(1, 4))
+
+
 @settings(deadline=None)
 @given(
-    st.lists(
-        st.builds(pow, abc_words, st.integers(1, 4)), min_size=1, max_size=3
-    ),
-    st.lists(abc_words, max_size=2),
+    st.lists(abc_powers, min_size=1, max_size=3),
+    st.lists(abc_powers, max_size=2),
     st.integers(1, 400),
 )
 def test_three_generator_enumeration_matches_reference(relators, subgroup, cap):
-    # Proper powers make long relators whose scans run fresh chains, and
-    # small caps stop the enumeration inside one.
+    # Proper powers make long relators and subgroup words whose scans run
+    # fresh chains, from coset 0 for subgroup words, and small caps stop
+    # the enumeration inside one.
     assert_same_table(Presentation(("a", "b", "c"), relators), subgroup, cap)
+
+
+@pytest.mark.parametrize("params", [(3, 1, -1, 2, 0), (3, 1, -1, 2, 1)])
+def test_every_cap_to_400_matches_reference(params):
+    # The trefoil and T(3,2;2,1) at slope 1/1: stepping the cap by one puts
+    # it at every offset inside the fresh chains of the first 400 labels.
+    pres = surgery_presentation(build(FamilyParams(*params)), Slope(1, 1))
+    for cap in range(1, 401):
+        assert_same_table(pres, [], cap)
 
 
 def order_presentations():
