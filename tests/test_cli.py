@@ -270,6 +270,31 @@ def test_verify_bounds_echoed_document_strings(capsys, monkeypatch, edit):
     assert err == ""
 
 
+def _swap_sides(step):
+    step.update(lhs=step["rhs"], rhs="")
+
+
+@pytest.mark.parametrize(
+    "edit, failure",
+    [(lambda step: step.update(position=-1), "position must be nonnegative"),
+     (lambda step: step.update(relator_index=5),
+      "trace_replay: relator index 5 out of range"),
+     (_swap_sides, "trace_replay: no room for a length-11 occurrence at position 0 "
+                   "in a word of 10 letters"),
+     (lambda step: step.update(rhs="a b a^-1 b^-1"),
+      "trace_replay: relation Relation(lhs=Word(''), rhs=Word('a b a^-1 b^-1')) "
+      "is not a cyclic form of relator 0")],
+    ids=["negative-position", "relator-index", "swapped-sides", "foreign-relator"],
+)
+def test_verify_refuses_an_edited_trace_step(capsys, monkeypatch, edit, failure):
+    code, out, err = verify_edited(
+        capsys, monkeypatch, T42, lambda doc: edit(doc["trace"][0])
+    )
+    assert code == EXIT_VERIFY
+    assert content_of(out)["failures"] == [failure]
+    assert err == ""
+
+
 def test_verify_checks_recorded_case_and_hypotheses(capsys, monkeypatch):
     def edit(doc):
         doc["case"] = "sign=+1,whatever"
