@@ -1,16 +1,18 @@
 """Bounded breadth-first rewrite search over relator insertions.
 
-The search *discovers* rewrite steps; the ``nlo`` package only builds and
-replays them.  It is the engine of ``search_positive_ell2.py`` and the slow
-reference that the tests hold the step ``certify`` takes from its closed
-form to.  Import it with ``scripts/`` on the module path.
+The search *discovers* trace steps; the ``nlo`` package only builds and
+replays them.  Every step it tries inserts a cyclic rotation of one
+relator, or of its inverse, at one letter position: a ``TraceStep`` with
+an empty left side.  It is the engine of ``search_positive_ell2.py`` and
+the slow reference that the tests hold the step ``certify`` takes from
+its closed form to.  Import it with ``scripts/`` on the module path.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from nlo.presentation import Relation, RewriteStep, TraceStep, apply_relation
+from nlo.presentation import TraceStep, apply_relation
 from nlo.words import Word, cyclic_reduce, letter_text, word_from_text
 
 DEFAULT_NODE_CAP = 100_000
@@ -20,9 +22,9 @@ class SearchCapExceeded(RuntimeError):
     """The rewrite search visited more nodes than its configured cap."""
 
 
-def _insertion_relations(relator: Word) -> list[Relation]:
-    """Relations lhs = rhs with empty lhs whose application inserts a
-    cyclic rotation of ``relator`` or of its inverse.
+def _insertion_words(relator: Word) -> list[Word]:
+    """The cyclic rotations of ``relator`` and of its inverse: the right
+    sides of the steps that insert them.
 
     Enumeration order is fixed (relator rotations first, then inverse
     rotations, each by increasing letter offset) so searches are
@@ -30,43 +32,42 @@ def _insertion_relations(relator: Word) -> list[Relation]:
     its letters is again a reduced word.
     """
     core = cyclic_reduce(relator)
-    rels = []
+    words = []
     for base in (core, ~core):
         text = letter_text(base)
         for j in range(len(text) or 1):
-            rels.append(Relation(Word(), word_from_text(text[j:] + text[:j])))
-    return rels
+            words.append(word_from_text(text[j:] + text[:j]))
+    return words
 
 
 def _successors(
-    w: Word, relations: list[Relation], relator_index: int
+    w: Word, insertions: list[Word], relator_index: int
 ) -> Iterator[tuple[TraceStep, Word]]:
-    length = w.letter_length
-    for pos in range(length + 1):
-        for rel in relations:
-            step = RewriteStep(relator_index, pos)
-            yield (rel, step), apply_relation(w, rel, step)
+    empty = Word()
+    for pos in range(w.letter_length + 1):
+        for rhs in insertions:
+            step = TraceStep(empty, rhs, relator_index, pos)
+            yield step, apply_relation(w, step)
 
 
 def find_relation_applications(
     w: Word,
-    rel: Relation,
+    relator: Word,
     max_steps: int,
     *,
     relator_index: int = 0,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> list[tuple[tuple[TraceStep, ...], Word]]:
     """Breadth-first enumeration of words reachable from ``w`` by at most
-    ``max_steps`` applications of ``rel``.
+    ``max_steps`` applications of ``relator``.
 
-    Each application inserts a cyclic rotation of the relator of ``rel``
-    or of its inverse, at every letter position.  Results are deduplicated
-    by word, each kept with a shortest discovering trace, in deterministic
-    order.
+    Each application inserts a cyclic rotation of ``relator`` or of its
+    inverse, at every letter position.  Results are deduplicated by word,
+    each kept with a shortest discovering trace, in deterministic order.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
-    relations = _insertion_relations(rel.relator())
+    insertions = _insertion_words(relator)
     visited: dict[Word, tuple[TraceStep, ...]] = {w: ()}
     results: list[tuple[tuple[TraceStep, ...], Word]] = [((), w)]
     frontier = [w]
@@ -74,14 +75,14 @@ def find_relation_applications(
         next_frontier: list[Word] = []
         for node in frontier:
             trace = visited[node]
-            for trace_step, result in _successors(node, relations, relator_index):
+            for step, result in _successors(node, insertions, relator_index):
                 if result in visited:
                     continue
                 if len(visited) >= node_cap:
                     raise SearchCapExceeded(
                         f"rewrite search exceeded node cap {node_cap}"
                     )
-                visited[result] = trace + (trace_step,)
+                visited[result] = trace + (step,)
                 results.append((visited[result], result))
                 next_frontier.append(result)
         frontier = next_frontier

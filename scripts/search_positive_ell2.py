@@ -10,10 +10,9 @@ one would only be a lead to check by hand; finding none proves nothing.
 
 import argparse
 
-from nlo.certificates import xy_change_minus, xy_change_plus
+from nlo.certificates import xy_change
 from nlo.families import FamilyParams, build
-from nlo.presentation import Relation
-from nlo.words import Word, contains, format_word, is_positive, substitute
+from nlo.words import contains, format_word, is_positive, substitute
 from rewrite_search import SearchCapExceeded, find_relation_applications
 
 
@@ -28,13 +27,11 @@ def main() -> None:
 
     params = FamilyParams(args.p, args.k, args.sign, 2, 1)
     kd = build(params)
-    change = xy_change_minus(args.k) if args.sign == -1 else xy_change_plus(args.k)
-    relator = kd.presentation.relators[0]
-    rel = Relation(relator, Word())
+    change = xy_change(params)
     print(f"searching from s = {format_word(kd.s)}")
     try:
         results = find_relation_applications(
-            kd.s, rel, args.max_steps, node_cap=args.node_cap
+            kd.s, kd.presentation.relators[0], args.max_steps, node_cap=args.node_cap
         )
     except SearchCapExceeded as exc:
         print(f"stopped: {exc}")

@@ -11,8 +11,7 @@ from .certificates import (
     certify,
     slope_range,
     verify_certificate,
-    xy_change_minus,
-    xy_change_plus,
+    xy_change,
 )
 from .cosets import CosetTable, check_peripheral_commutation, todd_coxeter
 from .families import (
@@ -27,8 +26,7 @@ from .homology import abelianization_matrix, h1, surgery_h1
 from .presentation import (
     GeneratorChange,
     Presentation,
-    Relation,
-    RewriteStep,
+    TraceStep,
     apply_relation,
 )
 from .words import Word, format_word, parse_word
@@ -43,9 +41,8 @@ __all__ = [
     "KnotData",
     "LaurentPolynomial",
     "Presentation",
-    "Relation",
-    "RewriteStep",
     "Slope",
+    "TraceStep",
     "Word",
     "__version__",
     "abelianization_matrix",
@@ -65,6 +62,5 @@ __all__ = [
     "todd_coxeter",
     "torus_alexander",
     "verify_certificate",
-    "xy_change_minus",
-    "xy_change_plus",
+    "xy_change",
 ]

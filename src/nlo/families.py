@@ -111,11 +111,10 @@ class Slope:
     def parse(cls, text: str) -> "Slope":
         head, sep, tail = text.partition("/")
         try:
-            if sep:
-                return cls(int(head), int(tail))
-            return cls(int(head))
+            num, den = int(head), (int(tail) if sep else 1)
         except ValueError as exc:
             raise ParameterError(f"malformed slope {text!r}") from exc
+        return cls(num, den)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"

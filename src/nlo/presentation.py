@@ -4,17 +4,18 @@ generator changes.
 A presentation is generators and relators only; the meridian and framing
 of a knot live beside it in ``families.KnotData``.
 
-A rewrite step replaces one occurrence of a relation's left side inside a
-word's unrolled letter sequence by its right side, never the reverse: the
-reverse rewrite is a step on the swapped relation.  Steps work on the
-letter text of ``nlo.words``: an occurrence is a prefix test at the step's
+A trace step names an equality lhs = rhs, the relator that backs it and a
+letter position: it replaces the occurrence of lhs at that position of a
+word's unrolled letter sequence by rhs, never the reverse (the reverse
+rewrite is the step with the sides swapped).  Steps work on the letter
+text of ``nlo.words``: an occurrence is a prefix test at the step's
 position and the rewrite a splice, read back without validating again.
-Relations are admitted up to cyclic rotation of a stored relator (or its
-inverse): group relations hold up to conjugation, and the rewrites
+A step's equality is admitted up to cyclic rotation of its relator (or
+its inverse): group relations hold up to conjugation, and the rewrites
 appearing in certificates need rotated forms to replay displayed
-computations letter-for-letter.  Nothing here
-searches: steps are built from a named rotation and position, or replayed
-from a recorded trace.  The bounded search that *discovers* steps lives in
+computations letter-for-letter.  Nothing here searches: steps are built
+from a named rotation and position, or replayed from a recorded trace.
+The bounded search that *discovers* steps lives in
 scripts/rewrite_search.py, outside the package.
 """
 
@@ -32,8 +33,9 @@ from .words import (
     word_from_text,
 )
 
+
 class RewriteError(ValueError):
-    """The addressed occurrence does not match the stated relation side."""
+    """The addressed occurrence does not match the step's left side."""
 
 
 class RoundTripError(ValueError):
@@ -41,32 +43,17 @@ class RoundTripError(ValueError):
 
 
 @dataclass(frozen=True)
-class Relation:
-    """An oriented equality lhs = rhs between two reduced words."""
-
-    lhs: Word
-    rhs: Word
-
-    def relator(self) -> Word:
-        return self.lhs * ~self.rhs
-
-    def matches_relator(self, relator: Word) -> bool:
-        """True iff lhs = rhs is a consequence of one application of
-        ``relator``: the relation's own relator form must be a cyclic
-        rotation of ``relator`` or of its inverse."""
-        core = cyclic_reduce(self.relator())
-        target = cyclic_reduce(relator)
-        return is_cyclic_rotation(core, target) or is_cyclic_rotation(core, ~target)
-
-
-@dataclass(frozen=True)
-class RewriteStep:
-    """Address of a single relation application.
+class TraceStep:
+    """One relator application: replace the occurrence of ``lhs`` at
+    letter ``position`` by ``rhs``, where lhs = rhs is a cyclic form of
+    relator ``relator_index``.
 
     ``position`` indexes the fully unrolled letter sequence of the word
     being rewritten, so the step is independent of run-length encoding.
     """
 
+    lhs: Word
+    rhs: Word
     relator_index: int
     position: int
 
@@ -74,10 +61,13 @@ class RewriteStep:
         if self.position < 0:
             raise ValueError("position must be nonnegative")
 
-
-# A trace pairs each step with the concrete relation it applies, making
-# certificates replayable without any search.
-TraceStep = tuple[Relation, RewriteStep]
+    def matches_relator(self, relator: Word) -> bool:
+        """True iff lhs = rhs is a consequence of one application of
+        ``relator``: lhs rhs^-1 must be a cyclic rotation of ``relator``
+        or of its inverse."""
+        core = cyclic_reduce(self.lhs * ~self.rhs)
+        target = cyclic_reduce(relator)
+        return is_cyclic_rotation(core, target) or is_cyclic_rotation(core, ~target)
 
 
 @dataclass
@@ -138,17 +128,17 @@ class GeneratorChange:
         return tuple(self.backward)
 
 
-def apply_relation(w: Word, rel: Relation, step: RewriteStep) -> Word:
-    """Replace one occurrence of ``rel.lhs`` inside ``w`` by ``rel.rhs``.
+def apply_relation(w: Word, step: TraceStep) -> Word:
+    """Replace one occurrence of ``step.lhs`` inside ``w`` by ``step.rhs``.
 
     The left side must occur letter-for-letter at ``step.position`` in
     the unrolled expansion of ``w`` (an empty side occurs at every
     position, which realizes insertion of a rotated relator).  The result
     is reduced and equals ``w`` in any group where lhs = rhs holds.  The
-    reverse rewrite is the step on ``Relation(rel.rhs, rel.lhs)``.
+    reverse rewrite is the step with the sides swapped.
     """
     text = letter_text(w)
-    src = letter_text(rel.lhs)
+    src = letter_text(step.lhs)
     pos = step.position
     if pos > len(text) - len(src):
         raise RewriteError(
@@ -157,25 +147,25 @@ def apply_relation(w: Word, rel: Relation, step: RewriteStep) -> Word:
         )
     if not text.startswith(src, pos):
         raise RewriteError(f"occurrence mismatch at position {pos}")
-    return word_from_text(text[:pos] + letter_text(rel.rhs) + text[pos + len(src):])
+    return word_from_text(text[:pos] + letter_text(step.rhs) + text[pos + len(src):])
 
 
 def replay_trace(w: Word, trace: Iterable[TraceStep], relators: tuple[Word, ...]) -> Word:
     """Replay a recorded trace, validating every step against ``relators``.
 
-    Raises RewriteError when a step's relation is not backed by the stated
+    Raises RewriteError when a step's equality is not backed by the stated
     relator or its occurrence check fails.  No searching happens here.
     """
     current = w
-    for rel, step in trace:
+    for step in trace:
         if not 0 <= step.relator_index < len(relators):
             raise RewriteError(f"relator index {step.relator_index} out of range")
-        if not rel.matches_relator(relators[step.relator_index]):
+        if not step.matches_relator(relators[step.relator_index]):
             raise RewriteError(
-                f"relation {rel!r} is not a cyclic form of relator "
-                f"{step.relator_index}"
+                f"relation {step.lhs!r} = {step.rhs!r} is not a cyclic form of "
+                f"relator {step.relator_index}"
             )
-        current = apply_relation(current, rel, step)
+        current = apply_relation(current, step)
     return current
 
 
@@ -186,5 +176,4 @@ def insertion_step(relator: Word, offset: int, position: int) -> TraceStep:
     scripts/rewrite_search.py tries, built from one rotation."""
     text = letter_text(~cyclic_reduce(relator))
     offset %= len(text)
-    rel = Relation(Word(), word_from_text(text[offset:] + text[:offset]))
-    return rel, RewriteStep(0, position)
+    return TraceStep(Word(), word_from_text(text[offset:] + text[:offset]), 0, position)

@@ -13,13 +13,13 @@ from typing import Any
 
 from .certificates import Certificate, HypothesisRecord, VerificationReport
 from .families import M_ZERO_NOTE, FamilyParams, KnotData, lspace_case
-from .presentation import GeneratorChange, Presentation, Relation, RewriteStep, TraceStep
+from .presentation import GeneratorChange, Presentation, TraceStep
 from .words import format_word, parse_word
 
 Doc = dict[str, Any]
 
 SCHEMA_VERSION = 1
-# Every trace step replaces a relation's left side by its right side.
+# Every trace step replaces its left side by its right side.
 DIRECTION = "lhs_to_rhs"
 
 
@@ -100,10 +100,10 @@ def certificate_to_doc(cert: Certificate) -> Doc:
                 "relator_index": step.relator_index,
                 "direction": DIRECTION,
                 "position": step.position,
-                "lhs": format_word(rel.lhs),
-                "rhs": format_word(rel.rhs),
+                "lhs": format_word(step.lhs),
+                "rhs": format_word(step.rhs),
             }
-            for rel, step in cert.trace
+            for step in cert.trace
         ],
         "positive_s": format_word(cert.positive_s),
         "v": cert.v,
@@ -114,12 +114,11 @@ def certificate_to_doc(cert: Certificate) -> Doc:
 def _trace_step(entry: Doc) -> TraceStep:
     if entry["direction"] != DIRECTION:
         raise SchemaError(f"trace direction must be {DIRECTION!r}")
-    return (
-        Relation(parse_word(entry["lhs"]), parse_word(entry["rhs"])),
-        RewriteStep(
-            relator_index=_integer(entry["relator_index"], "trace relator_index"),
-            position=_integer(entry["position"], "trace position"),
-        ),
+    return TraceStep(
+        lhs=parse_word(entry["lhs"]),
+        rhs=parse_word(entry["rhs"]),
+        relator_index=_integer(entry["relator_index"], "trace relator_index"),
+        position=_integer(entry["position"], "trace position"),
     )
 
 

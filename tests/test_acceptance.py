@@ -21,8 +21,7 @@ from nlo.certificates import (
     UnsupportedParameters,
     certify,
     verify_certificate,
-    xy_change_minus,
-    xy_change_plus,
+    xy_change,
 )
 from nlo.cosets import todd_coxeter
 from nlo.families import FamilyParams, Slope, build, surgery_presentation
@@ -206,7 +205,7 @@ def test_criterion_7_negative_controls():
     assert any(f.startswith(CLAUSE_FRAMING) for f in report.failures)
     # Wrong k in the generator maps.
     report = verify_certificate(
-        kd, dataclasses.replace(cert, change=xy_change_minus(3))
+        kd, dataclasses.replace(cert, change=xy_change(FamilyParams(4, 3, -1, 2, 1)))
     )
     assert not report.passed
     assert any(f.startswith(CLAUSE_MERIDIAN) for f in report.failures)
@@ -217,4 +216,4 @@ def test_criterion_7_negative_controls():
         assert str(err.value) == ELL2_REFUSAL
     # Positive certificates for the same instances exist in neither change.
     assert is_positive(certify(build(FamilyParams(4, 1, 1, 2, 1))).positive_s)
-    assert xy_change_plus(1).new_generators == ("x", "y")
+    assert xy_change(FamilyParams(4, 1, 1, 2, 1)).new_generators == ("x", "y")

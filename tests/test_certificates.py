@@ -23,20 +23,19 @@ from nlo.certificates import (
     certify,
     slope_range,
     verify_certificate,
-    xy_change_minus,
-    xy_change_plus,
+    xy_change,
 )
 from nlo.families import FamilyParams, Slope, build
-from nlo.presentation import GeneratorChange, Relation, insertion_step, replay_trace
+from nlo.presentation import GeneratorChange, insertion_step, replay_trace
 from nlo.sweep import SweepSpec, grid_instances
 from nlo.words import Word, parse_word, substitute
-from rewrite_search import _insertion_relations, _successors, find_relation_applications
+from rewrite_search import _insertion_words, _successors, find_relation_applications
 
 STEP_GRID = grid_instances(SweepSpec(p_range=(3, 10), k_range=(1, 5), m_range=(1, 5)))
 
 
 def test_xy_change_minus_k1():
-    gc = xy_change_minus(1)
+    gc = xy_change(FamilyParams(3, 1, -1, 2, 1))
     assert gc.backward["x"] == parse_word("a^-1 b")
     assert gc.backward["y"] == parse_word("a")
     assert gc.forward["b"] == parse_word("y x")
@@ -44,22 +43,15 @@ def test_xy_change_minus_k1():
 
 
 def test_xy_change_minus_meridian_collapse():
-    gc = xy_change_minus(3)
+    gc = xy_change(FamilyParams(3, 3, -1, 2, 1))
     assert substitute(parse_word("a^-1 b^3"), gc.forward) == parse_word("x")
 
 
 def test_xy_change_plus_k1():
-    gc = xy_change_plus(1)
+    gc = xy_change(FamilyParams(3, 1, 1, 2, 1))
     assert gc.forward["b"] == parse_word("x y")
     assert gc.forward["a"] == parse_word("x y x")
     assert substitute(parse_word("b^-1 a"), gc.forward) == parse_word("x")
-
-
-def test_xy_change_rejects_bad_k():
-    with pytest.raises(ValueError):
-        xy_change_minus(0)
-    with pytest.raises(ValueError):
-        xy_change_plus(0)
 
 
 def test_certify_minus_top_case():
@@ -155,7 +147,7 @@ def test_verify_rejects_wrong_v():
 def test_verify_rejects_wrong_k_maps():
     kd = build(FamilyParams(3, 1, 1, 2, 1))
     cert = certify(kd)
-    tampered = dataclasses.replace(cert, change=xy_change_plus(2))
+    tampered = dataclasses.replace(cert, change=xy_change(FamilyParams(3, 2, 1, 2, 1)))
     report = verify_certificate(kd, tampered)
     assert not report.passed
     assert any(f.startswith(CLAUSE_MERIDIAN) for f in report.failures)
@@ -173,9 +165,9 @@ def test_verify_rejects_mismatched_knot():
 def test_verify_rejects_tampered_trace():
     kd = build(FamilyParams(4, 1, -1, 2, 1))
     cert = certify(kd)
-    rel, step = cert.trace[0]
+    step = cert.trace[0]
     moved = dataclasses.replace(step, position=step.position + 2)
-    tampered = dataclasses.replace(cert, trace=((rel, moved),))
+    tampered = dataclasses.replace(cert, trace=(moved,))
     report = verify_certificate(kd, tampered)
     assert not report.passed
     assert any(f.startswith(CLAUSE_REPLAY) for f in report.failures)
@@ -300,8 +292,8 @@ def first_scanned_trace(kd, target):
     s = kd.s
     if s == target:
         return ()
-    relations = _insertion_relations(kd.presentation.relators[0])
-    for trace_step, result in _successors(s, relations, 0):
+    insertions = _insertion_words(kd.presentation.relators[0])
+    for trace_step, result in _successors(s, insertions, 0):
         if result == target:
             return (trace_step,)
     return None
@@ -329,10 +321,9 @@ def test_certify_step_matches_reference_search():
             continue
         kd = build(params)
         cert = certify(kd)
-        relator = kd.presentation.relators[0]
         replayed = replay_trace(kd.s, cert.trace, kd.presentation.relators)
         results = find_relation_applications(
-            kd.s, Relation(relator, Word()), len(cert.trace)
+            kd.s, kd.presentation.relators[0], len(cert.trace)
         )
         first = next(trace for trace, w in results if w == replayed)
         assert first == cert.trace, params

@@ -282,8 +282,8 @@ def _swap_sides(step):
      (_swap_sides, "trace_replay: no room for a length-11 occurrence at position 0 "
                    "in a word of 10 letters"),
      (lambda step: step.update(rhs="a b a^-1 b^-1"),
-      "trace_replay: relation Relation(lhs=Word(''), rhs=Word('a b a^-1 b^-1')) "
-      "is not a cyclic form of relator 0")],
+      "trace_replay: relation Word('') = Word('a b a^-1 b^-1') is not a cyclic "
+      "form of relator 0")],
     ids=["negative-position", "relator-index", "swapped-sides", "foreign-relator"],
 )
 def test_verify_refuses_an_edited_trace_step(capsys, monkeypatch, edit, failure):
@@ -360,6 +360,17 @@ def test_homology_huge_slope_is_linear(capsys):
     assert elapsed < 1.0, f"homology at p' = 10^12 took {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize(
+    "text, refusal",
+    [("5/0", "slope denominator must be nonzero"), ("1/2/3", "malformed slope '1/2/3'"),
+     ("x/2", "malformed slope 'x/2'"), ("", "malformed slope ''")],
+    ids=["zero-denominator", "two-slashes", "letter", "empty"],
+)
+def test_homology_refuses_a_bad_slope_with_its_reason(capsys, text, refusal):
+    code, out, err = run(capsys, "homology", *T35, f"--slope={text}")
+    assert (code, out, err) == (EXIT_DOMAIN, "", f"nlo: error: {refusal}\n")
+
+
 @pytest.mark.parametrize("command", ["surgery", "order"])
 def test_oversized_surgery_relator_exits_domain_fast(capsys, command):
     start = time.perf_counter()
@@ -429,6 +440,29 @@ def test_sweep_small_grid(tmp_path, capsys):
     assert stored["passed"] == 12
     verdicts = [r["verdict"] for r in stored["instances"]]
     assert set(verdicts) == {"PASS"}
+
+
+def _sweep_records(capsys, tmp_path, cases):
+    path = tmp_path / f"{cases}.json"
+    code, out, _ = run(capsys, "sweep", "--cases", cases, "--output", str(path))
+    assert code == EXIT_OK
+    return out, path.read_text()
+
+
+def test_sweep_cases_partition_the_default_grid(tmp_path, capsys):
+    def keyed(text):
+        return {tuple(r["params"].values()): r for r in json.loads(text)["instances"]}
+
+    all_out, all_file = _sweep_records(capsys, tmp_path, "all")
+    top = keyed(_sweep_records(capsys, tmp_path, "ell=p-1")[1])
+    nxt = keyed(_sweep_records(capsys, tmp_path, "ell=p-2")[1])
+    assert (len(top), len(nxt)) == (120, 32)
+    assert not top.keys() & nxt.keys()
+    assert {**top, **nxt} == keyed(all_file)
+    assert _sweep_records(capsys, tmp_path, "ell=p-1,ell=p-2") == (all_out, all_file)
+    code, out, err = run(capsys, "sweep", "--cases", "ell=2")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "unknown cases" in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from nlo.families import FamilyParams, build
@@ -5,10 +7,9 @@ from nlo.homology import abelianization_matrix
 from nlo.presentation import (
     GeneratorChange,
     Presentation,
-    Relation,
     RewriteError,
-    RewriteStep,
     RoundTripError,
+    TraceStep,
     apply_relation,
     replay_trace,
 )
@@ -17,20 +18,21 @@ from rewrite_search import SearchCapExceeded, find_relation_applications
 
 
 def knot_relation(kd):
-    """The displayed equality lhs = rhs backing the stored relator."""
+    """The sides of the displayed equality lhs = rhs backing the stored
+    relator."""
     p, k, ell, m = kd.params.p, kd.params.k, kd.params.ell, kd.params.m
     pl = p - ell
     a, b = parse_word("a"), parse_word("b")
     c = Word([("b", 1 - k * pl), ("a", pl)])
     lhs = a ** pl * (a * c ** m) ** (ell - 1) * a
     rhs = b ** (k * pl - 1) * (b ** k * c ** m) ** (ell - 1) * b ** k
-    return Relation(lhs, rhs)
+    return lhs, rhs
 
 
 def first_trace_to(w, relator, target):
     """The trace the reference search keeps for ``target``: the first of
     the one-step rewrites of ``w``, in canonical order, that reaches it."""
-    for trace, reached in find_relation_applications(w, Relation(relator, Word()), 1):
+    for trace, reached in find_relation_applications(w, relator, 1):
         if reached == target:
             return trace
     return None
@@ -44,23 +46,22 @@ def test_presentation_validates_alphabet():
 
 
 def test_apply_relation_whole_word():
-    rel = Relation(parse_word("a^3"), parse_word("b^2"))
-    step = RewriteStep(0, 0)
-    assert apply_relation(parse_word("a^3"), rel, step) == parse_word("b^2")
-    # Un-applying at the same position, through the reversed relation,
-    # restores the original word; the reversed relation is backed by the
-    # inverse relator.
-    back = Relation(rel.rhs, rel.lhs)
-    assert apply_relation(parse_word("b^2"), back, step) == parse_word("a^3")
-    assert back.matches_relator(rel.relator())
+    step = TraceStep(parse_word("a^3"), parse_word("b^2"), 0, 0)
+    assert apply_relation(parse_word("a^3"), step) == parse_word("b^2")
+    # Un-applying at the same position, through the step with its sides
+    # swapped, restores the original word; the swapped step is backed by
+    # the inverse relator.
+    back = TraceStep(step.rhs, step.lhs, 0, 0)
+    assert apply_relation(parse_word("b^2"), back) == parse_word("a^3")
+    assert back.matches_relator(parse_word("a^3 b^-2"))
 
 
 def test_apply_relation_occurrence_mismatch():
-    rel = Relation(parse_word("a^3"), parse_word("b^2"))
+    a3, b2 = parse_word("a^3"), parse_word("b^2")
     with pytest.raises(RewriteError):
-        apply_relation(parse_word("a^2 b"), rel, RewriteStep(0, 0))
+        apply_relation(parse_word("a^2 b"), TraceStep(a3, b2, 0, 0))
     with pytest.raises(RewriteError):
-        apply_relation(parse_word("a^3"), rel, RewriteStep(0, 7))
+        apply_relation(a3, TraceStep(a3, b2, 0, 7))
 
 
 def test_apply_relation_replays_framing_rewrite_at_p4():
@@ -72,13 +73,12 @@ def test_apply_relation_replays_framing_rewrite_at_p4():
     target = parse_word("a^-1 b a^5")
     trace = first_trace_to(s, kd.presentation.relators[0], target)
     assert trace is not None and len(trace) == 1
-    rel, step = trace[0]
-    assert apply_relation(s, rel, step) == target
-    assert rel.matches_relator(kd.presentation.relators[0])
+    assert apply_relation(s, trace[0]) == target
+    assert trace[0].matches_relator(kd.presentation.relators[0])
     # The plain subword occurrence of the displayed left side lands on the
     # cyclically rotated form of the same element.
-    plain = knot_relation(kd)
-    rotated = apply_relation(s, plain, RewriteStep(0, 3))
+    plain = TraceStep(*knot_relation(kd), 0, 3)
+    rotated = apply_relation(s, plain)
     assert rotated == parse_word("a^4 b")
 
 
@@ -88,24 +88,23 @@ def test_replay_trace_validates_relations():
     target = parse_word("a^-1 b a^5")
     trace = first_trace_to(s, kd.presentation.relators[0], target)
     assert replay_trace(s, trace, kd.presentation.relators) == target
-    bogus = Relation(Word(), parse_word("a b a^-1 b^-1"))
+    bogus = dataclasses.replace(trace[0], rhs=parse_word("a b a^-1 b^-1"))
     with pytest.raises(RewriteError):
-        replay_trace(s, ((bogus, trace[0][1]),), kd.presentation.relators)
+        replay_trace(s, (bogus,), kd.presentation.relators)
     with pytest.raises(RewriteError):
-        replay_trace(s, ((trace[0][0], RewriteStep(5, 0)),),
+        replay_trace(s, (dataclasses.replace(trace[0], relator_index=5),),
                      kd.presentation.relators)
 
 
 def test_find_relation_applications_zero_steps():
-    rel = Relation(parse_word("a^3"), parse_word("b^2"))
-    results = find_relation_applications(parse_word("a b"), rel, 0)
+    results = find_relation_applications(parse_word("a b"), parse_word("a^3 b^-2"), 0)
     assert results == [((), parse_word("a b"))]
 
 
 def test_find_relation_applications_reaches_proof_form():
     kd = build(FamilyParams(4, 1, -1, 2, 1))
-    rel = knot_relation(kd)
-    results = find_relation_applications(kd.s, rel, 1)
+    lhs, rhs = knot_relation(kd)
+    results = find_relation_applications(kd.s, lhs * ~rhs, 1)
     reachable = {w for _, w in results}
     assert parse_word("a^-1 b a^5") in reachable
     assert parse_word("a^4 b") in reachable
@@ -115,17 +114,16 @@ def test_find_relation_applications_reaches_proof_form():
 
 
 def test_find_relation_applications_deduplicates():
-    rel = Relation(parse_word("a^2"), parse_word("a^2"))
-    results = find_relation_applications(parse_word("a"), rel, 2)
+    results = find_relation_applications(parse_word("a"), parse_word("a^2"), 2)
     seen = [w for _, w in results]
     assert len(seen) == len(set(seen))
 
 
 def test_search_cap():
     kd = build(FamilyParams(4, 1, -1, 2, 1))
-    rel = knot_relation(kd)
+    lhs, rhs = knot_relation(kd)
     with pytest.raises(SearchCapExceeded):
-        find_relation_applications(kd.s, rel, 2, node_cap=50)
+        find_relation_applications(kd.s, lhs * ~rhs, 2, node_cap=50)
 
 
 def test_generator_change_round_trip_enforced():
@@ -140,8 +138,7 @@ def test_apply_relation_preserves_abelianization():
     kd = build(FamilyParams(4, 1, -1, 2, 1))
     s = kd.s
     trace = first_trace_to(s, kd.presentation.relators[0], parse_word("a^-1 b a^5"))
-    rel, step = trace[0]
-    after = apply_relation(s, rel, step)
+    after = apply_relation(s, trace[0])
     matrix = abelianization_matrix(kd.presentation)[0]
     diff = [
         exponent_sum(after, "a") - exponent_sum(s, "a"),

@@ -19,7 +19,7 @@ from nlo.words import (
     substitute,
     word_from_text,
 )
-from rewrite_search import _insertion_relations
+from rewrite_search import _insertion_words
 
 raw_syllables = st.lists(
     st.tuples(st.sampled_from("ab"), st.integers(-4, 4)), max_size=8
@@ -142,7 +142,7 @@ def test_cyclic_reduce():
 
 def test_rotations_and_cyclic_rotation():
     w = parse_word("a^2 b")
-    inserted = [rel.rhs for rel in _insertion_relations(w)]
+    inserted = _insertion_words(w)
     assert len(inserted) == 6
     rots = inserted[:3]
     assert parse_word("a b a") in rots and parse_word("b a^2") in rots
