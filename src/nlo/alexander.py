@@ -1,17 +1,18 @@
 """Fox calculus and Alexander polynomials over exact integer arithmetic.
 
 The Alexander polynomial of a two-generator, one-relator knot group comes
-from the free derivative of the relator, abelianized through the
-meridian-normalized identification of H1 with the integers (read from
-the determinantal divisors in ``nlo.homology``, not hand-coded per
-family).  The abelianized derivative
-is computed in one pass over the relator, without building group ring
-elements; the tests compare it with the full Fox calculus kept in
+from one free derivative of the relator, abelianized through the
+meridian-normalized class map phi of H1 onto the integers (read from the
+determinantal divisors in ``nlo.homology``).  Fox's fundamental formula,
+sum_g phi(dr/dg) (t^phi(g) - 1) = t^phi(r) - 1 = 0, makes the result the
+same whichever generator is taken, so a second derivative checks nothing;
+the tests hold the formula itself.  The derivative is computed in one
+pass over the relator; the tests compare it with the full Fox calculus in
 ``tests/reference_fox.py``.  Laurent division, evaluation and
-normalization are linear in the breadth of their operands, and the tests
-compare them with the earlier quadratic versions in
-``tests/reference_laurent.py``.  The classical torus-knot closed form
-serves as an independent oracle for the untwisted degenerations.
+normalization are linear in the breadth of their operands, compared in
+the tests with the quadratic versions in ``tests/reference_laurent.py``.
+The torus-knot closed form is an independent oracle for the untwisted
+degenerations.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .families import KnotData, lspace_case
 from .homology import h1_class_map
-from .words import Word
+from .words import MAX_LETTERS, Word
 
 _TERM = re.compile(r"\s*([+-]?\d+)\*t\^(-?\d+)\s*")
 
@@ -177,29 +178,27 @@ def _abelian_fox(w: Word, gen: str, classes: dict[str, int]) -> LaurentPolynomia
 
 
 def alexander_polynomial(kd: KnotData) -> LaurentPolynomial:
-    """Normalized Alexander polynomial from the relator's Fox derivatives.
+    """Normalized Alexander polynomial from one abelianized Fox derivative.
 
-    Computed twice (one derivative per generator) and cross-checked; the
-    result is symmetric with value ±1 at t = 1, both verified here since
-    their failure signals a broken presentation.
+    The derivative by generator g, times t - 1 and divided by t^c - 1 for
+    the other generator's class c, is the same for either g (see the
+    module docstring); g is the first generator unless c would be 0.  A
+    presentation that is not a knot group's can fail the checks that
+    remain: exact division, and a symmetric result with value ±1 at 1.
+    Refuses a relator over MAX_LETTERS letters before any work.
     """
     pres = kd.presentation
     if len(pres.generators) != 2 or len(pres.relators) != 1:
         raise ValueError("expected a two-generator, one-relator presentation")
-    classes = h1_class_map(pres, kd.mu)
-    g0, g1 = pres.generators
     relator = pres.relators[0]
-    t_minus_1 = LaurentPolynomial({1: 1, 0: -1})
-
-    def from_derivative(gen: str, other: str) -> LaurentPolynomial:
-        numerator = _abelian_fox(relator, gen, classes) * t_minus_1
-        divisor = LaurentPolynomial({classes[other]: 1, 0: -1})
-        return numerator.divexact(divisor).normalized()
-
-    delta = from_derivative(g0, g1)
-    check = from_derivative(g1, g0)
-    if delta != check:
-        raise ValueError("Fox derivatives disagree; presentation is inconsistent")
+    if (size := relator.letter_length) > MAX_LETTERS:
+        raise ValueError(f"relator of {size} letters is over the cap MAX_LETTERS = {MAX_LETTERS}")
+    classes = h1_class_map(pres, kd.mu)
+    g, h = pres.generators
+    if classes[h] == 0:
+        g, h = h, g
+    numerator = _abelian_fox(relator, g, classes) * LaurentPolynomial({1: 1, 0: -1})
+    delta = numerator.divexact(LaurentPolynomial({classes[h]: 1, 0: -1})).normalized()
     if delta.evaluate(1) not in (1, -1):
         raise ValueError(f"polynomial value at 1 is {delta.evaluate(1)}, not ±1")
     if delta != delta.reciprocal().normalized():

@@ -42,7 +42,7 @@ from .serialize import (
     presentation_to_doc,
     verification_to_doc,
 )
-from .sweep import ALL_CASES, SweepSpec, parse_range, run_sweep
+from .sweep import ALL_CASES, SweepSpec, parse_range, parse_signs, run_sweep
 from .words import parse_word
 
 EXIT_OK = 0
@@ -259,7 +259,7 @@ def _cmd_sweep(args) -> int:
         p_range=parse_range(args.p_range),
         k_range=parse_range(args.k_range),
         m_range=parse_range(args.m_range),
-        signs=tuple(int(s) for s in args.signs.split(",")),
+        signs=parse_signs(args.signs),
         cases=tuple(args.cases.split(",")) if args.cases != "all" else ALL_CASES,
     )
     result = run_sweep(spec)

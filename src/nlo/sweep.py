@@ -55,6 +55,16 @@ def parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"malformed range {text!r}: expected lo:hi or n") from None
 
 
+def parse_signs(text: str) -> tuple[int, ...]:
+    """Signs from a comma-separated list such as ``-1,1``."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"malformed signs {text!r}: expected a comma-separated list of -1 and 1"
+        ) from None
+
+
 def grid_instances(spec: SweepSpec = SweepSpec()) -> list[FamilyParams]:
     """Certifiable instances of the grid, in canonical sorted order.
 
@@ -99,7 +109,13 @@ def run_instance(params: FamilyParams) -> dict:
 
 
 def run_sweep(spec: SweepSpec) -> dict:
-    records = [run_instance(params) for params in grid_instances(spec)]
+    """Certify and verify every instance of the grid; refuses a grid with
+    no certifiable instance, since a sweep that checked nothing passes
+    nothing."""
+    grid = grid_instances(spec)
+    if not grid:
+        raise ValueError(f"the grid holds no certifiable instance of cases {list(spec.cases)}")
+    records = [run_instance(params) for params in grid]
     failed = sum(1 for r in records if r["verdict"] != "PASS")
     return {
         "instances": records,

@@ -8,13 +8,15 @@ matter how large the parameters get; positions in rewriting certificates
 refer to the fully unrolled letter sequence instead, so they are
 independent of this encoding.  ``letter_text`` is the one unrolled form,
 one character a letter with an inverse in upper case, and the one place
-the MAX_LETTERS cap is checked.
+the MAX_LETTERS cap on letters is checked; a power checks the same cap
+on the syllables it would build.
 
 Only construction (``Word(...)`` and ``parse_word``) validates letters and
 runs a full free reduction.  The algebra keeps words reduced without one:
 a product or a substitution merges or cancels only at the seams where
 reduced pieces meet, a power is built in one tuple from the core left
-when the conjugator is peeled off its base, and ``cyclic_reduce`` peels
+when the conjugator is peeled off its base, its length computed and
+held to MAX_LETTERS before it is built, and ``cyclic_reduce`` peels
 the same way.  ``word_from_text`` reduces text the package made without
 validating its letters again.
 
@@ -142,6 +144,13 @@ class Word:
             hi -= 1
         core = syl[lo : hi + 1]
         first, last = core[0], core[-1]
+        # Each copy after the first adds the core less the fold, if any.
+        size = 2 * lo + len(core) + (len(core) - (first[0] == last[0])) * (n - 1)
+        if size > MAX_LETTERS:
+            raise ValueError(
+                f"a power of ({abbreviate_word(self)}) would have {size} syllables, "
+                f"over the cap MAX_LETTERS = {MAX_LETTERS}"
+            )
         if lo == hi:
             power = ((first[0], first[1] * n),)
         elif first[0] == last[0]:

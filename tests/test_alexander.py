@@ -16,9 +16,10 @@ from nlo.alexander import (
     torus_alexander,
 )
 from nlo.cli import EXIT_OK, main
-from nlo.families import FamilyParams, ParameterError, build, lspace_case
+from nlo.families import FamilyParams, KnotData, ParameterError, build, lspace_case
 from nlo.homology import h1_class_map
-from nlo.words import Word, parse_word
+from nlo.presentation import Presentation
+from nlo.words import MAX_LETTERS, Word, exponent_sum, parse_word
 from reference_braid import braid_alexander
 from reference_fox import GroupRingElement, abelianize, fox_derivative
 
@@ -212,6 +213,22 @@ def test_abelian_fox_matches_reference(w, gen, class_a, class_b):
     assert _abelian_fox(w, gen, classes) == abelianize(fox_derivative(w, gen), classes)
 
 
+def cyclotomic(c):
+    """t^c - 1 as a difference of monomials, so that c = 0 gives 0."""
+    return LaurentPolynomial({c: 1}) - LaurentPolynomial({0: 1})
+
+
+@given(words, st.integers(-5, 5), st.integers(-5, 5))
+def test_abelian_fox_fundamental_formula(w, class_a, class_b):
+    # Fox: the sum over g of phi(dw/dg) (t^phi(g) - 1) is t^phi(w) - 1.
+    classes = {"a": class_a, "b": class_b}
+    total = LaurentPolynomial()
+    for g in "ab":
+        total = total + _abelian_fox(w, g, classes) * cyclotomic(classes[g])
+    phi_w = sum(exponent_sum(w, g) * classes[g] for g in "ab")
+    assert total == cyclotomic(phi_w)
+
+
 def test_abelian_fox_matches_reference_on_relators():
     pairs = 0
     for p in range(3, 10):
@@ -222,12 +239,77 @@ def test_abelian_fox_matches_reference_on_relators():
                         kd = build(FamilyParams(p, k, sign, ell, m))
                         pres = kd.presentation
                         classes = h1_class_map(pres, kd.mu)
-                        for gen in pres.generators:
-                            relator = pres.relators[0]
+                        relator = pres.relators[0]
+                        quotients = []
+                        for gen, other in (pres.generators, pres.generators[::-1]):
                             reference = abelianize(fox_derivative(relator, gen), classes)
                             assert _abelian_fox(relator, gen, classes) == reference
+                            numerator = reference * cyclotomic(1)
+                            quotients.append(
+                                numerator.divexact(cyclotomic(classes[other])).normalized()
+                            )
                             pairs += 1
+                        # Either derivative gives the same polynomial, so
+                        # alexander_polynomial takes one of them.
+                        assert quotients[0] == quotients[1] == alexander_polynomial(kd)
     assert pairs == 2800
+
+
+def _knot_data(relator: str, meridian: str) -> KnotData:
+    """A bare two-generator presentation in the KnotData shape; only the
+    presentation and the meridian are read by alexander_polynomial."""
+    pres = Presentation(("a", "b"), (parse_word(relator),))
+    return KnotData(FamilyParams(3, 1, -1, 2, 0), pres, parse_word(meridian), Word())
+
+
+@pytest.mark.parametrize(
+    "relator, meridian", [("b", "a"), ("a", "b")], ids=["b-killed", "a-killed"]
+)
+def test_alexander_of_a_generator_of_class_zero(relator, meridian):
+    # <a, b | b> and <a, b | a> are Z, so the polynomial is 1.  The killed
+    # generator has class 0, and the derivative is taken by it.
+    kd = _knot_data(relator, meridian)
+    assert 0 in h1_class_map(kd.presentation, kd.mu).values()
+    assert alexander_polynomial(kd) == LaurentPolynomial({0: 1})
+
+
+def test_alexander_refuses_baumslag_solitar_as_not_symmetric():
+    # BS(1, 2) has H1 = Z generated by a, with b of class 0; its
+    # polynomial t - 2 is not symmetric.
+    with pytest.raises(ValueError, match="polynomial is not symmetric"):
+        alexander_polynomial(_knot_data("a b a^-1 b^-2", "a"))
+
+
+def test_alexander_takes_one_fox_derivative(monkeypatch):
+    import nlo.alexander as alexander_mod
+
+    calls = []
+    real = alexander_mod._abelian_fox
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(alexander_mod, "_abelian_fox", counted)
+    grid = [(3, 1, -1, 2, 0), (3, 2, -1, 2, 1), (5, 2, 1, 4, 2), (6, 1, 1, 5, 3)]
+    for params in grid:
+        alexander_polynomial(build(FamilyParams(*params)))
+    assert calls == ["a"] * len(grid)
+    alexander_polynomial(_knot_data("b", "a"))
+    assert calls[-1] == "b"
+
+
+def test_alexander_refuses_an_oversized_relator_before_any_work(monkeypatch):
+    import nlo.alexander as alexander_mod
+
+    def unreachable(*args):
+        raise AssertionError("the class map ran on an oversized relator")
+
+    monkeypatch.setattr(alexander_mod, "h1_class_map", unreachable)
+    kd = build(FamilyParams(3, MAX_LETTERS // 3, -1, 2, 1))
+    assert kd.presentation.relators[0].letter_length > MAX_LETTERS
+    with pytest.raises(ValueError, match=f"MAX_LETTERS = {MAX_LETTERS}"):
+        alexander_polynomial(kd)
 
 
 def test_threshold_trefoil():

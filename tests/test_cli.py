@@ -10,7 +10,7 @@ import pytest
 
 from nlo.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from nlo.families import ParameterError
-from nlo.sweep import SweepSpec, grid_instances, parse_range
+from nlo.sweep import SweepSpec, grid_instances, parse_range, parse_signs
 from nlo.words import MAX_LETTERS
 
 # sha256 of the canonical content of `nlo certify` on the grid
@@ -152,16 +152,36 @@ def test_verify_unknown_direction_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def power_refusal(base, size):
+    return (f"a power of ({base}) would have {size} syllables, "
+            f"over the cap MAX_LETTERS = {MAX_LETTERS}")
+
+
+def forward_conjugate(e):
+    """The T(3,5;2,1) forward map edited to a = x^e y x^-e."""
+    return {("generator_change", "forward", "a"): f"x^{e} y x^-{e}"}
+
+
+# A forward map a = x^e y x^-e makes the round trip raise x's image
+# a^-1 b^2 to the power e: 2e syllables, refused over MAX_LETTERS before
+# anything is built.  Below the cap the round trip fails with the
+# abbreviated word.
 @pytest.mark.parametrize(
-    "edits",
-    [{("generator_change", "forward", "a"): "x^1000000 y x^-1000000"},
-     {("positive_s",): "y x " * 5000},
+    "edits, failure",
+    [(forward_conjugate(10**6), power_refusal("a^-1 b^2", 2 * 10**6)),
+     (forward_conjugate(2 * 10**5), "syllables)"),
+     (forward_conjugate(10**8), power_refusal("a^-1 b^2", 2 * 10**8)),
+     (forward_conjugate(10**9), power_refusal("a^-1 b^2", 2 * 10**9)),
+     (forward_conjugate(10**18), power_refusal("a^-1 b^2", 2 * 10**18)),
+     ({("positive_s",): "y x " * 5000}, "syllables)"),
      # One trace step whose side is the conjugate (a b)^20000 c (b^-1 a^-1)^20000.
-     {("trace",): [{"relator_index": 0, "direction": "lhs_to_rhs", "position": 0,
-                    "lhs": "a b " * 20000 + "c " + "b^-1 a^-1 " * 20000, "rhs": ""}]}],
-    ids=["forward", "positive_s", "trace"],
+     ({("trace",): [{"relator_index": 0, "direction": "lhs_to_rhs", "position": 0,
+                     "lhs": "a b " * 20000 + "c " + "b^-1 a^-1 " * 20000, "rhs": ""}]},
+      "syllables)")],
+    ids=["forward", "forward-2e5", "forward-1e8", "forward-1e9", "forward-1e18",
+         "positive_s", "trace"],
 )
-def test_verify_huge_word_failure_is_bounded(tmp_path, capsys, edits):
+def test_verify_huge_word_failure_is_bounded(tmp_path, capsys, edits, failure):
     _, out, _ = run(capsys, "certify", *T35)
     cert_doc = json.loads(out)["content"]["certificate"]
     for field, value in edits.items():
@@ -178,7 +198,7 @@ def test_verify_huge_word_failure_is_bounded(tmp_path, capsys, edits):
     assert len(out.encode()) < 4096
     content = content_of(out)
     assert content["verdict"] == "FAIL"
-    assert "syllables)" in content["failures"][0]
+    assert failure in content["failures"][0]
     assert "Traceback" not in err
 
 
@@ -382,6 +402,38 @@ def test_oversized_surgery_relator_exits_domain_fast(capsys, command):
     assert elapsed < 1.0, f"{command} took {elapsed:.2f}s to refuse"
 
 
+# p = 10^21, ell = p - 1: the relator's power (a c^m)^(ell-1) would have
+# about 2 * 10^21 syllables.
+HUGE_ELL = ["--p", str(10**21), "--k", "2", "--sign", "-1", "--ell", str(10**21 - 1),
+            "--m", "1"]
+HUGE_ELL_REFUSAL = power_refusal("a b^-1 a", 2 * 10**21 - 3)
+
+
+def test_present_huge_power_exits_domain(capsys):
+    code, out, err = run(capsys, "present", *HUGE_ELL)
+    assert (code, out, err) == (EXIT_DOMAIN, "", f"nlo: error: {HUGE_ELL_REFUSAL}\n")
+
+
+def test_verify_huge_power_exits_verify(capsys, monkeypatch):
+    def edit(doc):
+        doc["params"].update(p=10**21, ell=10**21 - 1)
+
+    code, out, err = verify_edited(capsys, monkeypatch, T35, edit)
+    assert code == EXIT_VERIFY
+    assert content_of(out)["failures"] == [HUGE_ELL_REFUSAL]
+    assert err == ""
+
+
+def test_alexander_oversized_relator_exits_domain_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "alexander", "--p", "3", "--k", "1000000", "--sign", "-1",
+                         "--ell", "2", "--m", "1")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert f"MAX_LETTERS = {MAX_LETTERS}" in err and "Traceback" not in err
+    assert elapsed < 1.0, f"alexander took {elapsed:.2f}s to refuse"
+
+
 def test_alexander_document(capsys):
     code, out, _ = run(capsys, "alexander", "--p", "3", "--k", "1", "--sign", "-1",
                        "--ell", "2", "--m", "0")
@@ -517,6 +569,23 @@ def test_parse_range_names_malformed_text(capsys, text):
     code, _, err = run(capsys, "sweep", f"--p-range={text}")
     assert code == EXIT_DOMAIN
     assert f"malformed range {text!r}" in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize("text", ["x", "1,", "-1;1"])
+def test_sweep_names_malformed_signs(capsys, text):
+    with pytest.raises(ValueError, match=re.escape(f"malformed signs {text!r}")):
+        parse_signs(text)
+    code, out, err = run(capsys, "sweep", f"--signs={text}")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert f"malformed signs {text!r}" in err and "invalid literal" not in err
+
+
+def test_sweep_refuses_an_empty_grid(capsys):
+    # p = 3 has only ell = 2 = p - 1, so the ell = p - 2 case holds nothing.
+    code, out, err = run(capsys, "sweep", "--p-range", "3:3", "--k-range", "1:1",
+                         "--m-range", "1:1", "--cases", "ell=p-2")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "no certifiable instance" in err
 
 
 def test_sweep_text_summary(capsys):

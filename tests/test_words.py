@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nlo.words import (
+    MAX_LETTERS,
     MESSAGE_WORD_CHARS,
     Word,
     WordSyntaxError,
@@ -132,6 +133,42 @@ def test_large_exponents_stay_symbolic():
         letter_text(w)
     with pytest.raises(ValueError, match="MAX_LETTERS"):
         is_cyclic_rotation(w, w)
+
+
+@pytest.mark.parametrize(
+    "base, n",
+    [("a b", MAX_LETTERS // 2), ("a b", -(MAX_LETTERS // 2)),
+     ("c a b c^-1", MAX_LETTERS // 2 - 1), ("a b c a", (MAX_LETTERS - 1) // 3)],
+    ids=["plain", "inverse", "conjugate", "folded"],
+)
+def test_power_of_max_letters_syllables_builds(base, n):
+    assert len((parse_word(base) ** n).syllables) == MAX_LETTERS
+
+
+@pytest.mark.parametrize(
+    "base, n, size",
+    [("a b a^2", MAX_LETTERS // 2, MAX_LETTERS + 1),
+     ("a b a^2", -(MAX_LETTERS // 2), MAX_LETTERS + 1),
+     ("c a b c^-1", MAX_LETTERS // 2, MAX_LETTERS + 2),
+     ("a b", 10**30, 2 * 10**30)],
+    ids=["folded", "inverse", "conjugate", "huge"],
+)
+def test_power_over_max_letters_syllables_is_refused(base, n, size):
+    with pytest.raises(ValueError) as err:
+        parse_word(base) ** n
+    assert str(err.value) == (
+        f"a power of ({base}) would have {size} syllables, "
+        f"over the cap MAX_LETTERS = {MAX_LETTERS}"
+    )
+
+
+def test_power_refusal_abbreviates_its_base():
+    long = parse_word("x^1000000 y^-1") ** 1000
+    with pytest.raises(ValueError) as err:
+        long ** 1000
+    message = str(err.value)
+    assert f"… (2000 syllables)) would have {2000 * 1000} syllables" in message
+    assert len(message) < 2 * MESSAGE_WORD_CHARS
 
 
 def test_cyclic_reduce():
