@@ -12,7 +12,7 @@ import argparse
 
 from nlo.certificates import xy_change
 from nlo.families import FamilyParams, build
-from nlo.words import contains, format_word, is_positive, substitute
+from nlo.words import format_word, is_positive, substitute
 from rewrite_search import SearchCapExceeded, find_relation_applications
 
 
@@ -39,7 +39,7 @@ def main() -> None:
     hits = 0
     for trace, word in results:
         image = substitute(word, change.forward)
-        if is_positive(image) and contains(image, "x"):
+        if is_positive(image) and "x" in image.generators():
             hits += 1
             print(f"candidate after {len(trace)} step(s): {format_word(image)}")
             if hits >= 5:

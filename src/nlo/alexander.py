@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .families import KnotData, lspace_case
 from .homology import h1_class_map
-from .words import MAX_LETTERS, Word
+from .words import MAX_LETTERS, Word, over_cap
 
 _TERM = re.compile(r"\s*([+-]?\d+)\*t\^(-?\d+)\s*")
 
@@ -192,7 +192,7 @@ def alexander_polynomial(kd: KnotData) -> LaurentPolynomial:
         raise ValueError("expected a two-generator, one-relator presentation")
     relator = pres.relators[0]
     if (size := relator.letter_length) > MAX_LETTERS:
-        raise ValueError(f"relator of {size} letters is over the cap MAX_LETTERS = {MAX_LETTERS}")
+        raise over_cap("the unrolled relator", size, "letters")
     classes = h1_class_map(pres, kd.mu)
     g, h = pres.generators
     if classes[h] == 0:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .presentation import Presentation
-from .words import MAX_LETTERS, Word
+from .words import MAX_LETTERS, Word, over_cap
 
 M_ZERO_NOTE = (
     "m = 0 is the untwisted torus-knot degeneration, outside the standing "
@@ -215,8 +215,6 @@ def surgery_presentation(kd: KnotData, slope: Slope) -> Presentation:
     exponent, den = surgery_exponents(kd, slope)
     size = abs(exponent) * mu.letter_length + den * s.letter_length
     if size > MAX_LETTERS:
-        raise ValueError(
-            f"surgery relator along {slope} would have {size} letters, "
-            f"over the cap MAX_LETTERS = {MAX_LETTERS}"
-        )
-    return kd.presentation.with_relator(mu ** exponent * s ** den)
+        raise over_cap(f"surgery relator along {slope}", size, "letters")
+    pres = kd.presentation
+    return Presentation(pres.generators, pres.relators + (mu ** exponent * s ** den,))

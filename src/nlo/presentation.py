@@ -87,9 +87,6 @@ class Presentation:
             if not r.generators() <= alphabet:
                 raise ValueError(f"relator {r!r} uses generators outside the alphabet")
 
-    def with_relator(self, relator: Word) -> "Presentation":
-        return Presentation(self.generators, self.relators + (relator,))
-
 
 @dataclass(frozen=True)
 class GeneratorChange:
@@ -106,18 +103,13 @@ class GeneratorChange:
     def __post_init__(self):
         object.__setattr__(self, "forward", dict(self.forward))
         object.__setattr__(self, "backward", dict(self.backward))
-        for gen in self.forward:
-            got = substitute(substitute(Word([(gen, 1)]), self.forward), self.backward)
-            if got != Word([(gen, 1)]):
-                raise RoundTripError(
-                    f"backward(forward({gen})) = {got!r}, expected {gen}"
-                )
-        for gen in self.backward:
-            got = substitute(substitute(Word([(gen, 1)]), self.backward), self.forward)
-            if got != Word([(gen, 1)]):
-                raise RoundTripError(
-                    f"forward(backward({gen})) = {got!r}, expected {gen}"
-                )
+        maps = {"forward": self.forward, "backward": self.backward}
+        for there, back in (("forward", "backward"), ("backward", "forward")):
+            for gen, image in maps[there].items():
+                letter = Word([(gen, 1)])
+                got = substitute(image, maps[back])
+                if got != letter:
+                    raise RoundTripError(f"{back}({there}({gen})) = {got!r}, expected {gen}")
 
     @property
     def old_generators(self) -> tuple[str, ...]:

@@ -7,18 +7,19 @@ Keeping exponent runs symbolic means words like b^(1-k(p-l)) stay small no
 matter how large the parameters get; positions in rewriting certificates
 refer to the fully unrolled letter sequence instead, so they are
 independent of this encoding.  ``letter_text`` is the one unrolled form,
-one character a letter with an inverse in upper case, and the one place
-the MAX_LETTERS cap on letters is checked; a power checks the same cap
-on the syllables it would build.
+one character a letter with an inverse in upper case.
 
 Only construction (``Word(...)`` and ``parse_word``) validates letters and
-runs a full free reduction.  The algebra keeps words reduced without one:
-a product or a substitution merges or cancels only at the seams where
-reduced pieces meet, a power is built in one tuple from the core left
-when the conjugator is peeled off its base, its length computed and
-held to MAX_LETTERS before it is built, and ``cyclic_reduce`` peels
-the same way.  ``word_from_text`` reduces text the package made without
-validating its letters again.
+runs a full free reduction.  The algebra keeps words reduced without one,
+and grows a word in two kernels only.  ``_join`` extends a reduced word
+by a reduced piece, merging or cancelling only at the seam; products and
+substitutions are built by it.  A power is built in one tuple from the
+core left when ``_peel`` takes the conjugator off its base, and
+``cyclic_reduce`` peels the same way.  Both kernels compute the syllable
+count of their result and hold it to MAX_LETTERS before they build it.
+Every refusal over MAX_LETTERS, here and in the modules that unroll
+words, is worded by ``over_cap``.  ``word_from_text`` reduces text the
+package made without validating its letters again.
 
 All values are immutable and all operations are pure.
 """
@@ -30,7 +31,7 @@ from typing import Iterable, Mapping
 
 Syllable = tuple[str, int]
 
-# Guard for operations that unroll exponent runs into single letters.
+# Cap on the letters a word is unrolled into and on the syllables one is built of.
 MAX_LETTERS = 1_000_000
 
 # Characters of word text that abbreviate_word keeps in a message.
@@ -52,6 +53,12 @@ class SubstitutionError(ValueError):
     """A generator in the word has no image under the substitution."""
 
 
+def over_cap(what: str, size: int, unit: str) -> ValueError:
+    """The one refusal of work over the cap: ``what`` would have ``size``
+    ``unit`` (syllables or letters), more than MAX_LETTERS."""
+    return ValueError(f"{what} would have {size} {unit}, over the cap MAX_LETTERS = {MAX_LETTERS}")
+
+
 def _free_reduce(raw: Iterable[Syllable]) -> tuple[Syllable, ...]:
     """One-pass free reduction of syllables whose letters are valid."""
     out: list[Syllable] = []
@@ -69,13 +76,43 @@ def _free_reduce(raw: Iterable[Syllable]) -> tuple[Syllable, ...]:
     return tuple(out)
 
 
+def _join(out: list[Syllable], piece: tuple[Syllable, ...]) -> None:
+    """Extend the reduced syllables ``out`` by the reduced ``piece``.
+
+    Only the seam where they meet can merge or cancel; work inward from
+    it until a merge survives.  Refuses, before it extends, a result of
+    more than MAX_LETTERS syllables.
+    """
+    j, n = 0, len(piece)
+    while out and j < n and out[-1][0] == piece[j][0]:
+        merged = out[-1][1] + piece[j][1]
+        j += 1
+        if merged:
+            out[-1] = (out[-1][0], merged)
+            break
+        out.pop()
+    if (size := len(out) + n - j) > MAX_LETTERS:
+        raise over_cap("a product", size, "syllables")
+    out += piece[j:]
+
+
+def _peel(syl: tuple[Syllable, ...]) -> tuple[int, int]:
+    """The bounds lo, hi of what is left when the end syllables of ``syl``
+    are peeled inward while they cancel exactly: syl = u syl[lo:hi+1] u^-1."""
+    lo, hi = 0, len(syl) - 1
+    while lo < hi and syl[lo][0] == syl[hi][0] and syl[lo][1] == -syl[hi][1]:
+        lo += 1
+        hi -= 1
+    return lo, hi
+
+
 class Word:
     """A freely reduced word; construction validates and reduces its argument.
 
     Only construction validates letters and runs the full reduction
     ``_free_reduce``.  Products reduce only at the seam where the two
-    already reduced factors meet, and powers are built in closed form; the
-    tests check both against the full reduction.
+    already reduced factors meet (``_join``), and powers are built in
+    closed form; the tests check both against the full reduction.
 
     The identity is ``Word()``.  By convention the identity is *not*
     positive (see :func:`is_positive`).
@@ -110,17 +147,9 @@ class Word:
         return w
 
     def __mul__(self, other: "Word") -> "Word":
-        # Both factors are reduced, so only the seam where they meet can
-        # merge or cancel; work inward from it until a merge survives.
-        left, right = self.syllables, other.syllables
-        i, j = len(left), 0
-        while i and j < len(right) and left[i - 1][0] == right[j][0]:
-            gen, exp = left[i - 1][0], left[i - 1][1] + right[j][1]
-            i -= 1
-            j += 1
-            if exp:
-                return Word._trusted(left[:i] + ((gen, exp),) + right[j:])
-        return Word._trusted(left[:i] + right[j:])
+        out = [*self.syllables]
+        _join(out, other.syllables)
+        return Word._trusted(tuple(out))
 
     def __invert__(self) -> "Word":
         return Word._trusted(tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -138,19 +167,13 @@ class Word:
         if n < 0:
             syl = tuple((g, -e) for g, e in reversed(syl))
             n = -n
-        lo, hi = 0, len(syl) - 1
-        while lo < hi and syl[lo][0] == syl[hi][0] and syl[lo][1] == -syl[hi][1]:
-            lo += 1
-            hi -= 1
+        lo, hi = _peel(syl)
         core = syl[lo : hi + 1]
         first, last = core[0], core[-1]
         # Each copy after the first adds the core less the fold, if any.
         size = 2 * lo + len(core) + (len(core) - (first[0] == last[0])) * (n - 1)
         if size > MAX_LETTERS:
-            raise ValueError(
-                f"a power of ({abbreviate_word(self)}) would have {size} syllables, "
-                f"over the cap MAX_LETTERS = {MAX_LETTERS}"
-            )
+            raise over_cap(f"a power of ({abbreviate_word(self)})", size, "syllables")
         if lo == hi:
             power = ((first[0], first[1] * n),)
         elif first[0] == last[0]:
@@ -182,23 +205,14 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
 
     Every generator occurring in ``w`` must have an image; the result is
     reduced, so substitute(u*v) == substitute(u) * substitute(v).  Each
-    image power is already reduced, so it is appended whole and merged or
-    cancelled only at the seam with what came before, as in a product.
+    image power is joined to what came before as in a product, so the
+    running total is held to MAX_LETTERS syllables.
     """
     out: list[Syllable] = []
     for gen, exp in w.syllables:
         if gen not in images:
             raise SubstitutionError(f"no image for generator {gen!r}")
-        piece = (images[gen] ** exp).syllables
-        j, n = 0, len(piece)
-        while out and j < n and out[-1][0] == piece[j][0]:
-            merged = out[-1][1] + piece[j][1]
-            j += 1
-            if merged:
-                out[-1] = (out[-1][0], merged)
-                break
-            out.pop()
-        out.extend(piece[j:])
+        _join(out, (images[gen] ** exp).syllables)
     return Word._trusted(tuple(out))
 
 
@@ -215,19 +229,12 @@ def is_positive(w: Word) -> bool:
     return bool(w.syllables) and all(e > 0 for _, e in w.syllables)
 
 
-def contains(w: Word, gen: str) -> bool:
-    return any(g == gen for g, _ in w.syllables)
-
-
 def letter_text(w: Word) -> str:
     """The unrolled letters, one character each with an inverse in upper
     case: the one unrolled form of a word.  Refuses, before any work, to
     unroll more than MAX_LETTERS letters."""
-    size = w.letter_length
-    if size > MAX_LETTERS:
-        raise ValueError(
-            f"letter expansion of size {size} exceeds the cap MAX_LETTERS = {MAX_LETTERS}"
-        )
+    if (size := w.letter_length) > MAX_LETTERS:
+        raise over_cap("the unrolled word", size, "letters")
     return "".join((g if e > 0 else g.upper()) * abs(e) for g, e in w.syllables)
 
 
@@ -243,21 +250,15 @@ def word_from_text(text: str) -> Word:
 def cyclic_reduce(w: Word) -> Word:
     """Conjugate ``w`` to a cyclically reduced core.
 
-    The end syllables are peeled inward while they cancel; the first pair
-    over one generator that does not cancel is folded into one syllable,
-    placed last.  Stops when the two ends are over distinct generators or
-    one syllable remains.
+    The end syllables are peeled inward while they cancel; if the ends
+    left share a generator, they are folded into one syllable, placed last.
     """
     syl = w.syllables
-    lo, hi = 0, len(syl) - 1
-    while lo < hi and syl[lo][0] == syl[hi][0]:
-        gen, merged = syl[lo][0], syl[lo][1] + syl[hi][1]
-        lo += 1
-        hi -= 1
-        if merged:
-            # syl[hi] and the folded syl[hi + 1] are over distinct
-            # generators, so appending the fold needs no reduction.
-            return Word._trusted(syl[lo : hi + 1] + ((gen, merged),))
+    lo, hi = _peel(syl)
+    if lo < hi and syl[lo][0] == syl[hi][0]:
+        # syl[hi - 1] and the fold are over distinct generators, so
+        # appending the fold needs no reduction.
+        return Word._trusted(syl[lo + 1 : hi] + ((syl[hi][0], syl[lo][1] + syl[hi][1]),))
     return Word._trusted(syl[lo : hi + 1])
 
 

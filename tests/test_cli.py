@@ -157,6 +157,10 @@ def power_refusal(base, size):
             f"over the cap MAX_LETTERS = {MAX_LETTERS}")
 
 
+def join_refusal(size):
+    return f"a product would have {size} syllables, over the cap MAX_LETTERS = {MAX_LETTERS}"
+
+
 def forward_conjugate(e):
     """The T(3,5;2,1) forward map edited to a = x^e y x^-e."""
     return {("generator_change", "forward", "a"): f"x^{e} y x^-{e}"}
@@ -164,11 +168,13 @@ def forward_conjugate(e):
 
 # A forward map a = x^e y x^-e makes the round trip raise x's image
 # a^-1 b^2 to the power e: 2e syllables, refused over MAX_LETTERS before
-# anything is built.  Below the cap the round trip fails with the
-# abbreviated word.
+# anything is built.  Below that, the round trip joins the two powers and
+# the y between them, 4e + 1 syllables, refused over MAX_LETTERS before
+# the join extends; below that too it fails with the abbreviated word.
 @pytest.mark.parametrize(
     "edits, failure",
     [(forward_conjugate(10**6), power_refusal("a^-1 b^2", 2 * 10**6)),
+     (forward_conjugate(499999), join_refusal(4 * 499999 + 1)),
      (forward_conjugate(2 * 10**5), "syllables)"),
      (forward_conjugate(10**8), power_refusal("a^-1 b^2", 2 * 10**8)),
      (forward_conjugate(10**9), power_refusal("a^-1 b^2", 2 * 10**9)),
@@ -178,8 +184,8 @@ def forward_conjugate(e):
      ({("trace",): [{"relator_index": 0, "direction": "lhs_to_rhs", "position": 0,
                      "lhs": "a b " * 20000 + "c " + "b^-1 a^-1 " * 20000, "rhs": ""}]},
       "syllables)")],
-    ids=["forward", "forward-2e5", "forward-1e8", "forward-1e9", "forward-1e18",
-         "positive_s", "trace"],
+    ids=["forward", "forward-join", "forward-2e5", "forward-1e8", "forward-1e9",
+         "forward-1e18", "positive_s", "trace"],
 )
 def test_verify_huge_word_failure_is_bounded(tmp_path, capsys, edits, failure):
     _, out, _ = run(capsys, "certify", *T35)

@@ -2,10 +2,11 @@
 
 Each example takes a valid `nlo certify` certificate and applies one to
 three mutations: a scalar swapped for a value of another JSON type, an
-integer nudged by up to 2, a dict key dropped, or the `backward` keys
-reordered.  Whatever the document, `verify` must answer PASS with exit 0
-or FAIL with exit 2, quickly, in a bounded document, and never with a
-traceback.
+integer nudged by up to 2, a dict key dropped, the `backward` keys
+reordered, or one word inflated, its exponents scaled by up to 10^9 or
+its syllables repeated.  Whatever the document, `verify` must answer PASS
+with exit 0 or FAIL with exit 2, quickly, in a bounded document, and never
+with a traceback.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlo.cli import EXIT_OK, EXIT_VERIFY, main
+from nlo.words import WordSyntaxError, parse_word
 
 
 def certificate_doc(flags: str) -> dict:
@@ -44,6 +46,11 @@ SCALARS = st.one_of(
 )
 
 
+# Characters an inflated word's text may reach, so that three inflations
+# keep a document under about 100 KB.
+INFLATED_CHARS = 30_000
+
+
 def paths(node, prefix=()):
     """The path of every value below ``node``, containers included."""
     if isinstance(node, dict):
@@ -64,12 +71,44 @@ def locate(doc, path):
     return doc, path[-1]
 
 
+def is_word_path(path):
+    """True for the path of a word-valued field of a certificate."""
+    if len(path) == 1:
+        return path == ("positive_s",)
+    if len(path) != 3:
+        return False
+    if path[0] == "generator_change":
+        return path[1] in ("forward", "backward")
+    return path[0] == "trace" and path[2] in ("lhs", "rhs")
+
+
+def inflate(draw, doc):
+    """Scale the exponents of one word by up to 10^9, or repeat its syllables."""
+    slots = [locate(doc, path) for path in paths(doc) if is_word_path(path)]
+    slots = [(c, k) for c, k in slots if isinstance(c[k], str)]
+    if not slots:
+        return
+    container, key = draw(st.sampled_from(slots))
+    try:
+        syllables = parse_word(container[key]).syllables
+    except WordSyntaxError:
+        return
+    if draw(st.booleans()):
+        factor = 10 ** draw(st.integers(1, 9))
+        text = " ".join(f"{g}^{e * factor}" for g, e in syllables)
+    else:
+        once = container[key] + " "
+        text = once * draw(st.integers(2, max(2, INFLATED_CHARS // len(once))))
+    if len(text) <= INFLATED_CHARS:
+        container[key] = text
+
+
 @st.composite
 def mutated_documents(draw):
     doc = copy.deepcopy(draw(st.sampled_from(BASES)))
     for _ in range(draw(st.integers(1, 3))):
         slots = [locate(doc, path) for path in paths(doc)]
-        kind = draw(st.sampled_from(("retype", "nudge", "drop", "reorder")))
+        kind = draw(st.sampled_from(("retype", "nudge", "drop", "reorder", "inflate")))
         if kind == "retype":
             leaves = [(c, k) for c, k in slots if not isinstance(c[k], (dict, list))]
             container, key = draw(st.sampled_from(leaves))
@@ -83,6 +122,8 @@ def mutated_documents(draw):
             keyed = [(c, k) for c, k in slots if isinstance(c, dict)]
             container, key = draw(st.sampled_from(keyed))
             del container[key]
+        elif kind == "inflate":
+            inflate(draw, doc)
         else:
             change = doc.get("generator_change")
             backward = change.get("backward") if isinstance(change, dict) else None

@@ -9,7 +9,6 @@ from nlo.words import (
     WordSyntaxError,
     SubstitutionError,
     abbreviate_word,
-    contains,
     cyclic_reduce,
     exponent_sum,
     format_word,
@@ -85,7 +84,7 @@ def test_exponent_sum_examples():
 def test_positivity_examples():
     w = parse_word("x y") ** 5 * parse_word("x")
     assert is_positive(w)
-    assert contains(w, "x")
+    assert "x" in w.generators()
     assert not is_positive(parse_word("x^-1 y x"))
     assert not is_positive(Word())
 
@@ -169,6 +168,48 @@ def test_power_refusal_abbreviates_its_base():
     message = str(err.value)
     assert f"… (2000 syllables)) would have {2000 * 1000} syllables" in message
     assert len(message) < 2 * MESSAGE_WORD_CHARS
+
+
+# Products and substitutions join reduced pieces; the running total is
+# held to MAX_LETTERS syllables after the seam reduces, before it is built.
+HALF = parse_word("a b") ** (MAX_LETTERS // 4)
+
+
+def join_refusal(size):
+    return f"a product would have {size} syllables, over the cap MAX_LETTERS = {MAX_LETTERS}"
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [(HALF, HALF), (HALF * parse_word("c"), parse_word("c^-1") * HALF)],
+    ids=["plain", "seam-cancels"],
+)
+def test_product_of_max_letters_syllables_builds(left, right):
+    assert len((left * right).syllables) == MAX_LETTERS
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [(HALF, HALF * parse_word("c")), (HALF * parse_word("c"), parse_word("c^2") * HALF)],
+    ids=["plain", "seam-merges"],
+)
+def test_product_over_max_letters_syllables_is_refused(left, right):
+    with pytest.raises(ValueError) as err:
+        left * right
+    assert str(err.value) == join_refusal(MAX_LETTERS + 1)
+
+
+def test_substitution_running_total_is_held_to_max_letters():
+    xy = parse_word("x y") ** (MAX_LETTERS // 4)
+    w = parse_word("a b")
+    assert len(substitute(w, {"a": xy, "b": xy}).syllables) == MAX_LETTERS
+    with pytest.raises(ValueError) as err:
+        substitute(w, {"a": xy, "b": xy * parse_word("z")})
+    assert str(err.value) == join_refusal(MAX_LETTERS + 1)
+    # The images meet in a seam that cancels z, so the raw concatenation
+    # is over the cap but the reduced result is not.
+    images = {"a": xy * parse_word("z"), "b": parse_word("z^-1") * xy}
+    assert len(substitute(w, images).syllables) == MAX_LETTERS
 
 
 def test_cyclic_reduce():
