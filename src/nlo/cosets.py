@@ -1,36 +1,42 @@
 """Bounded Todd-Coxeter coset enumeration.
 
 The enumerator builds the Schreier graph of the coset action with a
-union-find over coset labels.  The table is column-major: one int list
-per generator and one per inverse, indexed by label; these lists and the
-union-find parents grow in doubling blocks clamped to the cap, so a
-definition only writes two entries.  Each relator or subgroup word is
-precomputed once as its list of (column, inverse column) pairs, read from
-its letter text through one map from letter to column (an upper-case
-letter names the inverse column).
+union-find over coset labels.  A label is a coset that is written into
+the table; definitions, which the cap counts, are counted apart, since
+some defined cosets are never written.  The table is column-major: one
+int list per generator and one per inverse, indexed by label; these
+lists and the union-find parents grow in doubling blocks clamped to the
+cap, so writing a coset only writes two entries and its own parent.
+Each relator or subgroup word is precomputed once as its list of
+letters, each its position and its (column, inverse column) pair, read
+from its letter text through one map from letter to column (an
+upper-case letter names the inverse column).
 
 Scanning a word from a coset follows defined entries until the first
-missing one.  From there the scan is a fresh chain: a new label's only
+missing one.  From there the scan is a fresh chain: a new coset's only
 entry is the inverse just written and words are freely reduced, so the
-rest of the word would only define, and the chain's last label would
+rest of the word would only define, and the chain's last coset would
 fold into the start.  Before defining anything, the rest of the word is
 scanned backward from the start through the inverse columns (the
 scan from both ends of Holt, Eick and O'Brien, Handbook of Computational
-Group Theory, 2005, section 5.1).  A chain label matched there to an
+Group Theory, 2005, section 5.1).  A chain coset matched there to an
 existing coset is one the fold would merge into that coset: it is
 counted as defined and merged, so the cap still counts every
-definition, and pointed at that coset, but never written.  Only the
-labels before the first unmatched letter are defined, and the last of
-them, or the coset where the forward scan stopped if none is, is linked
-to the last matched coset.  A chain that would pass the cap is defined
-label by label up to it, so a capped table stops at the same definition.
-Any coincidence that the link or a scan ending elsewhere exposes
-cascades by merging rows column by column.  After the relator scans of
-a coset, its row is completed by defining each missing entry in column
-order: no coincidence can arise there, because a defined entry's target
-already points back.  ``num_cosets`` is the labels defined less the
-merges; the rows are renumbered from the labels only when first read, so
-a capped table that is only counted never builds them.
+definition, but it gets no label, and no entry or pending coincidence
+ever names it.  Only the cosets before the first unmatched letter are
+written, under the next free labels, and the last of them, or the coset
+where the forward scan stopped if none is, is linked to the last
+matched coset.  A chain that would pass the cap is written up to it, so
+a capped table stops at the same definition.  Any coincidence that the
+link or a scan ending elsewhere exposes cascades by merging rows column
+by column; a column whose two entries are already equal needs no merge.
+After the relator scans of a coset, its row is completed by defining
+each missing entry in column order: no coincidence can arise there,
+because a defined entry's target already points back.  ``num_cosets``
+is the definitions less the merges; the rows are renumbered from the
+labels only when first read, so a capped table that is only counted
+never builds them.  The cosets that get no label were all merged, so
+leaving them out renumbers the live ones in the same order.
 
 The enumeration order is part of the output contract: cosets are visited
 in label order, entries defined in scan order, coincidences processed
@@ -41,15 +47,14 @@ commutation battery) depend on it.  The tests compare every table with
 the earlier, slower enumerator in ``tests/reference_cosets.py``.
 
 Enumerations are bounded by a cap on coset definitions (including cosets
-later merged away); hitting the cap yields a table with status "capped",
-which is a result, not an error.
+later merged away or never written); hitting the cap yields a table with
+status "capped", which is a result, not an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import length_hint
 
 from .families import KnotData, Slope, surgery_presentation
 from .presentation import Presentation
@@ -150,22 +155,23 @@ def _letter_columns(generators: tuple[str, ...]) -> dict[str, int]:
 
 
 def _grow(parent: list[int], columns: list[list[int]], size: int) -> None:
-    """Extend the labels to ``size``, each new one its own root and every
-    new entry undefined."""
-    old = len(parent)
-    parent.extend(range(old, size))
+    """Extend the labels to ``size`` with every new entry and parent
+    undefined; a label becomes its own root when its coset is written."""
+    block = [UNDEFINED] * (size - len(parent))
+    parent += block
     for col in columns:
-        col.extend([UNDEFINED] * (size - old))
+        col += block
 
 
 def _make_room(
-    parent: list[int], columns: list[list[int]], size: int, max_cosets: int
+    parent: list[int], columns: list[list[int]], size: int, need: int, max_cosets: int
 ) -> int:
-    """The new array size when all ``size`` labels are taken: the next
-    doubling block clamped to the cap, or ``_Capped`` at the cap."""
-    if size == max_cosets:
-        raise _Capped
-    size = min(max_cosets, 2 * size)
+    """The array size once ``need`` labels fit: the first doubling of
+    ``size`` that holds them, clamped to the cap.  ``need`` is never over
+    the cap, since no label is allocated without a definition."""
+    while size < need:
+        size *= 2
+    size = min(max_cosets, size)
     _grow(parent, columns, size)
     return size
 
@@ -187,21 +193,28 @@ def todd_coxeter(
     if any(not w.generators() <= column.keys() for w in subgroup):
         raise ValueError("subgroup words must use only the presentation's generators")
     size = min(max_cosets, FIRST_BLOCK)
-    parent = list(range(size))
+    parent = [UNDEFINED] * size
+    parent[0] = 0  # the subgroup coset
     columns = [[UNDEFINED] * size for _ in range(len(column))]
     pairs = [(col, columns[i ^ 1]) for i, col in enumerate(columns)]
 
+    def letters(w: Word) -> list[tuple[int, list[int], list[int]]]:
+        """Each letter of ``w`` as its position and its (column, inverse
+        column) pair."""
+        return [(i, *pairs[column[c]]) for i, c in enumerate(letter_text(w))]
+
     # Subgroup words are unrolled first, so an oversized one is refused
     # before an oversized relator.
-    words = [[pairs[column[c]] for c in letter_text(w)] for w in subgroup]
-    relators = [[pairs[column[c]] for c in letter_text(r)] for r in pres.relators]
+    words = [letters(w) for w in subgroup]
+    relators = [letters(r) for r in pres.relators]
     words += relators
 
     # UNDEFINED is -1 and labels are >= 0, so the hot loop tests signs.
-    # n counts labels defined so far; find is inlined as path halving.
+    # n counts labels, the cosets written so far, and defs the
+    # definitions, which the cap counts; find is inlined as path halving.
     # The queue holds pending coincidences as flat (a, b) pairs.
     status = COMPLETE
-    n = 1
+    n = defs = 1
     merges = 0
     queue: list[int] = []
     c = 0
@@ -213,55 +226,52 @@ def todd_coxeter(
                     while parent[start] != start:
                         parent[start] = start = parent[parent[start]]
                     d = start
-                    scan = iter(word)
-                    for fwd, inv in scan:
+                    for i, fwd, inv in word:
                         e = fwd[d]
                         if e < 0:
-                            # A fresh chain from d at letter i (scan holds
-                            # the letters after it) defines label n + t - i
-                            # after each letter t >= i, up to top - 1, and
-                            # folds that last label into start.
+                            # A fresh chain from d at letter i defines a
+                            # coset after each letter t >= i and folds the
+                            # last into start.
                             L = len(word)
-                            i = L - 1 - length_hint(scan)
-                            top = n + L - i
-                            j = L
-                            if top <= max_cosets:
-                                while size < top:
-                                    size = _make_room(parent, columns, size, max_cosets)
-                                # Scan back from start: a chain label that
+                            room = max_cosets - defs
+                            if L - i > room:
+                                # It would pass the cap: write up to it.
+                                j = i + room
+                            else:
+                                # Scan back from start: a chain coset that
                                 # the fold would merge into an existing coset
-                                # x is counted as defined and merged, pointed
-                                # at x, and never written.  Once coincidences
-                                # are processed, inv[x] = y implies
-                                # fwd[y] ~ x, so its merge would add nothing.
-                                j -= 1
+                                # x is counted as defined and merged, and
+                                # never written.  Once coincidences are
+                                # processed, inv[x] = y implies fwd[y] ~ x,
+                                # so its merge would add nothing.
+                                j = L - 1
                                 x = start
-                                parent[top - 1] = x
                                 while j > i:
-                                    y = word[j][1][x]
+                                    y = word[j][2][x]
                                     if y < 0:
                                         break
                                     while parent[y] != y:
                                         parent[y] = y = parent[parent[y]]
                                     x = y
                                     j -= 1
-                                    parent[n + j - i] = x
+                                defs += L - i
                                 merges += L - j
-                            # Define the labels after letters i .. j - 1;
-                            # a chain that would pass the cap defines up to
-                            # it and stops there.
-                            for fwd, inv in word[i:j]:
-                                if n == size:
-                                    size = _make_room(parent, columns, size, max_cosets)
+                            # Write the cosets after letters i .. j - 1.
+                            if n + j - i > size:
+                                size = _make_room(parent, columns, size, n + j - i, max_cosets)
+                            for _, fwd, inv in word[i:j]:
                                 fwd[d] = n
                                 inv[n] = d
-                                d = n
+                                parent[n] = d = n
                                 n += 1
+                            if L - i > room:
+                                defs = max_cosets
+                                raise _Capped
                             # Link d to x through letter j.  inv[x] is
-                            # defined only if no label survives, or if the
-                            # first definition wrote it (x is the old d and
+                            # defined only if no coset is written, or if
+                            # the first one wrote it (x is the old d and
                             # letter j inverts letter i).
-                            fwd, inv = word[j]
+                            _, fwd, inv = word[j]
                             fwd[d] = x
                             e = inv[x]
                             if e < 0:
@@ -269,7 +279,6 @@ def todd_coxeter(
                             else:
                                 queue.append(e)
                                 queue.append(d)
-                            n = top
                             break
                         while parent[e] != e:
                             parent[e] = e = parent[parent[e]]
@@ -280,7 +289,7 @@ def todd_coxeter(
                         queue.append(d)
                         queue.append(start)
                     # Merge rows column by column, last in first out, the
-                    # smaller label surviving.
+                    # smaller label surviving; equal entries need no pair.
                     while queue:
                         b = queue.pop()
                         a = queue.pop()
@@ -300,7 +309,7 @@ def todd_coxeter(
                                 n1 = col[a]
                                 if n1 < 0:
                                     col[a] = n2
-                                else:
+                                elif n1 != n2:
                                     queue.append(n1)
                                     queue.append(n2)
                 # Complete the row of find(c).  Once coincidences are
@@ -311,18 +320,22 @@ def todd_coxeter(
                     parent[d] = d = parent[parent[d]]
                 for fwd, inv in pairs:
                     if fwd[d] < 0:
+                        if defs == max_cosets:
+                            raise _Capped
                         if n == size:
-                            size = _make_room(parent, columns, size, max_cosets)
+                            size = _make_room(parent, columns, size, n + 1, max_cosets)
                         fwd[d] = n
                         inv[n] = d
+                        parent[n] = n
                         n += 1
+                        defs += 1
             words = relators
             c += 1
     except _Capped:
         status = CAPPED
 
     table = CosetTable(
-        pres.generators, status, tuple(subgroup), n - merges, parent, columns, n
+        pres.generators, status, tuple(subgroup), defs - merges, parent, columns, n
     )
     if status == COMPLETE:
         _check_closure(table, pres.relators)

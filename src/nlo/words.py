@@ -11,15 +11,16 @@ one character a letter with an inverse in upper case.
 
 Only construction (``Word(...)`` and ``parse_word``) validates letters and
 runs a full free reduction.  The algebra keeps words reduced without one,
-and grows a word in two kernels only.  ``_join`` extends a reduced word
-by a reduced piece, merging or cancelling only at the seam; products and
-substitutions are built by it.  A power is built in one tuple from the
-core left when ``_peel`` takes the conjugator off its base, and
-``cyclic_reduce`` peels the same way.  Both kernels compute the syllable
-count of their result and hold it to MAX_LETTERS before they build it.
-Every refusal over MAX_LETTERS, here and in the modules that unroll
-words, is worded by ``over_cap``.  ``word_from_text`` reduces text the
-package made without validating its letters again.
+and grows a word in two kernels only.  ``_seam`` finds where two reduced
+words meet, merging or cancelling only there; a product is built from it
+in one concatenation, and a substitution extends its running list.  A
+power is built in one tuple from the core left when ``_peel`` takes the
+conjugator off its base, and ``cyclic_reduce`` peels the same way.
+Both kernels compute the syllable count of their result and hold it to
+MAX_LETTERS before they build it.  Every refusal over MAX_LETTERS, here
+and in the modules that unroll words, is worded by ``over_cap``.
+``word_from_text`` reduces text the package made without validating its
+letters again.
 
 All values are immutable and all operations are pure.
 """
@@ -27,7 +28,7 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Syllable = tuple[str, int]
 
@@ -76,24 +77,31 @@ def _free_reduce(raw: Iterable[Syllable]) -> tuple[Syllable, ...]:
     return tuple(out)
 
 
-def _join(out: list[Syllable], piece: tuple[Syllable, ...]) -> None:
-    """Extend the reduced syllables ``out`` by the reduced ``piece``.
+def _seam(
+    left: Sequence[Syllable], right: tuple[Syllable, ...]
+) -> tuple[int, tuple[Syllable, ...], int]:
+    """Where the reduced ``left`` and ``right`` meet: their reduced
+    product is left[:i] + mid + right[j:], ``mid`` the one merged syllable
+    that survives, if any.
 
-    Only the seam where they meet can merge or cancel; work inward from
-    it until a merge survives.  Refuses, before it extends, a result of
-    more than MAX_LETTERS syllables.
+    Only the seam can merge or cancel; work inward from it until a merge
+    survives.  Refuses, before anything is built, a result of more than
+    MAX_LETTERS syllables.
     """
-    j, n = 0, len(piece)
-    while out and j < n and out[-1][0] == piece[j][0]:
-        merged = out[-1][1] + piece[j][1]
+    i, j, n = len(left), 0, len(right)
+    while i and j < n and left[i - 1][0] == right[j][0]:
+        i -= 1
+        gen, exp = right[j]
+        exp += left[i][1]
         j += 1
-        if merged:
-            out[-1] = (out[-1][0], merged)
+        if exp:
+            mid = ((gen, exp),)
             break
-        out.pop()
-    if (size := len(out) + n - j) > MAX_LETTERS:
+    else:
+        mid = ()
+    if (size := i + len(mid) + n - j) > MAX_LETTERS:
         raise over_cap("a product", size, "syllables")
-    out += piece[j:]
+    return i, mid, j
 
 
 def _peel(syl: tuple[Syllable, ...]) -> tuple[int, int]:
@@ -111,7 +119,7 @@ class Word:
 
     Only construction validates letters and runs the full reduction
     ``_free_reduce``.  Products reduce only at the seam where the two
-    already reduced factors meet (``_join``), and powers are built in
+    already reduced factors meet (``_seam``), and powers are built in
     closed form; the tests check both against the full reduction.
 
     The identity is ``Word()``.  By convention the identity is *not*
@@ -147,9 +155,9 @@ class Word:
         return w
 
     def __mul__(self, other: "Word") -> "Word":
-        out = [*self.syllables]
-        _join(out, other.syllables)
-        return Word._trusted(tuple(out))
+        left, right = self.syllables, other.syllables
+        i, mid, j = _seam(left, right)
+        return Word._trusted(left[:i] + mid + right[j:])
 
     def __invert__(self) -> "Word":
         return Word._trusted(tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -205,14 +213,17 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
 
     Every generator occurring in ``w`` must have an image; the result is
     reduced, so substitute(u*v) == substitute(u) * substitute(v).  Each
-    image power is joined to what came before as in a product, so the
+    image power meets what came before at a seam as in a product, so the
     running total is held to MAX_LETTERS syllables.
     """
     out: list[Syllable] = []
     for gen, exp in w.syllables:
         if gen not in images:
             raise SubstitutionError(f"no image for generator {gen!r}")
-        _join(out, (images[gen] ** exp).syllables)
+        piece = (images[gen] ** exp).syllables
+        i, mid, j = _seam(out, piece)
+        out[i:] = mid
+        out += piece[j:]
     return Word._trusted(tuple(out))
 
 

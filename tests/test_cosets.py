@@ -222,6 +222,18 @@ def test_every_cap_to_400_matches_reference(params):
         assert_same_table(pres, [], cap)
 
 
+@pytest.mark.parametrize("peripheral", ["mu", "s"])
+@pytest.mark.parametrize("params", [(3, 1, -1, 2, 0), (3, 1, -1, 2, 1)])
+def test_every_cap_to_400_with_a_peripheral_subgroup_matches_reference(params, peripheral):
+    # The subgroup word is scanned from coset 0 before any relator, so its
+    # fresh chain is scanned back and linked under a large cap and written
+    # up to a small one.
+    kd = build(FamilyParams(*params))
+    pres = surgery_presentation(kd, Slope(1, 1))
+    for cap in range(1, 401):
+        assert_same_table(pres, [getattr(kd, peripheral)], cap)
+
+
 def order_presentations():
     """(key, surgery presentation, reference entry) for every orders.json key."""
     out = []
@@ -249,6 +261,24 @@ def test_block_growth_boundaries_match_reference(monkeypatch):
     sizes.clear()
     complete = assert_same_table(surgery_presentation(trefoil(), Slope(2, 1)), [], 1000)
     assert complete.is_complete() and len(sizes) >= 2
+
+
+def test_skipped_chain_cosets_take_no_label(monkeypatch):
+    # T(3,2;2,1) 1/1 caps at 20000 definitions, 7324 of them merged.  A
+    # chain coset the backward scan matches is counted but gets no label,
+    # so the arrays, which grow only for labels, stop below the cap.
+    sizes = []
+    grow = nlo.cosets._grow
+
+    def counting_grow(parent, columns, size):
+        sizes.append(size)
+        grow(parent, columns, size)
+
+    monkeypatch.setattr(nlo.cosets, "_grow", counting_grow)
+    pres = surgery_presentation(build(FamilyParams(3, 1, -1, 2, 1)), Slope(1, 1))
+    table = todd_coxeter(pres, [], max_cosets=20000)
+    assert (table.status, table.num_cosets) == (CAPPED, 12676)
+    assert sizes[-1] < 20000
 
 
 def test_order_presentations_match_reference_at_cap_2000():

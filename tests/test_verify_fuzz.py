@@ -4,7 +4,9 @@ Each example takes a valid `nlo certify` certificate and applies one to
 three mutations: a scalar swapped for a value of another JSON type, an
 integer nudged by up to 2, a dict key dropped, the `backward` keys
 reordered, or one word inflated, its exponents scaled by up to 10^9 or
-its syllables repeated.  Whatever the document, `verify` must answer PASS
+its syllables repeated.  A second strategy only inflates, with exponents
+scaled by 10^6 to 10^9, so that more of its documents reach the
+MAX_LETTERS budgets.  Whatever the document, `verify` must answer PASS
 with exit 0 or FAIL with exit 2, quickly, in a bounded document, and never
 with a traceback.
 """
@@ -82,8 +84,8 @@ def is_word_path(path):
     return path[0] == "trace" and path[2] in ("lhs", "rhs")
 
 
-def inflate(draw, doc):
-    """Scale the exponents of one word by up to 10^9, or repeat its syllables."""
+def inflate(draw, doc, digits=st.integers(1, 9)):
+    """Scale the exponents of one word by 10^digits, or repeat its syllables."""
     slots = [locate(doc, path) for path in paths(doc) if is_word_path(path)]
     slots = [(c, k) for c, k in slots if isinstance(c[k], str)]
     if not slots:
@@ -94,7 +96,7 @@ def inflate(draw, doc):
     except WordSyntaxError:
         return
     if draw(st.booleans()):
-        factor = 10 ** draw(st.integers(1, 9))
+        factor = 10 ** draw(digits)
         text = " ".join(f"{g}^{e * factor}" for g, e in syllables)
     else:
         once = container[key] + " "
@@ -132,9 +134,19 @@ def mutated_documents(draw):
     return doc
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(mutated_documents())
-def test_verify_answers_every_mutated_certificate(doc):
+@st.composite
+def inflated_documents(draw):
+    """A certificate with one to three words inflated and nothing else
+    changed.  Smaller factors build no power near MAX_LETTERS syllables."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        inflate(draw, doc, st.integers(6, 9))
+    return doc
+
+
+def verify_answers(doc: dict) -> str:
+    """Run `verify` on ``doc`` and hold it to a bounded PASS or FAIL; the
+    printed document."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with (
@@ -149,3 +161,16 @@ def test_verify_answers_every_mutated_certificate(doc):
     assert len(out.getvalue().encode()) < 4096
     verdict = json.loads(out.getvalue())["content"]["verdict"]
     assert verdict == ("PASS" if code == EXIT_OK else "FAIL")
+    return out.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_verify_answers_every_mutated_certificate(doc):
+    verify_answers(doc)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(inflated_documents())
+def test_verify_answers_every_inflated_certificate(doc):
+    verify_answers(doc)
