@@ -1,50 +1,66 @@
 """Bounded Todd-Coxeter coset enumeration.
 
-The enumerator builds the Schreier graph of the coset action with a
-union-find over coset labels.  A label is a coset that is written into
-the table; definitions, which the cap counts, are counted apart, since
-some defined cosets are never written.  The table is column-major: one
-int list per generator and one per inverse, indexed by label; these
-lists and the union-find parents grow in doubling blocks clamped to the
-cap, so writing a coset only writes two entries and its own parent.
-Each relator or subgroup word is precomputed once as its list of
-letters, each its position and its (column, inverse column) pair, read
-from its letter text through one map from letter to column (an
-upper-case letter names the inverse column).
+The enumerator builds the Schreier graph of the coset action as a
+canonical coset table: between scans, every entry of a live label is a
+live label whose inverse entry points back.  A label is a coset that is
+written into the table; definitions, which the cap counts, are counted
+apart, since some defined cosets are never written.  The table is
+column-major: one int list per generator and one per inverse, indexed by
+label; a merged label's ``parent`` names a smaller label of its class,
+and only the coincidence routine and the start of each scan look labels
+up through it.  These lists grow in doubling blocks clamped to the cap,
+so writing a coset only writes two entries and its own parent.  Each
+relator or subgroup word is precomputed once as its (position, column)
+list, which scans follow, and its (column, inverse column) pair at each
+position, read from its letter text through one map from letter to
+column (an upper-case letter names the inverse column).
 
 Scanning a word from a coset follows defined entries until the first
-missing one.  From there the scan is a fresh chain: a new coset's only
-entry is the inverse just written and words are freely reduced, so the
-rest of the word would only define, and the chain's last coset would
-fold into the start.  Before defining anything, the rest of the word is
-scanned backward from the start through the inverse columns (the
-scan from both ends of Holt, Eick and O'Brien, Handbook of Computational
-Group Theory, 2005, section 5.1).  A chain coset matched there to an
-existing coset is one the fold would merge into that coset: it is
-counted as defined and merged, so the cap still counts every
-definition, but it gets no label, and no entry or pending coincidence
-ever names it.  Only the cosets before the first unmatched letter are
-written, under the next free labels, and the last of them, or the coset
-where the forward scan stopped if none is, is linked to the last
-matched coset.  A chain that would pass the cap is written up to it, so
-a capped table stops at the same definition.  Any coincidence that the
-link or a scan ending elsewhere exposes cascades by merging rows column
-by column; a column whose two entries are already equal needs no merge.
-After the relator scans of a coset, its row is completed by defining
-each missing entry in column order: no coincidence can arise there,
-because a defined entry's target already points back.  ``num_cosets``
-is the definitions less the merges; the rows are renumbered from the
-labels only when first read, so a capped table that is only counted
-never builds them.  The cosets that get no label were all merged, so
-leaving them out renumbers the live ones in the same order.
+missing one, with no lookup, since every entry is live.  From there the
+scan is a fresh chain: a new coset's only entry is the inverse just
+written and words are freely reduced, so the rest of the word would only
+define, and the chain's last coset would fold into the start.  Before
+defining anything, the rest of the word is scanned backward from the
+start through the inverse columns (the scan from both ends of Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 2005, section 5.1).
+A chain coset matched there to an existing coset is one the fold would
+merge into that coset: it is counted as defined and merged, so the cap
+still counts every definition, but it gets no label, and no entry or
+coincidence ever names it.  Only the cosets before the first unmatched
+letter are written, under the next free labels, and the last of them,
+or the coset where the forward scan stopped if none is, is linked to the
+last matched coset; if that coset's inverse entry is already defined,
+the two cosets it names coincide instead.  A chain that would pass the
+cap is written up to it, so a capped table stops at the same definition.
+
+A coincidence, from such a link or a scan ending away from its start, is
+processed by the COINCIDENCE routine of the same section: the two labels
+merge, the smaller surviving, and each merged row is then walked once.
+Each of its defined entries is unlinked from its target and moved to the
+survivors, or, where the survivors' entry is already defined, merges
+what the two entries name.  After the relator scans of a coset, its row
+is completed by defining each missing entry in column order: no
+coincidence can arise there, because a defined entry's target already
+points back.  ``num_cosets`` is the definitions less the merges; the
+rows are renumbered from the live labels only when first read, so a
+capped table that is only counted never builds them.  The cosets that
+get no label were all merged, so leaving them out renumbers the live
+ones in the same order.  A complete table is checked on its live labels:
+no entry is undefined, each relator fixes every coset, and each subgroup
+word fixes coset 0.
 
 The enumeration order is part of the output contract: cosets are visited
-in label order, entries defined in scan order, coincidences processed
-last in first out with the smaller label surviving, and the cap checked
-before each definition.  Capped tables, their coset counts and which
-enumerations finish under a cap (all printed by ``nlo order`` and the
-commutation battery) depend on it.  The tests compare every table with
-the earlier, slower enumerator in ``tests/reference_cosets.py``.
+in label order, entries defined in scan order, and the cap checked
+before each definition, never while coincidences are processed.  After
+processing, the partition of the labels is the congruence closure of the
+entries and the coincidences, the smallest label of each class
+surviving, and a live row holds an entry wherever some label of its
+class did, naming the class of its target.  That closure is unique, so
+the order in which coincidences are processed cannot be observed.
+Capped tables, their coset counts and which enumerations finish under a
+cap (all printed by ``nlo order`` and the commutation battery) depend on
+the enumeration order.  The tests compare every table with the earlier,
+slower enumerator in ``tests/reference_cosets.py``.
 
 Enumerations are bounded by a cap on coset definitions (including cosets
 later merged away or never written); hitting the cap yields a table with
@@ -96,28 +112,40 @@ class CosetTable:
         columns: list[list[int]],
         n: int,
     ):
-        """A table whose rows are renumbered from the first ``n`` labels
-        of a union-find ``parent`` and its ``columns`` when first read."""
+        """A table whose cosets are the first ``n`` labels that are their
+        own ``parent``, in label order; ``columns`` hold each label's
+        entries, and an entry of a live label is a live label or UNDEFINED."""
         self.generators, self.status, self.subgroup = generators, status, subgroup
         self.num_cosets = num_cosets
         self._labels = parent, columns, n
 
     @cached_property
+    def _live(self) -> list[int]:
+        parent, _, n = self._labels
+        return [c for c in range(n) if parent[c] == c]
+
+    @cached_property
+    def _index(self) -> list[int]:
+        """The row of each live label; the extra last entry maps UNDEFINED."""
+        index = [UNDEFINED] * (self._labels[2] + 1)
+        for i, c in enumerate(self._live):
+            index[c] = i
+        return index
+
+    @cached_property
     def rows(self) -> list[list[int]]:
-        # A merged label points to a smaller one, so one ascending pass
-        # numbers every label by its live coset; the extra last entry maps
-        # UNDEFINED.
-        parent, columns, n = self.__dict__.pop("_labels")
-        index, live = [], []
-        for c in range(n):
-            p = parent[c]
-            if p == c:
-                index.append(len(live))
-                live.append(c)
-            else:
-                index.append(index[p])
-        index.append(UNDEFINED)
-        return [[index[col[c]] for col in columns] for c in live]
+        index, columns = self._index, self._labels[1]
+        return [[index[col[c]] for col in columns] for c in self._live]
+
+    def _follow(self, w: Word, labels: list[int]) -> list[int]:
+        """The label each of ``labels`` reaches through ``w``, which must
+        not meet an undefined entry."""
+        column = _letter_columns(self.generators)
+        columns = self._labels[1]
+        for c in letter_text(w):
+            col = columns[column[c]]
+            labels = [col[x] for x in labels]
+        return labels
 
     def is_complete(self) -> bool:
         return self.status == COMPLETE
@@ -132,16 +160,8 @@ class CosetTable:
                 f"generator {min(unknown)!r} is not one of the table's "
                 f"generators {', '.join(self.generators)}"
             )
-        column = _letter_columns(self.generators)
-        cols = [column[c] for c in letter_text(w)]
-        rows = self.rows
-        out = []
-        for start in range(len(rows)):
-            c = start
-            for col in cols:
-                c = rows[c][col]
-            out.append(c)
-        return out
+        index = self._index
+        return [index[c] for c in self._follow(w, self._live)]
 
 
 def _letter_columns(generators: tuple[str, ...]) -> dict[str, int]:
@@ -198,10 +218,11 @@ def todd_coxeter(
     columns = [[UNDEFINED] * size for _ in range(len(column))]
     pairs = [(col, columns[i ^ 1]) for i, col in enumerate(columns)]
 
-    def letters(w: Word) -> list[tuple[int, list[int], list[int]]]:
-        """Each letter of ``w`` as its position and its (column, inverse
-        column) pair."""
-        return [(i, *pairs[column[c]]) for i, c in enumerate(letter_text(w))]
+    def letters(w: Word) -> tuple[list[tuple[int, list[int]]], list[tuple[list[int], list[int]]]]:
+        """``w`` as its (position, column) list, which scans follow, and its
+        (column, inverse column) pair at each position."""
+        cols = [pairs[column[c]] for c in letter_text(w)]
+        return list(enumerate(fwd for fwd, _ in cols)), cols
 
     # Subgroup words are unrolled first, so an oversized one is refused
     # before an oversized relator.
@@ -211,28 +232,29 @@ def todd_coxeter(
 
     # UNDEFINED is -1 and labels are >= 0, so the hot loop tests signs.
     # n counts labels, the cosets written so far, and defs the
-    # definitions, which the cap counts; find is inlined as path halving.
-    # The queue holds pending coincidences as flat (a, b) pairs.
+    # definitions, which the cap counts.  Between scans every entry of a
+    # live label is a live label whose inverse entry points back, so scans
+    # follow entries without a find; a merged label's parent is a smaller
+    # label of its class, and find is inlined as path halving.
     status = COMPLETE
     n = defs = 1
     merges = 0
-    queue: list[int] = []
     c = 0
     try:
         while c < n:
             if parent[c] == c:
-                for word in words:
+                for scan, cols in words:
                     start = c
                     while parent[start] != start:
                         parent[start] = start = parent[parent[start]]
                     d = start
-                    for i, fwd, inv in word:
+                    for i, fwd in scan:
                         e = fwd[d]
                         if e < 0:
                             # A fresh chain from d at letter i defines a
                             # coset after each letter t >= i and folds the
                             # last into start.
-                            L = len(word)
+                            L = len(cols)
                             room = max_cosets - defs
                             if L - i > room:
                                 # It would pass the cap: write up to it.
@@ -241,17 +263,14 @@ def todd_coxeter(
                                 # Scan back from start: a chain coset that
                                 # the fold would merge into an existing coset
                                 # x is counted as defined and merged, and
-                                # never written.  Once coincidences are
-                                # processed, inv[x] = y implies fwd[y] ~ x,
+                                # never written; inv[x] = y implies fwd[y] = x,
                                 # so its merge would add nothing.
                                 j = L - 1
                                 x = start
                                 while j > i:
-                                    y = word[j][2][x]
+                                    y = cols[j][1][x]
                                     if y < 0:
                                         break
-                                    while parent[y] != y:
-                                        parent[y] = y = parent[parent[y]]
                                     x = y
                                     j -= 1
                                 defs += L - i
@@ -259,7 +278,7 @@ def todd_coxeter(
                             # Write the cosets after letters i .. j - 1.
                             if n + j - i > size:
                                 size = _make_room(parent, columns, size, n + j - i, max_cosets)
-                            for _, fwd, inv in word[i:j]:
+                            for fwd, inv in cols[i:j]:
                                 fwd[d] = n
                                 inv[n] = d
                                 parent[n] = d = n
@@ -267,54 +286,66 @@ def todd_coxeter(
                             if L - i > room:
                                 defs = max_cosets
                                 raise _Capped
-                            # Link d to x through letter j.  inv[x] is
-                            # defined only if no coset is written, or if
-                            # the first one wrote it (x is the old d and
-                            # letter j inverts letter i).
-                            _, fwd, inv = word[j]
-                            fwd[d] = x
+                            # Link d to x through letter j, whose entry at d
+                            # is undefined.  If inv[x] is defined, the coset
+                            # it names coincides with d instead.
+                            fwd, inv = cols[j]
                             e = inv[x]
                             if e < 0:
+                                fwd[d] = x
                                 inv[x] = d
-                            else:
-                                queue.append(e)
-                                queue.append(d)
+                                e = d  # nothing coincides
                             break
-                        while parent[e] != e:
-                            parent[e] = e = parent[parent[e]]
                         d = e
                     else:
-                        if d == start:
-                            continue
-                        queue.append(d)
-                        queue.append(start)
-                    # Merge rows column by column, last in first out, the
-                    # smaller label surviving; equal entries need no pair.
-                    while queue:
-                        b = queue.pop()
-                        a = queue.pop()
-                        while parent[a] != a:
-                            parent[a] = a = parent[parent[a]]
-                        while parent[b] != b:
-                            parent[b] = b = parent[parent[b]]
-                        if a == b:
-                            continue
-                        if a > b:
-                            a, b = b, a
-                        parent[b] = a
-                        merges += 1
-                        for col in columns:
-                            n2 = col[b]
-                            if n2 >= 0:
-                                n1 = col[a]
-                                if n1 < 0:
-                                    col[a] = n2
-                                elif n1 != n2:
-                                    queue.append(n1)
-                                    queue.append(n2)
-                # Complete the row of find(c).  Once coincidences are
-                # processed, fwd[d] = e implies inv[find(e)] ~ d, so only
-                # missing entries need work and none of it merges.
+                        # The scan closed: d is start.
+                        e = start
+                    if e == d:
+                        continue
+                    # Holt's COINCIDENCE: merge e and d, the smaller label
+                    # surviving, then walk each merged row b once.  Each
+                    # defined entry fwd[b] = y is cleared from inv[y] and
+                    # moved to the survivors a ~ b and y' ~ y: fwd[a] = y'
+                    # and inv[y'] = a, unless one of the two is defined
+                    # already, and then what it names merges with the
+                    # other survivor.
+                    if e > d:
+                        e, d = d, e
+                    parent[d] = e
+                    merges += 1
+                    dead = [d]
+                    for b in dead:  # grows while it is walked
+                        for fwd, inv in pairs:
+                            y = fwd[b]
+                            if y < 0:
+                                continue
+                            inv[y] = UNDEFINED
+                            a = b
+                            while parent[a] != a:
+                                parent[a] = a = parent[parent[a]]
+                            while parent[y] != y:
+                                parent[y] = y = parent[parent[y]]
+                            e = fwd[a]
+                            if e >= 0:
+                                a = y
+                            else:
+                                e = inv[y]
+                                if e < 0:
+                                    fwd[a] = y
+                                    inv[y] = a
+                                    continue
+                            # Merge a, a live label, with e.
+                            while parent[e] != e:
+                                parent[e] = e = parent[parent[e]]
+                            if a != e:
+                                if a > e:
+                                    a, e = e, a
+                                parent[e] = a
+                                merges += 1
+                                dead.append(e)
+                # Complete the row of find(c): a defined entry's target
+                # points back, so only missing entries need work and none
+                # of it merges.
                 d = c
                 while parent[d] != d:
                     parent[d] = d = parent[parent[d]]
@@ -343,11 +374,14 @@ def todd_coxeter(
 
 
 def _check_closure(table: CosetTable, relators: tuple[Word, ...]) -> None:
-    if any(UNDEFINED in row for row in table.rows):
+    """Check a complete table on its live labels: every entry defined,
+    every relator fixing every coset and every subgroup word coset 0."""
+    live = table._live
+    if any(UNDEFINED in [col[c] for c in live] for col in table._labels[1]):
         raise RuntimeError("complete table has undefined entries")
-    if any(table.action(r) != list(range(table.num_cosets)) for r in relators):
+    if any(table._follow(r, live) != live for r in relators):
         raise RuntimeError("complete table is not closed under a relator")
-    if any(table.action(w)[0] != 0 for w in table.subgroup):
+    if any(table._follow(w, [0]) != [0] for w in table.subgroup):
         raise RuntimeError("row 0 is not fixed by a subgroup generator")
 
 

@@ -9,6 +9,10 @@ import nlo.cosets
 import reference_cosets
 from nlo.cosets import (
     CAPPED,
+    COMPLETE,
+    UNDEFINED,
+    CosetTable,
+    _check_closure,
     check_peripheral_commutation,
     todd_coxeter,
 )
@@ -168,9 +172,24 @@ def test_subgroup_word_outside_alphabet_is_refused():
 # and which enumerations complete are printed by `order` and `commutation`.
 
 
+def assert_canonical(table):
+    """Every entry of a live label is a live label whose inverse entry
+    points back."""
+    parent, columns, n = table._labels
+    live = {c for c in range(n) if parent[c] == c}
+    for i, col in enumerate(columns):
+        back = columns[i ^ 1]
+        for c in live:
+            e = col[c]
+            if e != UNDEFINED:
+                assert e in live and back[e] == c, (i, c, e)
+
+
 def assert_same_table(pres, subgroup, cap):
     fast = todd_coxeter(pres, subgroup, max_cosets=cap)
     slow = reference_cosets.todd_coxeter(pres, subgroup, max_cosets=cap)
+    # The labels, checked before the rows are first read.
+    assert_canonical(fast)
     # The live counter, read before the rows are first renumbered.
     assert fast.num_cosets == len(slow.rows)
     assert (fast.rows, fast.status) == (slow.rows, slow.status)
@@ -323,3 +342,44 @@ def test_vacuous_battery_matches_reference(monkeypatch):
     )
     assert calls == [CAPPED] * 54
     assert report.complete_enumerations == 0
+
+
+def complete_labels():
+    """Trefoil 1/1's presentation and the columns of its complete table,
+    as identity labels to edit."""
+    pres = surgery_presentation(trefoil(), Slope(1, 1))
+    table = todd_coxeter(pres, [])
+    assert (table.status, table.num_cosets) == (COMPLETE, 120)
+    columns = [list(col) for col in zip(*table.rows)]
+    return pres, columns
+
+
+def labelled_table(pres, columns, subgroup=()):
+    n = len(columns[0])
+    return CosetTable(pres.generators, COMPLETE, subgroup, n, list(range(n)), columns, n)
+
+
+def test_closure_check_passes_the_complete_table():
+    pres, columns = complete_labels()
+    _check_closure(labelled_table(pres, columns), pres.relators)
+
+
+def test_closure_check_refuses_a_redirected_entry():
+    pres, columns = complete_labels()
+    columns[0][7] = columns[0][8]
+    with pytest.raises(RuntimeError, match="not closed under a relator"):
+        _check_closure(labelled_table(pres, columns), pres.relators)
+
+
+def test_closure_check_refuses_an_undefined_entry():
+    pres, columns = complete_labels()
+    columns[3][119] = UNDEFINED
+    with pytest.raises(RuntimeError, match="undefined entries"):
+        _check_closure(labelled_table(pres, columns), pres.relators)
+
+
+def test_closure_check_refuses_a_subgroup_word_moving_coset_0():
+    pres, columns = complete_labels()
+    table = labelled_table(pres, columns, (parse_word("a"),))
+    with pytest.raises(RuntimeError, match="row 0 is not fixed"):
+        _check_closure(table, pres.relators)

@@ -6,9 +6,10 @@ integer nudged by up to 2, a dict key dropped, the `backward` keys
 reordered, or one word inflated, its exponents scaled by up to 10^9 or
 its syllables repeated.  A second strategy only inflates, with exponents
 scaled by 10^6 to 10^9, so that more of its documents reach the
-MAX_LETTERS budgets.  Whatever the document, `verify` must answer PASS
-with exit 0 or FAIL with exit 2, quickly, in a bounded document, and never
-with a traceback.
+MAX_LETTERS budgets, and a third inflates only the `forward` images of
+more than one syllable, whose powers grow when they are substituted.
+Whatever the document, `verify` must answer PASS with exit 0 or FAIL with
+exit 2, quickly, in a bounded document, and never with a traceback.
 """
 
 import contextlib
@@ -84,9 +85,10 @@ def is_word_path(path):
     return path[0] == "trace" and path[2] in ("lhs", "rhs")
 
 
-def inflate(draw, doc, digits=st.integers(1, 9)):
-    """Scale the exponents of one word by 10^digits, or repeat its syllables."""
-    slots = [locate(doc, path) for path in paths(doc) if is_word_path(path)]
+def inflate(draw, doc, digits=st.integers(1, 9), where=is_word_path):
+    """Scale the exponents of one word, at a path that ``where`` accepts,
+    by 10^digits, or repeat its syllables."""
+    slots = [locate(doc, path) for path in paths(doc) if where(path)]
     slots = [(c, k) for c, k in slots if isinstance(c[k], str)]
     if not slots:
         return
@@ -144,6 +146,24 @@ def inflated_documents(draw):
     return doc
 
 
+@st.composite
+def inflated_forward_documents(draw):
+    """A certificate with one to three inflations of the ``forward``
+    images of generators whose image has more than one syllable, and
+    nothing else changed.  A power of such an image does not stay one
+    syllable, so substituting it builds long words."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    forward = doc["generator_change"]["forward"]
+    long_images = {(g,) for g, w in forward.items() if len(parse_word(w).syllables) > 1}
+
+    def is_long_image(path):
+        return path[:2] == ("generator_change", "forward") and path[2:] in long_images
+
+    for _ in range(draw(st.integers(1, 3))):
+        inflate(draw, doc, st.integers(6, 9), is_long_image)
+    return doc
+
+
 def verify_answers(doc: dict) -> str:
     """Run `verify` on ``doc`` and hold it to a bounded PASS or FAIL; the
     printed document."""
@@ -173,4 +193,10 @@ def test_verify_answers_every_mutated_certificate(doc):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(inflated_documents())
 def test_verify_answers_every_inflated_certificate(doc):
+    verify_answers(doc)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(inflated_forward_documents())
+def test_verify_answers_every_inflated_forward_image(doc):
     verify_answers(doc)
