@@ -16,17 +16,15 @@ from nlo.sweep import SweepSpec, grid_instances, parse_range
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--p-range", default="3:7")
-    parser.add_argument("--k-range", default="1:4")
-    parser.add_argument("--m-range", default="1:3")
+    for flag in ("--p-range", "--k-range", "--m-range"):
+        parser.add_argument(flag)
     args = parser.parse_args()
 
+    # A range left out keeps SweepSpec's default.
     try:
-        spec = SweepSpec(
-            p_range=parse_range(args.p_range),
-            k_range=parse_range(args.k_range),
-            m_range=parse_range(args.m_range),
-        )
+        spec = SweepSpec(**{
+            name: parse_range(text) for name, text in vars(args).items() if text is not None
+        })
     except ValueError as exc:
         parser.error(str(exc))
     print(f"{'p':>3} {'k':>3} {'sign':>5} {'ell':>4} {'m':>3} "

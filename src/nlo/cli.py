@@ -254,14 +254,27 @@ def _cmd_commutation(args) -> int:
     return EXIT_OK if report.consistent else EXIT_VERIFY
 
 
+def _parse_cases(text: str) -> tuple[str, ...]:
+    return ALL_CASES if text == "all" else tuple(text.split(","))
+
+
+# How each ``sweep`` flag's text becomes the SweepSpec field of its name.
+_SWEEP_FIELDS = {
+    "p_range": parse_range,
+    "k_range": parse_range,
+    "m_range": parse_range,
+    "signs": parse_signs,
+    "cases": _parse_cases,
+}
+
+
 def _cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        p_range=parse_range(args.p_range),
-        k_range=parse_range(args.k_range),
-        m_range=parse_range(args.m_range),
-        signs=parse_signs(args.signs),
-        cases=tuple(args.cases.split(",")) if args.cases != "all" else ALL_CASES,
-    )
+    # A flag left out keeps SweepSpec's default.
+    spec = SweepSpec(**{
+        name: parse(getattr(args, name))
+        for name, parse in _SWEEP_FIELDS.items()
+        if getattr(args, name) is not None
+    })
     result = run_sweep(spec)
     if args.output:
         with open(args.output, "w") as handle:
@@ -310,11 +323,8 @@ def build_parser() -> _Parser:
 
     swp = sub.add_parser("sweep")
     swp.set_defaults(fn=_cmd_sweep)
-    swp.add_argument("--p-range", default="3:7")
-    swp.add_argument("--k-range", default="1:4")
-    swp.add_argument("--m-range", default="1:3")
-    swp.add_argument("--signs", default="-1,1")
-    swp.add_argument("--cases", default="all")
+    for name in _SWEEP_FIELDS:
+        swp.add_argument("--" + name.replace("_", "-"))
     swp.add_argument("--output")
     _add_format_flag(swp)
     return parser

@@ -25,10 +25,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .words import (
+    MAX_LETTERS,
     Word,
     cyclic_reduce,
     is_cyclic_rotation,
     letter_text,
+    over_cap,
     substitute,
     word_from_text,
 )
@@ -146,9 +148,13 @@ def replay_trace(w: Word, trace: Iterable[TraceStep], relators: tuple[Word, ...]
     """Replay a recorded trace, validating every step against ``relators``.
 
     Raises RewriteError when a step's equality is not backed by the stated
-    relator or its occurrence check fails.  No searching happens here.
+    relator or its occurrence check fails.  Each step unrolls the word it
+    rewrites, so the letters of the words rewritten after the first step
+    are summed, and the replay is refused through ``over_cap`` once the sum
+    passes MAX_LETTERS (``letter_text`` holds the first word to it): its
+    work is bounded whatever the trace's length.  No searching happens here.
     """
-    current = w
+    current, spent = w, 0
     for step in trace:
         if not 0 <= step.relator_index < len(relators):
             raise RewriteError(f"relator index {step.relator_index} out of range")
@@ -157,7 +163,10 @@ def replay_trace(w: Word, trace: Iterable[TraceStep], relators: tuple[Word, ...]
                 f"relation {step.lhs!r} = {step.rhs!r} is not a cyclic form of "
                 f"relator {step.relator_index}"
             )
+        if spent > MAX_LETTERS:
+            raise over_cap("the words the trace rewrites", spent, "letters")
         current = apply_relation(current, step)
+        spent += current.letter_length
     return current
 
 

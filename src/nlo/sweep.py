@@ -19,7 +19,11 @@ ALL_CASES = tuple(case.split(",")[0] for case in CERTIFIED_CASES)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Inclusive parameter ranges and case filter for a sweep."""
+    """Inclusive parameter ranges and case filter for a sweep.
+
+    The defaults are the one statement of the grid that ``nlo sweep`` and
+    scripts/gap_report.py cover when given no flags.
+    """
 
     p_range: tuple[int, int] = (3, 7)
     k_range: tuple[int, int] = (1, 4)

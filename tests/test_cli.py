@@ -10,6 +10,7 @@ import pytest
 
 from nlo.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from nlo.families import ParameterError
+from nlo.serialize import params_to_doc
 from nlo.sweep import SweepSpec, grid_instances, parse_range, parse_signs
 from nlo.words import MAX_LETTERS
 
@@ -52,10 +53,21 @@ def test_present_repeated_runs_byte_identical(capsys):
     assert first == second
 
 
-def test_present_text_format(capsys):
-    code, out, _ = run(capsys, "present", *T35, "--format", "text")
+@pytest.mark.parametrize(
+    "argv, line",
+    [(["present", *T35], "v: 19"),
+     (["homology", *T35], "H1: Z"),
+     (["order", "--p", "3", "--k", "1", "--sign", "-1", "--ell", "2", "--m", "1",
+       "--slope", "1/1", "--max-cosets", "20000"],
+      "capped at 20000 definitions (12676 live cosets)"),
+     (["commutation", *TREFOIL, "--max-cosets", "2000"],
+      "consistent across 45 complete enumerations")],
+    ids=["present", "homology", "order-capped", "commutation"],
+)
+def test_text_format_lines(capsys, argv, line):
+    code, out, _ = run(capsys, *argv, "--format", "text")
     assert code == EXIT_OK
-    assert "v: 19" in out
+    assert line in out.splitlines()
 
 
 def test_certify_document(capsys):
@@ -101,9 +113,15 @@ def test_negative_slope_needs_equals_sign(capsys, command):
     assert "expected one argument" in err
 
 
-def test_usage_error_exit_64(capsys):
-    assert run(capsys, "frobnicate")[0] == EXIT_USAGE
-    assert run(capsys, "present", "--p", "3")[0] == EXIT_USAGE
+@pytest.mark.parametrize(
+    "argv",
+    [["frobnicate"], ["present", "--p", "3"],
+     ["present", "--p", "5", "--k", "1", "--sign", "-1", "--ell", "5", "--m", "1",
+      "--unverified-range"]],
+    ids=["unknown-command", "missing-flags", "unknown-flag"],
+)
+def test_usage_error_exit_64(capsys, argv):
+    assert run(capsys, *argv)[0] == EXIT_USAGE
 
 
 def test_verify_round_trip_via_file(tmp_path, capsys):
@@ -116,12 +134,18 @@ def test_verify_round_trip_via_file(tmp_path, capsys):
     assert content_of(out)["verdict"] == "PASS"
 
 
-def test_verify_accepts_full_cli_document(tmp_path, capsys):
-    _, out, _ = run(capsys, "certify", *T35)
-    path = tmp_path / "full.json"
-    path.write_text(out)
-    code, out, _ = run(capsys, "verify", "--certificate", str(path))
-    assert code == EXIT_OK
+# One instance of each certified case.
+@pytest.mark.parametrize(
+    "flags",
+    ["--p 5 --k 1 --sign -1 --ell 4 --m 1", "--p 5 --k 2 --sign -1 --ell 3 --m 1",
+     "--p 5 --k 2 --sign 1 --ell 4 --m 2", "--p 5 --k 1 --sign 1 --ell 3 --m 1"],
+    ids=["sign=-1,ell=p-1", "sign=-1,ell=p-2", "sign=+1,ell=p-1", "sign=+1,ell=p-2"],
+)
+def test_verify_accepts_full_cli_document(capsys, monkeypatch, flags):
+    _, out, _ = run(capsys, "certify", *flags.split())
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, _ = run(capsys, "verify", "--certificate", "-", "--format", "text")
+    assert (code, out) == (EXIT_OK, "verdict: PASS\n")
 
 
 def test_verify_tampered_certificate_exit_2(tmp_path, capsys):
@@ -239,6 +263,30 @@ def test_verify_bounds_a_huge_schema_version(capsys, monkeypatch):
     assert len(out.encode()) < 4096
     failures = content_of(out)["failures"]
     assert failures == ["certificate schema_version must be an integer, not str"]
+    assert err == ""
+
+
+# 2000 steps that each insert relator 0 of T(3,5;2,1) at position 0.  The
+# framing word has 7 letters and grows by 10 a step, so the words that
+# steps 2 to 448 rewrite hold 7 + 10i letters, i = 1..447: 1004409 in all,
+# the first sum over MAX_LETTERS.  Replayed in full, the trace would
+# unroll about 2 * 10^7 letters, which takes over 10 s on a 2-vCPU host.
+INSERT_RELATOR = {"relator_index": 0, "direction": "lhs_to_rhs", "position": 0,
+                  "lhs": "", "rhs": "a^2 b^-1 a^2 b^-2 a^-1 b^-2"}
+
+
+def test_verify_long_trace_is_bounded(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, out, err = verify_edited(
+        capsys, monkeypatch, T35, lambda doc: doc.update(trace=[INSERT_RELATOR] * 2000)
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_VERIFY
+    assert len(out.encode()) < 4096
+    assert content_of(out)["failures"] == [
+        "trace_replay: the words the trace rewrites would have 1004409 letters, "
+        f"over the cap MAX_LETTERS = {MAX_LETTERS}"
+    ]
     assert err == ""
 
 
@@ -521,6 +569,15 @@ def test_sweep_cases_partition_the_default_grid(tmp_path, capsys):
     code, out, err = run(capsys, "sweep", "--cases", "ell=2")
     assert (code, out) == (EXIT_DOMAIN, "")
     assert "unknown cases" in err
+
+
+def test_sweep_without_flags_covers_the_default_spec(capsys):
+    code, out, _ = run(capsys, "sweep")
+    assert code == EXIT_OK
+    content = content_of(out)
+    grid = [params_to_doc(q) for q in grid_instances(SweepSpec())]
+    assert [r["params"] for r in content["instances"]] == grid
+    assert content["total"] == content["passed"] == len(grid) == 152
 
 
 @pytest.mark.parametrize(
