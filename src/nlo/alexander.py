@@ -6,25 +6,33 @@ meridian-normalized class map phi of H1 onto the integers (read from the
 determinantal divisors in ``nlo.homology``).  Fox's fundamental formula,
 sum_g phi(dr/dg) (t^phi(g) - 1) = t^phi(r) - 1 = 0, makes the result the
 same whichever generator is taken, so a second derivative checks nothing;
-the tests hold the formula itself.  The derivative is computed in one
-pass over the relator; the tests compare it with the full Fox calculus in
-``tests/reference_fox.py``.  Laurent division, evaluation and
-normalization are linear in the breadth of their operands, compared in
-the tests with the quadratic versions in ``tests/reference_laurent.py``.
-The torus-knot closed form is an independent oracle for the untwisted
-degenerations.
+the tests hold the formula itself.
+
+Every step works on one dense coefficient list, indexed from the lowest
+exponent: the derivative is filled in one pass over the relator, the
+product by 1 - t is one subtraction of the list shifted by one, and the
+exact division by 1 - t^c is a running sum down each residue class mod c.
+Normalization, the value at t = 1 and the symmetry check read the same
+list, and one ``LaurentPolynomial`` is built from it at the end.  The
+tests compare each step with the full Fox calculus in
+``tests/reference_fox.py`` and the dict arithmetic in
+``tests/reference_laurent.py``.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress
+from operator import neg, sub
 
 from .families import KnotData, lspace_case
 from .homology import h1_class_map
 from .words import MAX_LETTERS, Word, over_cap
 
-_TERM = re.compile(r"\s*([+-]?\d+)\*t\^(-?\d+)\s*")
+
+# CPython keeps one int object for each of 0..256, so an index read from
+# range(_BLOCK) allocates nothing.
+_BLOCK = 256
 
 
 class DivisionError(ArithmeticError):
@@ -48,26 +56,6 @@ class LaurentPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial(out)
-
     @property
     def min_exp(self) -> int:
         return min(self.coeffs) if self.coeffs else 0
@@ -80,112 +68,91 @@ class LaurentPolynomial:
     def breadth(self) -> int:
         return self.max_exp - self.min_exp if self.coeffs else 0
 
-    def divexact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division; raises DivisionError on a nonzero remainder.
-
-        Long division from the top degree down, each degree visited once:
-        a degree's coefficient is final once every higher one is divided out.
-        """
-        if not divisor:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return LaurentPolynomial()
-        low, div_low, div_top = self.min_exp, divisor.min_exp, divisor.max_exp
-        rem = {e - low: c for e, c in self.coeffs.items()}
-        div_deg = div_top - div_low
-        div_lead = divisor.coeffs[div_top]
-        rest = [(e - div_low, c) for e, c in divisor.coeffs.items() if e != div_top]
-        quotient: dict[int, int] = {}
-        for deg in range(max(rem), div_deg - 1, -1):
-            lead = rem.pop(deg, 0)
-            if not lead:
-                continue
-            q, r = divmod(lead, div_lead)
-            if r:
-                raise DivisionError("leading coefficient not divisible")
-            offset = deg - div_deg
-            quotient[offset] = q
-            for e, c in rest:
-                rem[e + offset] = rem.get(e + offset, 0) - q * c
-        if any(rem.values()):
-            raise DivisionError("nonzero remainder")
-        shift = low - div_low
-        return LaurentPolynomial({e + shift: c for e, c in quotient.items()})
-
-    def evaluate(self, value: int) -> int:
-        """Evaluate at a nonzero integer; raises ValueError when the result
-        is not an integer.  The sum is taken over integers after
-        multiplying by ``value ** -min(min_exp, 0)``, then divided once."""
-        shift = min(self.min_exp, 0)
-        total = sum(c * value ** (e - shift) for e, c in self.coeffs.items())
-        result, remainder = divmod(total, value**-shift)
-        if remainder:
-            raise ValueError(f"evaluation at {value} is not an integer")
-        return result
-
-    def reciprocal(self) -> "LaurentPolynomial":
-        """Substitute t -> 1/t."""
-        return LaurentPolynomial({-e: c for e, c in self.coeffs.items()})
-
-    def normalized(self) -> "LaurentPolynomial":
-        """Fix the unit ambiguity: lowest exponent 0, top coefficient > 0."""
-        if not self.coeffs:
-            return LaurentPolynomial()
-        low = self.min_exp
-        sign = 1 if self.coeffs[self.max_exp] > 0 else -1
-        return LaurentPolynomial({e - low: sign * c for e, c in self.coeffs.items()})
-
     def to_text(self) -> str:
         """Sparse ``c*t^e`` terms sorted by exponent."""
         if not self.coeffs:
             return "0"
         return " + ".join(f"{c}*t^{e}" for e, c in sorted(self.coeffs.items()))
 
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPolynomial":
-        text = text.strip()
-        if text == "0":
-            return cls()
-        out: dict[int, int] = {}
-        for chunk in text.split("+"):
-            match = _TERM.fullmatch(chunk)
-            if match is None:
-                raise ValueError(f"malformed polynomial term {chunk!r}")
-            coeff, exp = int(match.group(1)), int(match.group(2))
-            out[exp] = out.get(exp, 0) + coeff
-        return cls(out)
-
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.to_text()!r})"
 
 
-def _abelian_fox(w: Word, gen: str, classes: dict[str, int]) -> LaurentPolynomial:
+def _abelian_fox(w: Word, gen: str, classes: dict[str, int]) -> tuple[int, list[int]]:
     """The Fox derivative of ``w`` by ``gen`` with each word mapped to
-    ``t^class``, in one pass over the syllables of ``w``, carrying the class
-    of the prefix read so far."""
-    out: dict[int, int] = {}
-    prefix = 0
-    for g, e in w.syllables:
-        c = classes[g]
-        if g == gen:
-            # D(g^e) is 1 + g + ... + g^(e-1), or -(g^-1 + ... + g^e) for e < 0.
-            start, stop, sign = (0, e, 1) if e > 0 else (e, 0, -1)
-            for i in range(start, stop):
-                t = prefix + i * c
-                out[t] = out.get(t, 0) + sign
-        prefix += e * c
-    return LaurentPolynomial(out)
+    ``t^class``, as ``(low, coeffs)`` with ``coeffs[i]`` the coefficient of
+    ``t^(low + i)``.  Every term lies between the lowest and the highest
+    class of a prefix of ``w``, so that range sizes the list; one pass
+    over the syllables then fills it."""
+    prefixes = list(accumulate((e * classes[g] for g, e in w.syllables), initial=0))
+    low = min(prefixes)
+    out = [0] * (max(prefixes) - low + 1)
+    step = classes[gen]
+    for (g, e), prefix in zip(w.syllables, prefixes):
+        if g != gen:
+            continue
+        base = prefix - low
+        # D(g^e) is 1 + g + ... + g^(e-1), or -(g^-1 + ... + g^e) for e < 0.
+        if step == 0:
+            out[base] += e
+        elif e > 0:
+            for i in range(base, base + e * step, step):
+                out[i] += 1
+        else:
+            for i in range(base + e * step, base, step):
+                out[i] -= 1
+    return low, out
+
+
+def _divide_cyclotomic(coeffs: list[int], m: int) -> None:
+    """Divide dense coefficients in place by 1 - t^|m|, which is t^m - 1
+    up to the unit -1 (m > 0) or t^m (m < 0); m must be nonzero.
+
+    From q (1 - t^|m|) = n, q[i] = n[i] + q[i - |m|]: a running sum down
+    each residue class mod |m|.  The top |m| sums are the remainder, and
+    a nonzero one raises DivisionError.
+    """
+    step = abs(m)
+    for r in range(min(step, len(coeffs))):
+        coeffs[r::step] = accumulate(coeffs[r::step])
+    size = max(len(coeffs) - step, 0)
+    if any(coeffs[size:]):
+        raise DivisionError("nonzero remainder")
+    del coeffs[size:]
+
+
+def _normalize(coeffs: list[int]) -> None:
+    """Fix the unit ambiguity in place: drop the zero ends, so the lowest
+    exponent is 0, and negate if the top coefficient is negative."""
+    top = len(coeffs)
+    while top and not coeffs[top - 1]:
+        top -= 1
+    low = 0
+    while low < top and not coeffs[low]:
+        low += 1
+    del coeffs[top:]
+    del coeffs[:low]
+    if coeffs and coeffs[-1] < 0:
+        coeffs[:] = map(neg, coeffs)
+
+
+def _is_symmetric(coeffs: list[int]) -> bool:
+    """Whether nonzero normalized coefficients equal those of their value
+    at 1/t, normalized: the reversed list, negated when its top
+    coefficient (the lowest of ``coeffs``) is negative."""
+    mirror = coeffs[::-1] if coeffs[0] > 0 else [-c for c in reversed(coeffs)]
+    return coeffs == mirror
 
 
 def alexander_polynomial(kd: KnotData) -> LaurentPolynomial:
     """Normalized Alexander polynomial from one abelianized Fox derivative.
 
-    The derivative by generator g, times t - 1 and divided by t^c - 1 for
-    the other generator's class c, is the same for either g (see the
-    module docstring); g is the first generator unless c would be 0.  A
-    presentation that is not a knot group's can fail the checks that
-    remain: exact division, and a symmetric result with value ±1 at 1.
-    Refuses a relator over MAX_LETTERS letters before any work.
+    The derivative by generator g, times 1 - t and divided by 1 - t^c for
+    the other generator's class c, is the same up to a unit for either g
+    (see the module docstring); g is the first generator unless c would
+    be 0.  A presentation that is not a knot group's can fail the checks
+    that remain: exact division, and a symmetric result with value ±1 at
+    1.  Refuses a relator over MAX_LETTERS letters before any work.
     """
     pres = kd.presentation
     if len(pres.generators) != 2 or len(pres.relators) != 1:
@@ -197,27 +164,24 @@ def alexander_polynomial(kd: KnotData) -> LaurentPolynomial:
     g, h = pres.generators
     if classes[h] == 0:
         g, h = h, g
-    numerator = _abelian_fox(relator, g, classes) * LaurentPolynomial({1: 1, 0: -1})
-    delta = numerator.divexact(LaurentPolynomial({classes[h]: 1, 0: -1})).normalized()
-    if delta.evaluate(1) not in (1, -1):
-        raise ValueError(f"polynomial value at 1 is {delta.evaluate(1)}, not ±1")
-    if delta != delta.reciprocal().normalized():
+    _, fox = _abelian_fox(relator, g, classes)
+    # fox * (1 - t); the derivative's list is dropped before the division.
+    coeffs = list(map(sub, chain(fox, (0,)), chain((0,), fox)))
+    del fox
+    _divide_cyclotomic(coeffs, classes[h])
+    _normalize(coeffs)
+    if (value := sum(coeffs)) not in (1, -1):
+        raise ValueError(f"polynomial value at 1 is {value}, not ±1")
+    if not _is_symmetric(coeffs):
         raise ValueError("polynomial is not symmetric")
-    return delta
-
-
-def torus_alexander(p: int, q: int) -> LaurentPolynomial:
-    """Closed form (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), normalized."""
-    import math
-
-    if p < 2 or q < 2 or math.gcd(p, q) != 1:
-        raise ValueError(f"require coprime p, q >= 2, got ({p}, {q})")
-
-    def cyc(n: int) -> LaurentPolynomial:
-        return LaurentPolynomial({n: 1, 0: -1})
-
-    numerator = cyc(p * q) * cyc(1)
-    return numerator.divexact(cyc(p)).divexact(cyc(q)).normalized()
+    # The nonzero terms, a block at a time, so that only a nonzero term
+    # allocates the int for its exponent.
+    terms: dict[int, int] = {}
+    for start in range(0, len(coeffs), _BLOCK):
+        block = coeffs[start : start + _BLOCK]
+        exponents = map(start.__add__, compress(range(_BLOCK), block))
+        terms.update(zip(exponents, compress(block, block)))
+    return LaurentPolynomial(terms)
 
 
 @dataclass(frozen=True)

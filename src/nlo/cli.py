@@ -205,12 +205,9 @@ def _cmd_homology(args) -> int:
 def _cmd_alexander(args) -> int:
     kd = _knot(args)
     delta = alexander_polynomial(kd)
-    content = {
-        "polynomial": delta.to_text(),
-        "degree": delta.breadth,
-        "v": kd.params.v,
-    }
-    lines = [f"alexander: {delta.to_text()}"]
+    text = delta.to_text()
+    content = {"polynomial": text, "degree": delta.breadth, "v": kd.params.v}
+    lines = [f"alexander: {text}"]
     if lspace_case(kd.params) is not None:
         report = lspace_surgery_threshold(kd, delta)
         content.update(

@@ -16,6 +16,7 @@ Alexander polynomial of the closure, up to a unit ±t^j (J. S. Birman,
 from __future__ import annotations
 
 from nlo.alexander import LaurentPolynomial
+from reference_laurent import add, divexact, mul, neg, sub
 
 ZERO = LaurentPolynomial()
 ONE = LaurentPolynomial({0: 1})
@@ -41,7 +42,7 @@ def burau_matrix(strands: int, word: list[int]) -> list[list[LaurentPolynomial]]
         left, right = i - 1, i
         for row in rows:
             a, b = row[left], row[right]
-            row[left], row[right] = ONE_MINUS_T * a + b, T * a
+            row[left], row[right] = add(mul(ONE_MINUS_T, a), b), mul(T, a)
     return rows
 
 
@@ -60,19 +61,19 @@ def determinant(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                cross = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
-                rows[i][j] = cross.divexact(previous)
+                cross = sub(mul(rows[i][j], rows[k][k]), mul(rows[i][k], rows[k][j]))
+                rows[i][j] = divexact(cross, previous)
         previous = rows[k][k]
     det = rows[n - 1][n - 1] if n else ONE
-    return det if sign == 1 else -det
+    return det if sign == 1 else neg(det)
 
 
 def braid_alexander(p: int, q: int, ell: int, m: int) -> LaurentPolynomial:
     """Alexander polynomial of the closure of the T(p, q; ell, m) braid,
-    up to a unit; compare with `.normalized()`."""
+    up to a unit; compare after `reference_laurent.normalized`."""
     burau = burau_matrix(p, braid_word(p, q, ell, m))
     minor = [
-        [(ONE if r == c else ZERO) - burau[r][c] for c in range(1, p)]
+        [sub(ONE if r == c else ZERO, burau[r][c]) for c in range(1, p)]
         for r in range(1, p)
     ]
     return determinant(minor)

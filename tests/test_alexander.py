@@ -1,19 +1,19 @@
 import hashlib
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference_laurent
 from nlo.alexander import (
     DivisionError,
-    _abelian_fox,
     LaurentPolynomial,
+    _abelian_fox,
+    _divide_cyclotomic,
+    _is_symmetric,
+    _normalize,
     alexander_polynomial,
     lspace_surgery_threshold,
-    torus_alexander,
 )
 from nlo.cli import EXIT_OK, main
 from nlo.families import FamilyParams, KnotData, ParameterError, build, lspace_case
@@ -22,6 +22,21 @@ from nlo.presentation import Presentation
 from nlo.words import MAX_LETTERS, Word, exponent_sum, parse_word
 from reference_braid import braid_alexander
 from reference_fox import GroupRingElement, abelianize, fox_derivative
+from reference_laurent import (
+    add,
+    cyclotomic,
+    divexact,
+    evaluate,
+    is_symmetric,
+    mul,
+    neg,
+    normalized,
+    parse,
+    reciprocal,
+    semigroup_torus_alexander,
+    sub,
+    torus_alexander,
+)
 
 words = st.lists(
     st.tuples(st.sampled_from("ab"), st.integers(-3, 3)), max_size=6
@@ -53,31 +68,33 @@ def test_fox_product_rule(u, v, g):
 
 
 def test_laurent_arithmetic_and_normalization():
+    # The reference arithmetic that the oracles below are computed with.
     p = LaurentPolynomial({-2: 3, 1: -6})
-    assert p.normalized() == LaurentPolynomial({0: -3, 3: 6}).normalized()
-    assert p.normalized().min_exp == 0
-    assert p.normalized().coeffs[p.normalized().max_exp] > 0
-    assert (p - p) == LaurentPolynomial()
+    assert normalized(p) == normalized(LaurentPolynomial({0: -3, 3: 6}))
+    assert normalized(p).min_exp == 0
+    assert normalized(p).coeffs[normalized(p).max_exp] > 0
+    assert sub(p, p) == LaurentPolynomial()
     q = LaurentPolynomial({0: 1, 2: 1})
     r = LaurentPolynomial({0: 2, 1: -1})
-    assert (q * r).evaluate(2) == q.evaluate(2) * r.evaluate(2)
-    assert p.evaluate(1) == -3
+    assert evaluate(mul(q, r), 2) == evaluate(q, 2) * evaluate(r, 2)
+    assert evaluate(p, 1) == -3
 
 
 def test_laurent_divexact_errors():
-    t2_minus_1 = LaurentPolynomial({2: 1, 0: -1})
-    t_minus_1 = LaurentPolynomial({1: 1, 0: -1})
-    assert t2_minus_1.divexact(t_minus_1) == LaurentPolynomial({1: 1, 0: 1})
-    with pytest.raises(DivisionError):
-        LaurentPolynomial({1: 1, 0: 1}).divexact(t_minus_1)
+    coeffs = [-1, 0, 1]  # t^2 - 1 = -(1 - t)(1 + t)
+    _divide_cyclotomic(coeffs, 1)
+    assert coeffs == [-1, -1]
+    with pytest.raises(DivisionError, match="nonzero remainder"):
+        _divide_cyclotomic([1, 1], 1)
 
 
-# The linear Laurent methods against the quadratic reference.
+# Each dense step of alexander_polynomial against the reference dict
+# arithmetic.
 
 polys = st.dictionaries(
     st.integers(-12, 12), st.integers(-4, 4), max_size=6
 ).map(LaurentPolynomial)
-nonzero_polys = polys.filter(bool)
+nonzero_classes = st.integers(-5, 5).filter(bool)
 
 
 def _outcome(fn, *args):
@@ -88,40 +105,62 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-@settings(deadline=None)
-@given(polys, nonzero_polys, polys)
-def test_divexact_matches_reference(p, q, r):
-    assert (p * q).divexact(q) == p == reference_laurent.divexact(p * q, q)
-    assert _outcome(r.divexact, q) == _outcome(reference_laurent.divexact, r, q)
-    assert _outcome(p.divexact, LaurentPolynomial()) is ZeroDivisionError
-    assert _outcome(reference_laurent.divexact, p, LaurentPolynomial()) is ZeroDivisionError
+def _dense(p: LaurentPolynomial) -> tuple[int, list[int]]:
+    """``p`` as (lowest exponent, coefficient list); 0 is (0, [0])."""
+    return p.min_exp, [p.coeffs.get(e, 0) for e in range(p.min_exp, p.max_exp + 1)]
+
+
+def _poly(low: int, coeffs: list[int]) -> LaurentPolynomial:
+    return LaurentPolynomial({low + i: c for i, c in enumerate(coeffs)})
+
+
+def _dense_quotient(p: LaurentPolynomial, m: int) -> LaurentPolynomial:
+    """``p / (t^m - 1)`` by the dense kernel, which divides by 1 - t^|m|:
+    t^m - 1 is -(1 - t^m) for m > 0 and t^m (1 - t^-m) for m < 0."""
+    low, coeffs = _dense(p)
+    _divide_cyclotomic(coeffs, m)
+    return neg(_poly(low, coeffs)) if m > 0 else _poly(low - m, coeffs)
 
 
 @settings(deadline=None)
-@given(polys, polys.filter(lambda q: len(q.coeffs) > 1), st.integers(-4, 4).filter(bool))
-def test_divexact_rejects_non_multiples(p, q, c):
-    # A nonzero constant is not a multiple of a polynomial with two or more
-    # terms, so neither is p*q + c.
-    off = p * q + LaurentPolynomial({0: c})
+@given(polys, nonzero_classes, polys)
+def test_divexact_matches_reference(p, m, r):
+    product = mul(p, cyclotomic(m))
+    assert _dense_quotient(product, m) == p == divexact(product, cyclotomic(m))
+    assert _outcome(_dense_quotient, r, m) == _outcome(divexact, r, cyclotomic(m))
+
+
+@settings(deadline=None)
+@given(polys, nonzero_classes, st.integers(-4, 4).filter(bool))
+def test_divexact_rejects_non_multiples(p, m, c):
+    # A nonzero constant is not a multiple of t^m - 1, so neither is
+    # p (t^m - 1) + c.
+    off = add(mul(p, cyclotomic(m)), LaurentPolynomial({0: c}))
     with pytest.raises(DivisionError):
-        off.divexact(q)
+        _dense_quotient(off, m)
     with pytest.raises(DivisionError):
-        reference_laurent.divexact(off, q)
+        divexact(off, cyclotomic(m))
 
 
 @settings(deadline=None)
 @given(polys)
 def test_evaluate_and_normalized_match_reference(p):
-    for value in (1, -1, 2, -2, 3):
-        assert _outcome(p.evaluate, value) == _outcome(reference_laurent.evaluate, p, value)
-    assert p.normalized() == reference_laurent.normalized(p)
+    # p + p(1/t) is symmetric and p - p(1/t) antisymmetric, which the
+    # symmetry check must also take as symmetric once normalized.
+    for q in (p, add(p, reciprocal(p)), sub(p, reciprocal(p))):
+        _, coeffs = _dense(q)
+        _normalize(coeffs)
+        assert _poly(0, coeffs) == normalized(q)
+        assert sum(coeffs) == evaluate(normalized(q), 1)
+        if q:
+            assert _is_symmetric(coeffs) == is_symmetric(q)
 
 
 def test_laurent_text_round_trip():
     p = LaurentPolynomial({0: 1, 1: -1, 2: 1})
     assert p.to_text() == "1*t^0 + -1*t^1 + 1*t^2"
-    assert LaurentPolynomial.parse(p.to_text()) == p
-    assert LaurentPolynomial.parse("0") == LaurentPolynomial()
+    assert parse(p.to_text()) == p
+    assert parse("0") == LaurentPolynomial()
 
 
 def test_torus_alexander_small_cases():
@@ -130,8 +169,11 @@ def test_torus_alexander_small_cases():
         {0: 1, 1: -1, 2: 1, 3: -1, 4: 1}
     )
     assert torus_alexander(3, 5) == torus_alexander(5, 3)
-    with pytest.raises(ValueError):
-        torus_alexander(2, 4)
+    for r, s in [(2, 3), (3, 2), (2, 9), (3, 7), (4, 9), (5, 7), (6, 11)]:
+        assert semigroup_torus_alexander(r, s) == torus_alexander(r, s), (r, s)
+    for oracle in (torus_alexander, semigroup_torus_alexander):
+        with pytest.raises(ValueError):
+            oracle(2, 4)
 
 
 def test_alexander_trefoil():
@@ -143,6 +185,19 @@ def test_alexander_torus_degenerations():
     for p, k, sign in [(5, 1, -1), (3, 2, -1), (4, 1, 1), (5, 2, 1)]:
         kd = build(FamilyParams(p, k, sign, 2, 0))
         assert alexander_polynomial(kd) == torus_alexander(p, p * k + sign)
+
+
+@pytest.mark.parametrize(
+    "params, r, s",
+    [((40, 30, 1, 39, 0), 40, 1201), ((40, 1, -1, 39, 20), 39, 820)],
+    ids=["T(40,1201)", "T(40,39;39,20)"],
+)
+def test_alexander_matches_semigroup_oracle_on_large_torus_knots(params, r, s):
+    # Breadths 46,800 and 31,122.  The twisted knot has the polynomial of
+    # T(39, 820).
+    delta = alexander_polynomial(build(FamilyParams(*params)))
+    assert delta.breadth == (r - 1) * (s - 1)
+    assert delta == semigroup_torus_alexander(r, s)
 
 
 def test_braid_alexander_trefoil():
@@ -160,8 +215,8 @@ def test_braid_closure_matches_fox_on_grid():
                 for ell in range(2, p):
                     for m in range(3):
                         params = FamilyParams(p, k, sign, ell, m)
-                        braid = braid_alexander(p, params.q, ell, m).normalized()
-                        if braid != alexander_polynomial(build(params)).normalized():
+                        braid = normalized(braid_alexander(p, params.q, ell, m))
+                        if braid != alexander_polynomial(build(params)):
                             mismatched.append((p, k, sign, ell, m))
                         count += 1
     assert count == 270
@@ -181,7 +236,7 @@ def test_braid_closure_ell_equals_p_is_the_named_torus_knot():
                     with pytest.raises(ParameterError, match=f"k = {k + m}, m = 0"):
                         FamilyParams(p, k, sign, p, m)
                     named = build(FamilyParams(p, k + m, sign, p - 1, 0))
-                    braid = braid_alexander(p, q, p, m).normalized()
+                    braid = normalized(braid_alexander(p, q, p, m))
                     if not braid == torus_alexander(p, q + p * m) == alexander_polynomial(named):
                         mismatched.append((p, k, sign, m))
                     count += 1
@@ -190,12 +245,11 @@ def test_braid_closure_ell_equals_p_is_the_named_torus_knot():
 
 
 def test_alexander_symmetry_and_unit_value():
-    random.seed(7)
     sample = [(3, 2, -1, 2, 1), (4, 1, -1, 2, 1), (5, 2, 1, 4, 2), (6, 1, 1, 5, 3)]
     for ptuple in sample:
         delta = alexander_polynomial(build(FamilyParams(*ptuple)))
-        assert delta.evaluate(1) in (1, -1)
-        assert delta == delta.reciprocal().normalized()
+        assert evaluate(delta, 1) in (1, -1)
+        assert delta == normalized(reciprocal(delta))
 
 
 def test_abelianize_group_ring():
@@ -210,12 +264,8 @@ def test_abelianize_group_ring():
 @given(words, st.sampled_from("ab"), st.integers(-5, 5), st.integers(-5, 5))
 def test_abelian_fox_matches_reference(w, gen, class_a, class_b):
     classes = {"a": class_a, "b": class_b}
-    assert _abelian_fox(w, gen, classes) == abelianize(fox_derivative(w, gen), classes)
-
-
-def cyclotomic(c):
-    """t^c - 1 as a difference of monomials, so that c = 0 gives 0."""
-    return LaurentPolynomial({c: 1}) - LaurentPolynomial({0: 1})
+    reference = abelianize(fox_derivative(w, gen), classes)
+    assert _poly(*_abelian_fox(w, gen, classes)) == reference
 
 
 @given(words, st.integers(-5, 5), st.integers(-5, 5))
@@ -224,7 +274,7 @@ def test_abelian_fox_fundamental_formula(w, class_a, class_b):
     classes = {"a": class_a, "b": class_b}
     total = LaurentPolynomial()
     for g in "ab":
-        total = total + _abelian_fox(w, g, classes) * cyclotomic(classes[g])
+        total = add(total, mul(_poly(*_abelian_fox(w, g, classes)), cyclotomic(classes[g])))
     phi_w = sum(exponent_sum(w, g) * classes[g] for g in "ab")
     assert total == cyclotomic(phi_w)
 
@@ -243,11 +293,11 @@ def test_abelian_fox_matches_reference_on_relators():
                         quotients = []
                         for gen, other in (pres.generators, pres.generators[::-1]):
                             reference = abelianize(fox_derivative(relator, gen), classes)
-                            assert _abelian_fox(relator, gen, classes) == reference
-                            numerator = reference * cyclotomic(1)
-                            quotients.append(
-                                numerator.divexact(cyclotomic(classes[other])).normalized()
-                            )
+                            assert _poly(*_abelian_fox(relator, gen, classes)) == reference
+                            _, coeffs = _dense(mul(reference, cyclotomic(1)))
+                            _divide_cyclotomic(coeffs, classes[other])
+                            _normalize(coeffs)
+                            quotients.append(_poly(0, coeffs))
                             pairs += 1
                         # Either derivative gives the same polynomial, so
                         # alexander_polynomial takes one of them.
@@ -364,8 +414,8 @@ def test_alexander_grid_content_pinned_and_lspace_shaped(capsys):
         digest.update(b"\n")
         # Ozsvath-Szabo: an L-space knot's polynomial is symmetric, of even
         # breadth, with coefficients +-1 alternating in sign.
-        delta = LaurentPolynomial.parse(content["polynomial"])
-        assert delta == delta.reciprocal().normalized(), params
+        delta = parse(content["polynomial"])
+        assert delta == normalized(reciprocal(delta)), params
         assert content["degree"] == delta.breadth and delta.breadth % 2 == 0, params
         ordered = [c for _, c in sorted(delta.coeffs.items())]
         assert all(abs(c) == 1 for c in ordered), params
