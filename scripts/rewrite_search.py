@@ -40,13 +40,11 @@ def _insertion_words(relator: Word) -> list[Word]:
     return words
 
 
-def _successors(
-    w: Word, insertions: list[Word], relator_index: int
-) -> Iterator[tuple[TraceStep, Word]]:
+def _successors(w: Word, insertions: list[Word]) -> Iterator[tuple[TraceStep, Word]]:
     empty = Word()
     for pos in range(w.letter_length + 1):
         for rhs in insertions:
-            step = TraceStep(empty, rhs, relator_index, pos)
+            step = TraceStep(empty, rhs, 0, pos)
             yield step, apply_relation(w, step)
 
 
@@ -55,15 +53,15 @@ def find_relation_applications(
     relator: Word,
     max_steps: int,
     *,
-    relator_index: int = 0,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> list[tuple[tuple[TraceStep, ...], Word]]:
     """Breadth-first enumeration of words reachable from ``w`` by at most
     ``max_steps`` applications of ``relator``.
 
-    Each application inserts a cyclic rotation of ``relator`` or of its
-    inverse, at every letter position.  Results are deduplicated by word,
-    each kept with a shortest discovering trace, in deterministic order.
+    Each application, a step against relator 0, inserts a cyclic rotation
+    of ``relator`` or of its inverse, at every letter position.  Results
+    are deduplicated by word, each kept with a shortest discovering trace,
+    in deterministic order.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -75,7 +73,7 @@ def find_relation_applications(
         next_frontier: list[Word] = []
         for node in frontier:
             trace = visited[node]
-            for step, result in _successors(node, insertions, relator_index):
+            for step, result in _successors(node, insertions):
                 if result in visited:
                     continue
                 if len(visited) >= node_cap:

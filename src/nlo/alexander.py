@@ -13,8 +13,8 @@ exponent: the derivative is filled in one pass over the relator, the
 product by 1 - t is one subtraction of the list shifted by one, and the
 exact division by 1 - t^c is a running sum down each residue class mod c.
 Normalization, the value at t = 1 and the symmetry check read the same
-list, and one ``LaurentPolynomial`` is built from it at the end.  The
-tests compare each step with the full Fox calculus in
+list, and the result is that list as a tuple of coefficients from t^0
+up.  The tests compare each step with the full Fox calculus in
 ``tests/reference_fox.py`` and the dict arithmetic in
 ``tests/reference_laurent.py``.
 """
@@ -22,7 +22,7 @@ tests compare each step with the full Fox calculus in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from operator import neg, sub
 
 from .families import KnotData, lspace_case
@@ -30,52 +30,8 @@ from .homology import h1_class_map
 from .words import MAX_LETTERS, Word, over_cap
 
 
-# CPython keeps one int object for each of 0..256, so an index read from
-# range(_BLOCK) allocates nothing.
-_BLOCK = 256
-
-
 class DivisionError(ArithmeticError):
     """Exact Laurent division left a remainder."""
-
-
-class LaurentPolynomial:
-    """Integer Laurent polynomial in one variable t."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    @property
-    def min_exp(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
-
-    @property
-    def max_exp(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
-
-    @property
-    def breadth(self) -> int:
-        return self.max_exp - self.min_exp if self.coeffs else 0
-
-    def to_text(self) -> str:
-        """Sparse ``c*t^e`` terms sorted by exponent."""
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*t^{e}" for e, c in sorted(self.coeffs.items()))
-
-    def __repr__(self) -> str:
-        return f"LaurentPolynomial({self.to_text()!r})"
 
 
 def _abelian_fox(w: Word, gen: str, classes: dict[str, int]) -> tuple[int, list[int]]:
@@ -144,8 +100,9 @@ def _is_symmetric(coeffs: list[int]) -> bool:
     return coeffs == mirror
 
 
-def alexander_polynomial(kd: KnotData) -> LaurentPolynomial:
-    """Normalized Alexander polynomial from one abelianized Fox derivative.
+def alexander_polynomial(kd: KnotData) -> tuple[int, ...]:
+    """Normalized Alexander polynomial from one abelianized Fox derivative,
+    as its coefficients (c_0, ..., c_d), c_i that of t^i.
 
     The derivative by generator g, times 1 - t and divided by 1 - t^c for
     the other generator's class c, is the same up to a unit for either g
@@ -174,14 +131,12 @@ def alexander_polynomial(kd: KnotData) -> LaurentPolynomial:
         raise ValueError(f"polynomial value at 1 is {value}, not ±1")
     if not _is_symmetric(coeffs):
         raise ValueError("polynomial is not symmetric")
-    # The nonzero terms, a block at a time, so that only a nonzero term
-    # allocates the int for its exponent.
-    terms: dict[int, int] = {}
-    for start in range(0, len(coeffs), _BLOCK):
-        block = coeffs[start : start + _BLOCK]
-        exponents = map(start.__add__, compress(range(_BLOCK), block))
-        terms.update(zip(exponents, compress(block, block)))
-    return LaurentPolynomial(terms)
+    return tuple(coeffs)
+
+
+def polynomial_text(coeffs: tuple[int, ...]) -> str:
+    """The nonzero terms of ``coeffs`` as ``c*t^e`` text, by exponent."""
+    return " + ".join(f"{c}*t^{e}" for e, c in enumerate(coeffs) if c)
 
 
 @dataclass(frozen=True)
@@ -197,7 +152,7 @@ class ThresholdReport:
         return self.v - self.threshold
 
 
-def lspace_surgery_threshold(kd: KnotData, delta: LaurentPolynomial) -> ThresholdReport:
+def lspace_surgery_threshold(kd: KnotData, delta: tuple[int, ...]) -> ThresholdReport:
     """Threshold 2g(K) - 1 with the genus read off the Alexander degree.
 
     ``delta`` is the knot's Alexander polynomial, as computed by
@@ -209,9 +164,10 @@ def lspace_surgery_threshold(kd: KnotData, delta: LaurentPolynomial) -> Threshol
         raise ValueError(
             f"parameters {kd.params} are not in an L-space knot case"
         )
-    if delta.breadth % 2 != 0:
+    breadth = len(delta) - 1
+    if breadth % 2 != 0:
         raise ValueError(
-            f"Alexander breadth {delta.breadth} is odd; expected even breadth"
+            f"Alexander breadth {breadth} is odd; expected even breadth"
         )
-    genus = delta.breadth // 2
+    genus = breadth // 2
     return ThresholdReport(genus=genus, threshold=2 * genus - 1, v=kd.params.v)

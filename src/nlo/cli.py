@@ -17,7 +17,7 @@ import sys
 from functools import cache
 
 from . import __version__
-from .alexander import alexander_polynomial, lspace_surgery_threshold
+from .alexander import alexander_polynomial, lspace_surgery_threshold, polynomial_text
 from .certificates import VerificationReport, certify, verify_certificate
 from .cosets import (
     COMMUTATION_MAX_COSETS,
@@ -205,8 +205,8 @@ def _cmd_homology(args) -> int:
 def _cmd_alexander(args) -> int:
     kd = _knot(args)
     delta = alexander_polynomial(kd)
-    text = delta.to_text()
-    content = {"polynomial": text, "degree": delta.breadth, "v": kd.params.v}
+    text = polynomial_text(delta)
+    content = {"polynomial": text, "degree": len(delta) - 1, "v": kd.params.v}
     lines = [f"alexander: {text}"]
     if lspace_case(kd.params) is not None:
         report = lspace_surgery_threshold(kd, delta)

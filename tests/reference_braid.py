@@ -15,13 +15,13 @@ Alexander polynomial of the closure, up to a unit ±t^j (J. S. Birman,
 
 from __future__ import annotations
 
-from nlo.alexander import LaurentPolynomial
 from reference_laurent import add, divexact, mul, neg, sub
 
-ZERO = LaurentPolynomial()
-ONE = LaurentPolynomial({0: 1})
-T = LaurentPolynomial({1: 1})
-ONE_MINUS_T = LaurentPolynomial({0: 1, 1: -1})
+# Laurent polynomials are {exponent: coefficient} dicts, never mutated.
+ZERO: dict[int, int] = {}
+ONE = {0: 1}
+T = {1: 1}
+ONE_MINUS_T = {0: 1, 1: -1}
 
 
 def braid_word(p: int, q: int, ell: int, m: int) -> list[int]:
@@ -30,7 +30,7 @@ def braid_word(p: int, q: int, ell: int, m: int) -> list[int]:
     return list(range(1, p)) * q + list(range(1, ell)) * (ell * m)
 
 
-def burau_matrix(strands: int, word: list[int]) -> list[list[LaurentPolynomial]]:
+def burau_matrix(strands: int, word: list[int]) -> list[list[dict[int, int]]]:
     """Unreduced Burau matrix of a positive braid word.
 
     s_i acts as the block [[1 - t, t], [1, 0]] on rows and columns i-1, i
@@ -46,7 +46,7 @@ def burau_matrix(strands: int, word: list[int]) -> list[list[LaurentPolynomial]]
     return rows
 
 
-def determinant(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+def determinant(matrix: list[list[dict[int, int]]]) -> dict[int, int]:
     """Fraction-free Bareiss elimination over Z[t, 1/t]; every division
     is exact, and `divexact` raises if one is not."""
     rows = [list(row) for row in matrix]
@@ -68,7 +68,7 @@ def determinant(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     return det if sign == 1 else neg(det)
 
 
-def braid_alexander(p: int, q: int, ell: int, m: int) -> LaurentPolynomial:
+def braid_alexander(p: int, q: int, ell: int, m: int) -> dict[int, int]:
     """Alexander polynomial of the closure of the T(p, q; ell, m) braid,
     up to a unit; compare after `reference_laurent.normalized`."""
     burau = burau_matrix(p, braid_word(p, q, ell, m))

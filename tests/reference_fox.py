@@ -8,7 +8,6 @@ reduced words, and its abelianization, so the tests can compare the two.
 
 from __future__ import annotations
 
-from nlo.alexander import LaurentPolynomial
 from nlo.words import Word, exponent_sum
 
 class GroupRingElement:
@@ -72,10 +71,11 @@ def word_class(w: Word, classes: dict[str, int]) -> int:
     return sum(exponent_sum(w, g) * classes[g] for g in classes)
 
 
-def abelianize(element: GroupRingElement, classes: dict[str, int]) -> LaurentPolynomial:
-    """Image of a group ring element in Z[t, 1/t] under g -> t^class(g)."""
+def abelianize(element: GroupRingElement, classes: dict[str, int]) -> dict[int, int]:
+    """Image of a group ring element in Z[t, 1/t] under g -> t^class(g), as
+    an {exponent: coefficient} dict without zero terms."""
     out: dict[int, int] = {}
     for w, c in element.terms.items():
         e = word_class(w, classes)
         out[e] = out.get(e, 0) + c
-    return LaurentPolynomial(out)
+    return {e: c for e, c in out.items() if c}

@@ -293,7 +293,7 @@ def first_scanned_trace(kd, target):
     if s == target:
         return ()
     insertions = _insertion_words(kd.presentation.relators[0])
-    for trace_step, result in _successors(s, insertions, 0):
+    for trace_step, result in _successors(s, insertions):
         if result == target:
             return (trace_step,)
     return None
