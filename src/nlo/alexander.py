@@ -21,11 +21,10 @@ up.  The tests compare each step with the full Fox calculus in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import neg, sub
 
-from .families import KnotData, lspace_case
+from .families import KnotData
 from .homology import h1_class_map
 from .words import MAX_LETTERS, Word, over_cap
 
@@ -139,35 +138,8 @@ def polynomial_text(coeffs: tuple[int, ...]) -> str:
     return " + ".join(f"{c}*t^{e}" for e, c in enumerate(coeffs) if c)
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Genus-derived surgery threshold 2g - 1 next to the framing bound."""
-
-    genus: int
-    threshold: int
-    v: int
-
-    @property
-    def gap(self) -> int:
-        return self.v - self.threshold
-
-
-def lspace_surgery_threshold(kd: KnotData, delta: tuple[int, ...]) -> ThresholdReport:
-    """Threshold 2g(K) - 1 with the genus read off the Alexander degree.
-
-    ``delta`` is the knot's Alexander polynomial, as computed by
-    :func:`alexander_polynomial`.  Only meaningful for L-space knot
-    parameters; an odd polynomial breadth signals an inconsistency and
-    raises.
-    """
-    if lspace_case(kd.params) is None:
-        raise ValueError(
-            f"parameters {kd.params} are not in an L-space knot case"
-        )
-    breadth = len(delta) - 1
-    if breadth % 2 != 0:
-        raise ValueError(
-            f"Alexander breadth {breadth} is odd; expected even breadth"
-        )
-    genus = breadth // 2
-    return ThresholdReport(genus=genus, threshold=2 * genus - 1, v=kd.params.v)
+def genus(delta: tuple[int, ...]) -> int:
+    """Half the breadth of ``delta`` from :func:`alexander_polynomial`, the
+    genus of an L-space knot.  The breadth is even: a symmetric polynomial
+    with value ±1 at 1 has an odd number of coefficients."""
+    return (len(delta) - 1) // 2

@@ -12,13 +12,14 @@ left-orderable.  Which parameters those are is decided by
 
 Nothing searches, and one function checks: ``certify`` only assembles the
 closed form for the case and the relator step it names, and
-``verify_certificate`` replays the recorded trace and checks each
-hypothesis once.  Only scripts/search_positive_ell2.py searches.
+``verify_certificate`` replays the recorded trace and checks the stated
+case, the meridian, the positive word and the framing once each.  Only
+scripts/search_positive_ell2.py searches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .families import (
@@ -54,18 +55,10 @@ CLAUSE_MERIDIAN = "meridian"
 CLAUSE_REPLAY = "trace_replay"
 CLAUSE_POSITIVITY = "positivity"
 CLAUSE_FRAMING = "framing"
-CLAUSE_HYPOTHESES = "hypotheses"
 
 
 class UnsupportedParameters(ValueError):
     """Parameters outside the four certified cases."""
-
-
-@dataclass(frozen=True)
-class HypothesisRecord:
-    x_is_meridian: bool
-    s_positive: bool
-    s_contains_x: bool
 
 
 @dataclass(frozen=True)
@@ -76,18 +69,24 @@ class Certificate:
     trace: tuple[TraceStep, ...]
     positive_s: Word
     v: int
-    hypotheses: HypothesisRecord
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    passed: bool
+    """The failures of a check; it passed if there are none."""
+
     failures: tuple[str, ...]
 
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    @property
+    def verdict(self) -> str:
+        return "PASS" if self.passed else "FAIL"
+
     def __str__(self) -> str:
-        if self.passed:
-            return "PASS"
-        return "FAIL: " + "; ".join(self.failures)
+        return self.verdict if self.passed else "FAIL: " + "; ".join(self.failures)
 
 
 def xy_change(params: FamilyParams) -> GeneratorChange:
@@ -175,8 +174,7 @@ def certify(kd: KnotData) -> Certificate:
     """Assemble the certificate for one of the four certified parameter cases.
 
     The positive word and its relator step come from the closed form for
-    the case, and the hypotheses are recorded as that form makes them
-    hold.  Nothing is checked here: ``verify_certificate`` is the one
+    the case.  Nothing is checked here: ``verify_certificate`` is the one
     check, and ``nlo certify`` and the sweep run it on every certificate
     they print.
     """
@@ -192,18 +190,18 @@ def certify(kd: KnotData) -> Certificate:
         trace=trace,
         positive_s=closed,
         v=kd.params.v,
-        hypotheses=HypothesisRecord(True, True, True),
     )
 
 
 def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
     """Check a certificate against knot data: the one check there is.
 
-    Clauses, reported separately on failure: the stated case is the
+    Five clauses, reported separately on failure: the stated case is the
     knot's L-space case; x maps back to the meridian; replaying the trace
     from the framing word and substituting forward yields the positive
     word exactly; the positive word is positive and contains x; the
-    framing coefficient matches; every hypothesis is recorded as true.
+    framing coefficient matches.  The meridian and positivity clauses are
+    the criterion's hypotheses, so the certificate asserts none itself.
     The generator change round trips by construction (``GeneratorChange``
     checks it).  No search is performed.
     """
@@ -249,12 +247,7 @@ def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
             f"{CLAUSE_FRAMING}: certificate states v = {cert.v}, knot has "
             f"v = {kd.params.v}"
         )
-
-    hyp = cert.hypotheses
-    unset = [f.name for f in fields(hyp) if getattr(hyp, f.name) is not True]
-    if unset:
-        failures.append(f"{CLAUSE_HYPOTHESES}: {', '.join(unset)} not recorded as true")
-    return VerificationReport(not failures, tuple(failures))
+    return VerificationReport(tuple(failures))
 
 
 def slope_range(cert: Certificate) -> Callable[[Slope], bool]:

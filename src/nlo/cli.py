@@ -17,7 +17,7 @@ import sys
 from functools import cache
 
 from . import __version__
-from .alexander import alexander_polynomial, lspace_surgery_threshold, polynomial_text
+from .alexander import alexander_polynomial, genus, polynomial_text
 from .certificates import VerificationReport, certify, verify_certificate
 from .cosets import (
     COMMUTATION_MAX_COSETS,
@@ -164,7 +164,7 @@ def _cmd_verify(args) -> int:
         cert = certificate_from_doc(doc)
         kd = build(cert.params)
     except ValueError as exc:
-        report = VerificationReport(False, (str(exc),))
+        report = VerificationReport((str(exc),))
     else:
         report = verify_certificate(kd, cert)
     _emit(args, verification_to_doc(report), [f"verdict: {report}"])
@@ -209,12 +209,10 @@ def _cmd_alexander(args) -> int:
     content = {"polynomial": text, "degree": len(delta) - 1, "v": kd.params.v}
     lines = [f"alexander: {text}"]
     if lspace_case(kd.params) is not None:
-        report = lspace_surgery_threshold(kd, delta)
-        content.update(
-            {"genus": report.genus, "lspace_threshold": report.threshold}
-        )
-        lines.append(f"genus: {report.genus}")
-        lines.append(f"lspace threshold: {report.threshold}   v: {report.v}")
+        g = genus(delta)
+        content.update({"genus": g, "lspace_threshold": 2 * g - 1})
+        lines.append(f"genus: {g}")
+        lines.append(f"lspace threshold: {2 * g - 1}   v: {kd.params.v}")
     _emit(args, content, lines)
     return EXIT_OK
 
@@ -248,6 +246,9 @@ def _cmd_commutation(args) -> int:
         "checked": [list(entry) for entry in report.checked],
     }
     _emit(args, content, [str(report)])
+    if report.complete_enumerations == 0:
+        print(f"nlo: warning: no enumeration completed within {args.max_cosets} cosets, "
+              "so the battery checked nothing", file=sys.stderr)
     return EXIT_OK if report.consistent else EXIT_VERIFY
 
 

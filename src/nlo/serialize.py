@@ -2,7 +2,8 @@
 
 Every document carries a ``schema_version``.  Presentations and knot data
 are only written; certificates are also read back, and the reader refuses
-a version or a trace direction it does not know.  Word-valued fields use
+a version or a trace direction it does not know, and any ``hypotheses``
+but the one constant schema 1 writes.  Word-valued fields use
 the word grammar, so documents stay human-readable and hash-stable.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Any
 
-from .certificates import Certificate, HypothesisRecord, VerificationReport
+from .certificates import Certificate, VerificationReport
 from .families import M_ZERO_NOTE, FamilyParams, KnotData, lspace_case
 from .presentation import GeneratorChange, Presentation, TraceStep
 from .words import format_word, parse_word
@@ -21,6 +22,10 @@ Doc = dict[str, Any]
 SCHEMA_VERSION = 1
 # Every trace step replaces its left side by its right side.
 DIRECTION = "lhs_to_rhs"
+# Schema 1's ``hypotheses`` object: the criterion's hypotheses, each true.
+# ``verify_certificate`` checks them (meridian, positivity), so a
+# certificate states them as this constant and the reader takes no other.
+HYPOTHESES = {"x_is_meridian": True, "s_positive": True, "s_contains_x": True}
 
 
 class SchemaError(ValueError):
@@ -107,7 +112,7 @@ def certificate_to_doc(cert: Certificate) -> Doc:
         ],
         "positive_s": format_word(cert.positive_s),
         "v": cert.v,
-        "hypotheses": dict(vars(cert.hypotheses)),
+        "hypotheses": dict(HYPOTHESES),
     }
 
 
@@ -139,6 +144,8 @@ def certificate_from_doc(doc: Doc) -> Certificate:
         change = GeneratorChange(forward, backward)
         trace = tuple(_trace_step(entry) for entry in doc["trace"])
         hyp = doc["hypotheses"]
+        if not (hyp == HYPOTHESES and all(flag is True for flag in hyp.values())):
+            raise SchemaError(f"hypotheses must set exactly {', '.join(HYPOTHESES)} to true")
         return Certificate(
             params=params_from_doc(doc["params"]),
             case=doc["case"],
@@ -146,7 +153,6 @@ def certificate_from_doc(doc: Doc) -> Certificate:
             trace=trace,
             positive_s=parse_word(doc["positive_s"]),
             v=_integer(doc["v"], "v"),
-            hypotheses=HypothesisRecord(*(hyp[f.name] for f in fields(HypothesisRecord))),
         )
     except (AttributeError, KeyError, TypeError) as exc:
         raise SchemaError(f"malformed certificate document: {exc}") from exc
@@ -155,6 +161,6 @@ def certificate_from_doc(doc: Doc) -> Certificate:
 def verification_to_doc(report: VerificationReport) -> Doc:
     return {
         "passed": report.passed,
-        "verdict": "PASS" if report.passed else "FAIL",
+        "verdict": report.verdict,
         "failures": list(report.failures),
     }

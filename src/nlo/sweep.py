@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .certificates import certify, verify_certificate
+from .certificates import VerificationReport, certify, verify_certificate
 from .families import CERTIFIED_CASES, FamilyParams, build, certified_case
 from .serialize import certificate_to_doc, params_to_doc
 
@@ -95,20 +95,12 @@ def run_instance(params: FamilyParams) -> dict:
     try:
         cert = certify(kd)
     except ValueError as exc:
-        record.update({"verdict": "FAIL", "failures": [f"certify: {exc}"]})
-        return record
-    report = verify_certificate(kd, cert)
-    record.update(
-        {
-            "verdict": "PASS" if report.passed else "FAIL",
-            "failures": list(report.failures),
-            "case": cert.case,
-            "v": cert.v,
-            "bound": f"r >= {cert.v}",
-            "trace_length": len(cert.trace),
-            "certificate": certificate_to_doc(cert),
-        }
-    )
+        report = VerificationReport((f"certify: {exc}",))
+    else:
+        report = verify_certificate(kd, cert)
+        record.update(case=cert.case, v=cert.v, bound=f"r >= {cert.v}",
+                      trace_length=len(cert.trace), certificate=certificate_to_doc(cert))
+    record.update(verdict=report.verdict, failures=list(report.failures))
     return record
 
 

@@ -35,6 +35,9 @@ Syllable = tuple[str, int]
 # Cap on the letters a word is unrolled into and on the syllables one is built of.
 MAX_LETTERS = 1_000_000
 
+# Cap on the image syllables one substitution emits, and so on its seam walk.
+SUBSTITUTE_BUDGET = 3_000_000
+
 # Characters of word text that abbreviate_word keeps in a message.
 MESSAGE_WORD_CHARS = 200
 
@@ -214,13 +217,22 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     Every generator occurring in ``w`` must have an image; the result is
     reduced, so substitute(u*v) == substitute(u) * substitute(v).  Each
     image power meets what came before at a seam as in a product, so the
-    running total is held to MAX_LETTERS syllables.
+    running total is held to MAX_LETTERS syllables.  The seam walk can
+    only cancel what was emitted, so the image syllables emitted in all
+    are held to SUBSTITUTE_BUDGET.
     """
     out: list[Syllable] = []
+    emitted = 0
     for gen, exp in w.syllables:
         if gen not in images:
             raise SubstitutionError(f"no image for generator {gen!r}")
         piece = (images[gen] ** exp).syllables
+        emitted += len(piece)
+        if emitted > SUBSTITUTE_BUDGET:
+            raise ValueError(
+                f"a substitution would emit {emitted} image syllables, "
+                f"over the budget SUBSTITUTE_BUDGET = {SUBSTITUTE_BUDGET}"
+            )
         i, mid, j = _seam(out, piece)
         out[i:] = mid
         out += piece[j:]

@@ -12,7 +12,7 @@ from nlo.alexander import (
     _is_symmetric,
     _normalize,
     alexander_polynomial,
-    lspace_surgery_threshold,
+    genus,
     polynomial_text,
 )
 from nlo.cli import EXIT_OK, main
@@ -362,24 +362,16 @@ def test_alexander_refuses_an_oversized_relator_before_any_work(monkeypatch):
         alexander_polynomial(kd)
 
 
-def test_threshold_trefoil():
-    tref = build(FamilyParams(3, 1, -1, 2, 0))
-    report = lspace_surgery_threshold(tref, alexander_polynomial(tref))
-    assert (report.genus, report.threshold, report.v) == (1, 1, 6)
-
-
-def test_threshold_below_framing_bound():
-    kd = build(FamilyParams(3, 2, -1, 2, 1))
-    report = lspace_surgery_threshold(kd, alexander_polynomial(kd))
-    assert report.threshold == 9
-    assert report.threshold <= report.v == 19
-    assert report.gap == 10
-
-
-def test_threshold_requires_lspace_parameters():
-    kd = build(FamilyParams(5, 1, -1, 3, 2))
-    with pytest.raises(ValueError):
-        lspace_surgery_threshold(kd, alexander_polynomial(kd))
+@pytest.mark.parametrize(
+    "params, g, v",
+    [(FamilyParams(3, 1, -1, 2, 0), 1, 6), (FamilyParams(3, 2, -1, 2, 1), 5, 19)],
+    ids=["trefoil", "T(3,5;2,1)"],
+)
+def test_genus_is_half_the_breadth(params, g, v):
+    kd = build(params)
+    assert genus(alexander_polynomial(kd)) == g
+    # The L-space threshold 2g - 1 sits below the framing bound.
+    assert 2 * g - 1 < kd.params.v == v
 
 
 # `nlo alexander` over the L-space instances of p 3:9, k 1:5, m 1:4 plus the

@@ -12,7 +12,7 @@ from nlo.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser,
 from nlo.families import ParameterError
 from nlo.serialize import params_to_doc
 from nlo.sweep import SweepSpec, grid_instances, parse_range, parse_signs
-from nlo.words import MAX_LETTERS
+from nlo.words import MAX_LETTERS, SUBSTITUTE_BUDGET
 
 # sha256 of the canonical content of `nlo certify` on the grid
 # p 3:12, k 1:6, m 1:5, keyed "p,k,sign,ell,m"; the benchmark checks the
@@ -232,6 +232,35 @@ def test_verify_huge_word_failure_is_bounded(tmp_path, capsys, edits, failure):
     assert "Traceback" not in err
 
 
+def cancelling_change(doc, n):
+    """Edit the T(3,5;2,1) certificate ``doc`` to forward a = (x y)^5000
+    and backward x = (a b)^n, y = (b^-1 a^-1)^n, all written out.  The
+    round trip substitutes 10000 images of 2n syllables that each cancel
+    the one before, a seam walk of 10^4 * 2n syllables."""
+    change = doc["generator_change"]
+    change["forward"]["a"] = "x y " * 5000
+    change["backward"]["x"] = "a b " * n
+    change["backward"]["y"] = "b^-1 a^-1 " * n
+
+
+@pytest.mark.parametrize("n", [500, 1250, 3250])
+def test_verify_cancelling_substitution_stops_at_the_budget(capsys, monkeypatch, n):
+    start = time.perf_counter()
+    code, out, err = verify_edited(capsys, monkeypatch, T35, lambda doc: cancelling_change(doc, n))
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_VERIFY
+    (failure,) = content_of(out)["failures"]
+    assert failure.endswith(f"over the budget SUBSTITUTE_BUDGET = {SUBSTITUTE_BUDGET}")
+    assert err == ""
+
+
+def test_largest_grid_substitution_is_within_the_budget(capsys, monkeypatch):
+    # Its forward substitution emits about 2 * 10^6 image syllables.
+    flags = ["--p", "200", "--k", "50", "--sign", "-1", "--ell", "199", "--m", "50"]
+    code, out, err = verify_edited(capsys, monkeypatch, flags, lambda doc: None)
+    assert (code, content_of(out)["verdict"], err) == (EXIT_OK, "PASS", "")
+
+
 def test_verify_unknown_schema_exit_2(tmp_path, capsys):
     _, out, _ = run(capsys, "certify", *T35)
     cert_doc = json.loads(out)["content"]["certificate"]
@@ -369,17 +398,33 @@ def test_verify_refuses_an_edited_trace_step(capsys, monkeypatch, edit, failure)
     assert err == ""
 
 
-def test_verify_checks_recorded_case_and_hypotheses(capsys, monkeypatch):
-    def edit(doc):
-        doc["case"] = "sign=+1,whatever"
-        doc["hypotheses"] = {"x_is_meridian": "nonsense", "s_positive": False,
-                             "s_contains_x": None}
+def test_verify_checks_recorded_case(capsys, monkeypatch):
+    code, out, err = verify_edited(
+        capsys, monkeypatch, T35, lambda doc: doc.update(case="sign=+1,whatever")
+    )
+    assert code == EXIT_VERIFY
+    assert content_of(out)["failures"] == ["case: stated case is not sign=-1,ell=p-1"]
+    assert err == ""
 
-    code, out, err = verify_edited(capsys, monkeypatch, T35, edit)
+
+# Schema 1's hypotheses object is one constant, every flag true; verify
+# checks those facts itself, and refuses any other value of the object.
+@pytest.mark.parametrize(
+    "hypotheses",
+    [{"x_is_meridian": True, "s_positive": True},
+     {"x_is_meridian": True, "s_positive": False, "s_contains_x": True},
+     {"x_is_meridian": True, "s_positive": 1, "s_contains_x": True},
+     {"x_is_meridian": True, "s_positive": True, "s_contains_x": True, "extra": True},
+     [True, True, True]],
+    ids=["missing", "false", "one", "extra", "list"],
+)
+def test_verify_refuses_hypotheses_other_than_the_constant(capsys, monkeypatch, hypotheses):
+    code, out, err = verify_edited(
+        capsys, monkeypatch, T35, lambda doc: doc.update(hypotheses=hypotheses)
+    )
     assert code == EXIT_VERIFY
     assert content_of(out)["failures"] == [
-        "case: stated case is not sign=-1,ell=p-1",
-        "hypotheses: x_is_meridian, s_positive, s_contains_x not recorded as true",
+        "hypotheses must set exactly x_is_meridian, s_positive, s_contains_x to true"
     ]
     assert err == ""
 
@@ -768,6 +813,18 @@ def test_nonpositive_max_cosets_exit_domain(capsys, command, cap):
     code, _, err = run(capsys, command, *TREFOIL, "--max-cosets", cap)
     assert code == EXIT_DOMAIN
     assert "max_cosets must be at least 1" in err
+
+
+def test_commutation_warns_when_the_battery_checked_nothing(capsys):
+    t32_21 = ["--p", "3", "--k", "1", "--sign", "-1", "--ell", "2", "--m", "1"]
+    code, out, err = run(capsys, "commutation", *t32_21, "--max-cosets", "2000")
+    assert (code, content_of(out)["complete_enumerations"]) == (EXIT_OK, 0)
+    assert err == (
+        "nlo: warning: no enumeration completed within 2000 cosets, "
+        "so the battery checked nothing\n"
+    )
+    code, out, err = run(capsys, "commutation", *TREFOIL, "--max-cosets", "2000")
+    assert (code, content_of(out)["complete_enumerations"], err) == (EXIT_OK, 45, "")
 
 
 def test_order_subgroup_outside_alphabet_exit_domain(capsys):

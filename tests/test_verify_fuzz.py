@@ -7,8 +7,10 @@ reordered, or one word inflated, its exponents scaled by up to 10^9 or
 its syllables repeated.  A second strategy only inflates, with exponents
 scaled by 10^6 to 10^9, so that more of its documents reach the
 MAX_LETTERS budgets, and a third inflates only the `forward` images of
-more than one syllable, whose powers grow when they are substituted.
-Whatever the document, `verify` must answer PASS with exit 0 or FAIL with
+more than one syllable, whose powers grow when they are substituted.  A
+fourth repeats the syllables of one `forward` and one `backward` image
+together, so that the round trip substitutes many long images into each
+other and only SUBSTITUTE_BUDGET bounds the work.  Whatever the document, `verify` must answer PASS with exit 0 or FAIL with
 exit 2, quickly, in a bounded document, and never with a traceback.
 """
 
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlo.cli import EXIT_OK, EXIT_VERIFY, main
-from nlo.words import WordSyntaxError, parse_word
+from nlo.words import WordSyntaxError, format_word, parse_word
 
 
 def certificate_doc(flags: str) -> dict:
@@ -164,6 +166,24 @@ def inflated_forward_documents(draw):
     return doc
 
 
+@st.composite
+def repeated_image_documents(draw):
+    """A certificate whose ``backward`` images of x and y are one of them,
+    w, written out n times and w^-1 written out n times, and whose first
+    ``forward`` image is x y written out N times; nothing else changed.
+    The round trip, which checks that image first, then substitutes 2N
+    pieces that each cancel the last, a seam walk that grows as N * n."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    forward, backward = (doc["generator_change"][side] for side in ("forward", "backward"))
+    x, y = backward
+    w = parse_word(backward[draw(st.sampled_from((x, y)))])
+    for gen, image in ((x, w), (y, ~w)):
+        once = format_word(image) + " "
+        backward[gen] = once * draw(st.integers(1, INFLATED_CHARS // len(once)))
+    forward[next(iter(forward))] = f"{x} {y} " * draw(st.integers(1, INFLATED_CHARS // 4))
+    return doc
+
+
 def verify_answers(doc: dict) -> str:
     """Run `verify` on ``doc`` and hold it to a bounded PASS or FAIL; the
     printed document."""
@@ -199,4 +219,11 @@ def test_verify_answers_every_inflated_certificate(doc):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(inflated_forward_documents())
 def test_verify_answers_every_inflated_forward_image(doc):
+    verify_answers(doc)
+
+
+# Fewer examples: about one in five walks to the budget, 0.2 s each.
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(repeated_image_documents())
+def test_verify_answers_every_repeated_image_pair(doc):
     verify_answers(doc)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nlo.words as words_mod
 from nlo.words import (
     MAX_LETTERS,
     MESSAGE_WORD_CHARS,
@@ -210,6 +211,21 @@ def test_substitution_running_total_is_held_to_max_letters():
     # is over the cap but the reduced result is not.
     images = {"a": xy * parse_word("z"), "b": parse_word("z^-1") * xy}
     assert len(substitute(w, images).syllables) == MAX_LETTERS
+
+
+def test_substitution_emitting_over_the_budget_is_refused(monkeypatch):
+    # b's image cancels a's, so the result stays empty while the image
+    # syllables emitted reach the budget, here lowered to 100.
+    monkeypatch.setattr(words_mod, "SUBSTITUTE_BUDGET", 100)
+    xy = parse_word("x y") ** 5
+    images = {"a": xy, "b": ~xy}
+    assert substitute(parse_word("a b") ** 5, images) == Word()
+    with pytest.raises(ValueError) as err:
+        substitute(parse_word("a b") ** 5 * parse_word("a"), images)
+    assert str(err.value) == (
+        "a substitution would emit 110 image syllables, "
+        "over the budget SUBSTITUTE_BUDGET = 100"
+    )
 
 
 def test_cyclic_reduce():
