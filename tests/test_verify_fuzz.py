@@ -8,10 +8,12 @@ its syllables repeated.  A second strategy only inflates, with exponents
 scaled by 10^6 to 10^9, so that more of its documents reach the
 MAX_LETTERS budgets, and a third inflates only the `forward` images of
 more than one syllable, whose powers grow when they are substituted.  A
-fourth repeats the syllables of one `forward` and one `backward` image
-together, so that the round trip substitutes many long images into each
-other and only SUBSTITUTE_BUDGET bounds the work.  Whatever the document, `verify` must answer PASS with exit 0 or FAIL with
-exit 2, quickly, in a bounded document, and never with a traceback.
+fourth writes out repeated syllables in the `backward` images of x and y,
+w^n and w^-n, and in the first `forward` image, (x y)^N, so that the
+round trip substitutes pieces that cancel each other and only
+SUBSTITUTE_BUDGET bounds the work.  Whatever the document, `verify` must
+answer PASS with exit 0 or FAIL with exit 2, quickly, in a bounded
+document, and never with a traceback.
 """
 
 import contextlib
