@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from functools import cache
 
@@ -55,8 +54,6 @@ SLOPE_HELP = "p'/q' or p'; give a negative slope as --slope=-1/1, not --slope -1
 
 # Certificate documents nest about 5 levels; json recurses once per level.
 MAX_JSON_DEPTH = 16
-# A string (closed or running to the end of the text) or a bracket.
-_JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[][{}]')
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,17 +132,29 @@ def _cmd_certify(args) -> int:
 
 
 def _load_json(text: str):
-    """Decode ``text`` after one linear pass has bounded its nesting."""
-    depth = 0
-    for token in _JSON_TOKEN.finditer(text):
-        bracket = token.group()
-        if bracket in ("[", "{"):
-            depth += 1
-            if depth > MAX_JSON_DEPTH:
-                raise ValueError(f"document nests deeper than {MAX_JSON_DEPTH} levels")
-        elif bracket in ("]", "}"):
-            depth -= 1
-    return json.loads(text)
+    """Decode ``text``, then bound the nesting of the value decoded.
+
+    The decoder recurses once a level and gives up at the interpreter's
+    recursion limit, which a hostile document reaches in a few
+    milliseconds; that refusal and any value deeper than MAX_JSON_DEPTH
+    levels fail alike.
+    """
+    nests_deeper = ValueError(f"document nests deeper than {MAX_JSON_DEPTH} levels")
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise nests_deeper from None
+    level = [doc]
+    for _ in range(MAX_JSON_DEPTH):
+        level = [
+            child
+            for value in level
+            if isinstance(value, (dict, list))
+            for child in (value.values() if isinstance(value, dict) else value)
+        ]
+    if any(isinstance(value, (dict, list)) for value in level):
+        raise nests_deeper
+    return doc
 
 
 def _cmd_verify(args) -> int:

@@ -9,16 +9,21 @@ refer to the fully unrolled letter sequence instead, so they are
 independent of this encoding.  ``letter_text`` is the one unrolled form,
 one character a letter with an inverse in upper case.
 
-Only construction (``Word(...)`` and ``parse_word``) validates letters and
-runs a full free reduction.  The algebra keeps words reduced without one,
-and grows a word in two kernels only.  ``_seam`` finds where two reduced
-words meet, merging or cancelling only there; a product is built from it
-in one concatenation, and a substitution extends its running list.  A
-power is built in one tuple from the core left when ``_peel`` takes the
+Only construction validates letters and runs a full free reduction:
+``Word(...)`` checks each letter, and ``parse_word``'s grammar admits
+letters only, so it reduces without checking them again.  The algebra
+keeps words reduced without one, and grows a word in two kernels only.
+``_seam`` finds where two reduced words meet, merging or cancelling only
+there.  A product, and each image piece a substitution appends, calls it
+only where the last generator of one side is the first of the other;
+elsewhere nothing can merge, and the two are concatenated.  A
+substitution builds each distinct syllable's image power once.  A power
+is built in one tuple from the core left when ``_peel`` takes the
 conjugator off its base, and ``cyclic_reduce`` peels the same way.
 Both kernels compute the syllable count of their result and hold it to
-MAX_LETTERS before they build it.  Every refusal over MAX_LETTERS, here
-and in the modules that unroll words, is worded by ``over_cap``.
+MAX_LETTERS before they build it, and so does a plain concatenation.
+Every refusal over MAX_LETTERS, here and in the modules that unroll
+words, is worded by ``over_cap``.
 ``word_from_text`` reduces text the package made without validating its
 letters again.
 
@@ -159,8 +164,12 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         left, right = self.syllables, other.syllables
-        i, mid, j = _seam(left, right)
-        return Word._trusted(left[:i] + mid + right[j:])
+        if left and right and left[-1][0] == right[0][0]:
+            i, mid, j = _seam(left, right)
+            return Word._trusted(left[:i] + mid + right[j:])
+        if (size := len(left) + len(right)) > MAX_LETTERS:
+            raise over_cap("a product", size, "syllables")
+        return Word._trusted(left + right)
 
     def __invert__(self) -> "Word":
         return Word._trusted(tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -216,26 +225,38 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
 
     Every generator occurring in ``w`` must have an image; the result is
     reduced, so substitute(u*v) == substitute(u) * substitute(v).  Each
-    image power meets what came before at a seam as in a product, so the
-    running total is held to MAX_LETTERS syllables.  The seam walk can
-    only cancel what was emitted, so the image syllables emitted in all
-    are held to SUBSTITUTE_BUDGET.
+    distinct syllable's image power is built once a call and its piece
+    reused wherever the syllable recurs.  A piece is joined as in a
+    product: it is appended outright where its first generator differs
+    from the last one emitted, and meets what came before at a seam
+    otherwise, so the running total is held to MAX_LETTERS syllables.
+    The seam walk can only cancel what was emitted, so the image syllables
+    emitted in all, repeats included, are held to SUBSTITUTE_BUDGET.
     """
     out: list[Syllable] = []
+    pieces: dict[Syllable, tuple[Syllable, ...]] = {}
     emitted = 0
-    for gen, exp in w.syllables:
-        if gen not in images:
-            raise SubstitutionError(f"no image for generator {gen!r}")
-        piece = (images[gen] ** exp).syllables
+    for syllable in w.syllables:
+        piece = pieces.get(syllable)
+        if piece is None:
+            gen, exp = syllable
+            if gen not in images:
+                raise SubstitutionError(f"no image for generator {gen!r}")
+            piece = pieces[syllable] = (images[gen] ** exp).syllables
         emitted += len(piece)
         if emitted > SUBSTITUTE_BUDGET:
             raise ValueError(
                 f"a substitution would emit {emitted} image syllables, "
                 f"over the budget SUBSTITUTE_BUDGET = {SUBSTITUTE_BUDGET}"
             )
-        i, mid, j = _seam(out, piece)
-        out[i:] = mid
-        out += piece[j:]
+        if out and piece and out[-1][0] == piece[0][0]:
+            i, mid, j = _seam(out, piece)
+            out[i:] = mid
+            out += piece[j:]
+        elif (size := len(out) + len(piece)) > MAX_LETTERS:
+            raise over_cap("a product", size, "syllables")
+        else:
+            out += piece
     return Word._trusted(tuple(out))
 
 
@@ -322,7 +343,7 @@ def parse_word(text: str) -> Word:
             raise WordSyntaxError("malformed exponent", end)
         out.append((gen, exp))
         pos = end
-    return Word(out)
+    return Word._trusted(_free_reduce(out))
 
 
 def format_word(w: Word) -> str:

@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from nlo.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
+from nlo.cli import (
+    EXIT_DOMAIN,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    MAX_JSON_DEPTH,
+    build_parser,
+    main,
+)
 from nlo.families import ParameterError
 from nlo.serialize import params_to_doc
 from nlo.sweep import SweepSpec, grid_instances, parse_range, parse_signs
@@ -785,6 +793,31 @@ def test_verify_deep_nesting_exit_2(capsys, monkeypatch, text):
     content = content_of(out)
     assert content["verdict"] == "FAIL" and not content["passed"]
     assert "nests deeper" in content["failures"][0]
+    assert err == ""
+
+
+def nested(shape, depth):
+    # A valid document `depth` levels deep whose innermost level holds a
+    # string of brackets, which add no depth.
+    inner = '"[[{{"'
+    if shape == "arrays":
+        return "[" * depth + inner + "]" * depth
+    return '{"a":' * depth + inner + "}" * depth
+
+
+@pytest.mark.parametrize("shape", ["arrays", "objects"])
+@pytest.mark.parametrize("depth", [MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1])
+def test_verify_nesting_at_the_depth_bound_exit_2(capsys, monkeypatch, shape, depth):
+    # At MAX_JSON_DEPTH the document decodes and fails as a certificate;
+    # one level more is refused for its depth.
+    assert MAX_JSON_DEPTH == 16
+    monkeypatch.setattr("sys.stdin", io.StringIO(nested(shape, depth)))
+    code, out, err = run(capsys, "verify", "--certificate", "-")
+    assert code == EXIT_VERIFY
+    content = content_of(out)
+    assert content["verdict"] == "FAIL" and not content["passed"]
+    refused = "nests deeper than 16 levels" in content["failures"][0]
+    assert refused == (depth > MAX_JSON_DEPTH)
     assert err == ""
 
 

@@ -303,6 +303,28 @@ def test_parse_format_round_trip(raw):
     assert Word(parse_word(format_word(w)).syllables) == w
 
 
+# Terms of the word grammar, each with the raw syllable it denotes, and
+# the whitespace (possibly none) that may precede a term.
+def grammar_term(gen, exp):
+    if exp is None:
+        return gen, (gen, 1)
+    return f"{gen}^{exp}", (gen, exp)
+
+
+grammar_terms = st.builds(
+    grammar_term, st.sampled_from("abcxyz"), st.one_of(st.none(), st.integers(-12, 12))
+)
+separators = st.sampled_from(["", " ", "  ", "\t", "\n"])
+
+
+@given(st.lists(st.tuples(separators, grammar_terms), max_size=10), separators)
+def test_parse_word_matches_validating_construction(terms, tail):
+    # parse_word reduces without checking letters again; its grammar
+    # admits only a-z, so it must equal a word built with the check.
+    text = "".join(sep + term for sep, (term, _) in terms) + tail
+    assert parse_word(text).syllables == Word([syl for _, (_, syl) in terms]).syllables
+
+
 # The seam product and power against the reference full reduction.
 
 
@@ -435,6 +457,53 @@ def test_substitute_cascading_seams_match_reference(w, img_a, z_b, z_c):
     assert got.syllables == Word(raw).syllables
     assert substitute(parse_word("a b"), images) == z_b
     assert substitute(parse_word("b c"), images) == z_c
+
+
+# substitute builds each distinct syllable's image power once a call and
+# reuses it.  The strategies repeat syllables: powers of a word, and words
+# drawn from a pool of at most three syllables.
+
+syllable_pools = st.lists(st.tuples(st.sampled_from("abc"), nonzero), min_size=1, max_size=3)
+
+
+@st.composite
+def repeating_words(draw):
+    if draw(st.booleans()):
+        return draw(abc_words) ** draw(st.integers(-6, 6))
+    pool = draw(syllable_pools)
+    return Word(draw(st.lists(st.sampled_from(pool), max_size=16)))
+
+
+@given(repeating_words(), xy_words, xy_words, xy_words)
+def test_substitute_repeated_syllables_match_reference(w, img_a, img_b, z_c):
+    # c's image starts with the inverse of a's, so reused pieces also meet
+    # at seams that cancel.
+    images = {"a": img_a, "b": img_b, "c": ref_mul(ref_inv(img_a), z_c)}
+    raw = [syl for g, e in w.syllables for syl in ref_pow(images[g], e).syllables]
+    assert substitute(w, images).syllables == Word(raw).syllables
+
+
+def test_substitute_missing_image_after_repeated_syllables():
+    images = {"a": parse_word("x y"), "b": parse_word("y^-1 x")}
+    with pytest.raises(SubstitutionError, match="no image for generator 'c'"):
+        substitute(parse_word("a b") ** 4 * parse_word("c a"), images)
+
+
+def test_substitute_builds_each_distinct_image_power_once(monkeypatch):
+    calls = []
+    power = Word.__pow__
+
+    def counting_pow(self, n):
+        calls.append((self, n))
+        return power(self, n)
+
+    monkeypatch.setattr(Word, "__pow__", counting_pow)
+    images = {"a": parse_word("x y"), "b": parse_word("y^-1 x^2"), "c": parse_word("z")}
+    w = parse_word("a b^2 a b^2 c^-1 a b^2 a^-1 c^-1")
+    got = substitute(w, images)
+    assert len(calls) == len(set(w.syllables)) == 4
+    raw = [syl for g, e in w.syllables for syl in ref_pow(images[g], e).syllables]
+    assert got.syllables == Word(raw).syllables
 
 
 # The linear cyclic-rotation test against the quadratic letter-list scan
