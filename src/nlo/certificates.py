@@ -12,9 +12,9 @@ left-orderable.  Which parameters those are is decided by
 
 Nothing searches, and one function checks: ``certify`` only assembles the
 closed form for the case and the relator step it names, and
-``verify_certificate`` replays the recorded trace and checks the stated
-case, the meridian, the positive word and the framing once each.  Only
-scripts/search_positive_ell2.py searches.
+``verify_certificate`` checks the stated case, that the generator change
+round trips, the meridian, the replayed trace and positive word, and the
+framing once each.  Only scripts/search_positive_ell2.py searches.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ M_ZERO_REFUSAL = (
 
 # Verification clauses, reported individually on failure.
 CLAUSE_CASE = "case"
+CLAUSE_GENERATOR_CHANGE = "generator_change"
 CLAUSE_MERIDIAN = "meridian"
 CLAUSE_REPLAY = "trace_replay"
 CLAUSE_POSITIVITY = "positivity"
@@ -196,14 +197,16 @@ def certify(kd: KnotData) -> Certificate:
 def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
     """Check a certificate against knot data: the one check there is.
 
-    Five clauses, reported separately on failure: the stated case is the
-    knot's L-space case; x maps back to the meridian; replaying the trace
-    from the framing word and substituting forward yields the positive
-    word exactly; the positive word is positive and contains x; the
-    framing coefficient matches.  The meridian and positivity clauses are
-    the criterion's hypotheses, so the certificate asserts none itself.
-    The generator change round trips by construction (``GeneratorChange``
-    checks it).  No search is performed.
+    Six clauses, reported separately on failure: the stated case is the
+    knot's L-space case; the generator change round trips, each image of
+    one map substituted into the other giving back its generator; x maps
+    back to the meridian; replaying the trace from the framing word and
+    substituting forward yields the positive word exactly; the positive
+    word is positive and contains x; the framing coefficient matches.  A
+    change that does not round trip ends the check there.  The meridian
+    and positivity clauses are the criterion's hypotheses, so the
+    certificate asserts none itself.  The substitutions of the check share
+    one SUBSTITUTE_BUDGET.  No search is performed.
     """
     failures: list[str] = []
     expected_case = case_label(kd.params)
@@ -213,20 +216,32 @@ def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
         failures.append(f"{CLAUSE_CASE}: stated case is not {expected_case}")
 
     change = cert.change
-    x_name = change.new_generators[0] if change.new_generators else "x"
+    spent = [0]  # image syllables the check's substitutions have emitted
+    maps = {"forward": change.forward, "backward": change.backward}
     try:
-        back_x = substitute(Word([(x_name, 1)]), change.backward)
-        if back_x != kd.mu:
-            failures.append(
-                f"{CLAUSE_MERIDIAN}: backward image of {x_name} is "
-                f"{abbreviate_word(back_x)}, meridian is {abbreviate_word(kd.mu)}"
-            )
+        for there, back in (("forward", "backward"), ("backward", "forward")):
+            for gen, image in maps[there].items():
+                letter = Word([(gen, 1)])
+                got = substitute(image, maps[back], spent)
+                if got != letter:
+                    raise ValueError(f"{back}({there}({gen})) = {got!r}, expected {gen}")
     except ValueError as exc:
-        failures.append(f"{CLAUSE_MERIDIAN}: {exc}")
+        failures.append(f"{CLAUSE_GENERATOR_CHANGE}: {exc}")
+        return VerificationReport(tuple(failures))
+
+    x_name = next(iter(change.backward), "x")
+    back_x = change.backward.get(x_name)
+    if back_x is None:
+        failures.append(f"{CLAUSE_MERIDIAN}: no image for generator {x_name!r}")
+    elif back_x != kd.mu:
+        failures.append(
+            f"{CLAUSE_MERIDIAN}: backward image of {x_name} is "
+            f"{abbreviate_word(back_x)}, meridian is {abbreviate_word(kd.mu)}"
+        )
 
     try:
         replayed = replay_trace(kd.s, cert.trace, kd.presentation.relators)
-        rewritten = substitute(replayed, change.forward)
+        rewritten = substitute(replayed, change.forward, spent)
         if rewritten != cert.positive_s:
             failures.append(
                 f"{CLAUSE_REPLAY}: trace replay gives {abbreviate_word(rewritten)}, "

@@ -95,8 +95,8 @@ def certificate_to_doc(cert: Certificate) -> Doc:
         "params": params_to_doc(cert.params),
         "case": cert.case,
         "generator_change": {
-            "old_generators": list(cert.change.old_generators),
-            "new_generators": list(cert.change.new_generators),
+            "old_generators": list(cert.change.forward),
+            "new_generators": list(cert.change.backward),
             "forward": {g: format_word(w) for g, w in cert.change.forward.items()},
             "backward": {g: format_word(w) for g, w in cert.change.backward.items()},
         },

@@ -10,14 +10,16 @@ independent of this encoding.  ``letter_text`` is the one unrolled form,
 one character a letter with an inverse in upper case.
 
 Only construction validates letters and runs a full free reduction:
-``Word(...)`` checks each letter, and ``parse_word``'s grammar admits
-letters only, so it reduces without checking them again.  The algebra
+``Word(...)`` checks each letter, and ``parse_word`` matches the whole
+text against a grammar that admits letters a-z only, so it reduces the
+terms it reads without checking them again.  The algebra
 keeps words reduced without one, and grows a word in two kernels only.
 ``_seam`` finds where two reduced words meet, merging or cancelling only
 there.  A product, and each image piece a substitution appends, calls it
 only where the last generator of one side is the first of the other;
 elsewhere nothing can merge, and the two are concatenated.  A
-substitution builds each distinct syllable's image power once.  A power
+substitution builds each distinct syllable's image power once, and the
+substitutions of one check share one SUBSTITUTE_BUDGET.  A power
 is built in one tuple from the core left when ``_peel`` takes the
 conjugator off its base, and ``cyclic_reduce`` peels the same way.
 Both kernels compute the syllable count of their result and hold it to
@@ -27,7 +29,8 @@ words, is worded by ``over_cap``.
 ``word_from_text`` reduces text the package made without validating its
 letters again.
 
-All values are immutable and all operations are pure.
+All values are immutable and all operations are pure, but for the count
+that calls of ``substitute`` may share.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ Syllable = tuple[str, int]
 # Cap on the letters a word is unrolled into and on the syllables one is built of.
 MAX_LETTERS = 1_000_000
 
-# Cap on the image syllables one substitution emits, and so on its seam walk.
+# Cap on the image syllables the substitutions sharing a count emit, and so on their seam walks.
 SUBSTITUTE_BUDGET = 3_000_000
 
 # Characters of word text that abbreviate_word keeps in a message.
@@ -220,7 +223,7 @@ class Word:
 _IDENTITY = Word._trusted(())
 
 
-def substitute(w: Word, images: Mapping[str, Word]) -> Word:
+def substitute(w: Word, images: Mapping[str, Word], spent: list[int] | None = None) -> Word:
     """Homomorphic image of ``w`` under generator -> word assignments.
 
     Every generator occurring in ``w`` must have an image; the result is
@@ -231,11 +234,13 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     from the last one emitted, and meets what came before at a seam
     otherwise, so the running total is held to MAX_LETTERS syllables.
     The seam walk can only cancel what was emitted, so the image syllables
-    emitted in all, repeats included, are held to SUBSTITUTE_BUDGET.
+    emitted in all, repeats included, are held to SUBSTITUTE_BUDGET.  The
+    calls that pass one ``spent``, a one-item list of the count, share
+    one budget: each starts from the count and leaves its own added.
     """
     out: list[Syllable] = []
     pieces: dict[Syllable, tuple[Syllable, ...]] = {}
-    emitted = 0
+    emitted = 0 if spent is None else spent[0]
     for syllable in w.syllables:
         piece = pieces.get(syllable)
         if piece is None:
@@ -257,6 +262,8 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
             raise over_cap("a product", size, "syllables")
         else:
             out += piece
+    if spent is not None:
+        spent[0] = emitted
     return Word._trusted(tuple(out))
 
 
@@ -313,37 +320,31 @@ def is_cyclic_rotation(u: Word, v: Word) -> bool:
     return len(a) == len(b) and a in b + b
 
 
-_TOKEN = re.compile(r"\s*([a-z])(?:\^(-?\d+))?")
+# The word grammar over a whole text, and one term of it.  An exponent has
+# at most 640 digits, as many as int() converts under any interpreter setting.
+_WORD = re.compile(r"(?:\s*[a-z](?:\^-?[0-9]{1,640}(?![0-9]))?)*\s*")
+_TERM = re.compile(r"([a-z])(?:\^(-?[0-9]+))?")
 
 
 def parse_word(text: str) -> Word:
     """Parse the word grammar: terms ``letter`` or ``letter^int``.
 
     Whitespace separates terms; an omitted exponent means 1; the empty
-    string is the identity.
+    string is the identity; an exponent is at most 640 ASCII digits.  One
+    grammar match reads the text and one findall its terms.  Where the
+    match stops short, the character there names the error: ``^`` right
+    after a letter is a malformed exponent, any other ``^`` an exponent
+    without a generator.
     """
-    pos = 0
-    out: list[Syllable] = []
-    n = len(text)
-    while pos < n:
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = pos + (len(text[pos:]) - len(stripped))
-            if text[bad] == "^":
-                raise WordSyntaxError("exponent without a generator", bad)
-            raise WordSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        gen = match.group(1)
-        exp = 1 if match.group(2) is None else int(match.group(2))
-        # Reject a dangling caret such as "a^" or "a^x".
-        end = match.end()
-        if match.group(2) is None and end < n and text[end] == "^":
+    end = _WORD.match(text).end()
+    if end < len(text):
+        if text[end] != "^":
+            raise WordSyntaxError(f"unexpected character {text[end]!r}", end)
+        if text[end - 1 : end].isalpha():
             raise WordSyntaxError("malformed exponent", end)
-        out.append((gen, exp))
-        pos = end
-    return Word._trusted(_free_reduce(out))
+        raise WordSyntaxError("exponent without a generator", end)
+    raw = [(gen, int(exp) if exp else 1) for gen, exp in _TERM.findall(text)]
+    return Word._trusted(_free_reduce(raw))
 
 
 def format_word(w: Word) -> str:

@@ -217,4 +217,4 @@ def test_criterion_7_negative_controls():
         assert str(err.value) == ELL2_REFUSAL
     # Positive certificates for the same instances exist in neither change.
     assert is_positive(certify(build(FamilyParams(4, 1, 1, 2, 1))).positive_s)
-    assert xy_change(FamilyParams(4, 1, 1, 2, 1)).new_generators == ("x", "y")
+    assert tuple(xy_change(FamilyParams(4, 1, 1, 2, 1)).backward) == ("x", "y")

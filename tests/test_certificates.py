@@ -12,6 +12,7 @@ import nlo.certificates as certificates
 from nlo.certificates import (
     CLAUSE_CASE,
     CLAUSE_FRAMING,
+    CLAUSE_GENERATOR_CHANGE,
     CLAUSE_MERIDIAN,
     CLAUSE_POSITIVITY,
     CLAUSE_REPLAY,
@@ -200,29 +201,49 @@ def test_certify_only_assembles(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("certify checked its own certificate")
 
+    # Every module that bound substitute, nlo.words included: certify,
+    # xy_change included, substitutes nothing.
     monkeypatch.setattr(certificates, "replay_trace", refuse)
-    monkeypatch.setattr(certificates, "substitute", refuse)
+    for module in list(sys.modules.values()):
+        if getattr(module, "substitute", None) is substitute:
+            monkeypatch.setattr(module, "substitute", refuse)
     for params in STEP_GRID:
         assert certify(build(params)).v == params.v, params
 
 
 def test_each_generator_change_is_checked_once(monkeypatch, capsys):
+    # nlo certify and nlo verify each run the round trip once, each image
+    # substituted into the other map, then substitute the replayed framing.
     from nlo.cli import main
 
     calls = []
-    real = GeneratorChange.__post_init__
 
-    def counting(self):
-        calls.append(self)
-        real(self)
+    def spy(w, images, spent):
+        calls.append((w, tuple(images)))
+        return substitute(w, images, spent)
 
-    monkeypatch.setattr(GeneratorChange, "__post_init__", counting)
-    argv = "certify --p 4 --k 1 --sign -1 --ell 2 --m 1".split()
-    assert main(argv) == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(certificates, "substitute", spy)
+    change = xy_change(FamilyParams(4, 1, -1, 2, 1))
+    round_trip = [(w, ("x", "y")) for w in change.forward.values()] + [
+        (w, ("a", "b")) for w in change.backward.values()
+    ]
+    assert main("certify --p 4 --k 1 --sign -1 --ell 2 --m 1".split()) == 0
+    assert calls[:4] == round_trip and len(calls) == 5
+    calls.clear()
     monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
     assert main(["verify", "--certificate", "-"]) == 0
-    assert len(calls) == 2
+    assert calls[:4] == round_trip and len(calls) == 5
+
+
+def test_generator_change_round_trip_enforced():
+    kd = build(FamilyParams(3, 2, -1, 2, 1))
+    change = GeneratorChange(forward={"a": parse_word("x")}, backward={"x": parse_word("a^2")})
+    failure = f"{CLAUSE_GENERATOR_CHANGE}: backward(forward(a)) = Word('a^2'), expected a"
+    report = verify_certificate(kd, dataclasses.replace(certify(kd), change=change))
+    assert report.failures == (failure,)
+    # The check ends there, after the case clause.
+    report = verify_certificate(kd, dataclasses.replace(certify(kd), change=change, case="?"))
+    assert report.failures == (f"{CLAUSE_CASE}: stated case is not sign=-1,ell=p-1", failure)
 
 
 def test_slope_range_boundary_and_signs():

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import random
 import re
 import time
 from pathlib import Path
@@ -20,7 +21,7 @@ from nlo.cli import (
 from nlo.families import ParameterError
 from nlo.serialize import params_to_doc
 from nlo.sweep import SweepSpec, grid_instances, parse_range, parse_signs
-from nlo.words import MAX_LETTERS, SUBSTITUTE_BUDGET
+from nlo.words import MAX_LETTERS, SUBSTITUTE_BUDGET, Word, format_word, parse_word, substitute
 
 # sha256 of the canonical content of `nlo certify` on the grid
 # p 3:12, k 1:6, m 1:5, keyed "p,k,sign,ell,m"; the benchmark checks the
@@ -262,6 +263,41 @@ def test_verify_cancelling_substitution_stops_at_the_budget(capsys, monkeypatch,
     assert err == ""
 
 
+def conjugated_change(doc, n):
+    """Edit the T(3,5;2,1) certificate ``doc`` to conjugate its change by a
+    random reduced word u of n syllables in a, b: backward images
+    u w u^-1 and forward images U^-1 w U, U the forward image of u.  The
+    change still round trips; for n below 560 each of its substitutions
+    stays under SUBSTITUTE_BUDGET, but together they do not."""
+    rng = random.Random(59)
+    u = Word()
+    while len(u.syllables) < n:
+        u = u * Word([(rng.choice("ab"), rng.choice([-2, -1, 1, 2]))])
+    change = doc["generator_change"]
+    forward = {g: parse_word(text) for g, text in change["forward"].items()}
+    conjugator = substitute(u, forward)
+    for g, text in change["backward"].items():
+        change["backward"][g] = format_word(u * parse_word(text) * ~u)
+    for g, w in forward.items():
+        change["forward"][g] = format_word(~conjugator * w * conjugator)
+
+
+@pytest.mark.parametrize("n", [300, 400, 500, 560, 600, 700])
+def test_verify_substitutions_share_one_budget(capsys, monkeypatch, n):
+    _, out, _ = run(capsys, "certify", *T35)
+    cert_doc = json.loads(out)["content"]["certificate"]
+    conjugated_change(cert_doc, n)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(cert_doc)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--certificate", "-")
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_VERIFY
+    (failure,) = content_of(out)["failures"]
+    assert failure.startswith("generator_change: a substitution would emit ")
+    assert failure.endswith(f"over the budget SUBSTITUTE_BUDGET = {SUBSTITUTE_BUDGET}")
+    assert err == ""
+
+
 def test_largest_grid_substitution_is_within_the_budget(capsys, monkeypatch):
     # Its forward substitution emits about 2 * 10^6 image syllables.
     flags = ["--p", "200", "--k", "50", "--sign", "-1", "--ell", "199", "--m", "50"]
@@ -345,6 +381,41 @@ def test_verify_integer_fields_must_be_integers(capsys, monkeypatch, path, value
     code, out, err = verify_edited(capsys, monkeypatch, T42, retype)
     assert code == EXIT_VERIFY
     assert "must be an integer" in content_of(out)["failures"][0]
+    assert err == ""
+
+
+def _rename_forward_key(doc):
+    change = doc["generator_change"]
+    change["forward"] = {"ab" if g == "a" else g: w for g, w in change["forward"].items()}
+    change["old_generators"] = list(change["forward"])
+
+
+def _drop_backward_y(doc):
+    del doc["generator_change"]["backward"]["y"]
+    doc["generator_change"]["new_generators"] = ["x"]
+
+
+@pytest.mark.parametrize(
+    "edit, failure",
+    [(lambda doc: doc["generator_change"]["backward"].update(x="a^-1 b^3"),
+      "backward(forward(a)) = Word('b a'), expected a"),
+     (_rename_forward_key, "generator must be a single letter a-z, got 'ab'"),
+     (_drop_backward_y, "no image for generator 'y'")],
+    ids=["not-inverse", "key-not-a-letter", "missing-image"],
+)
+def test_verify_generator_change_clause(capsys, monkeypatch, edit, failure):
+    code, out, err = verify_edited(capsys, monkeypatch, T35, edit)
+    assert code == EXIT_VERIFY
+    assert content_of(out)["failures"] == [f"generator_change: {failure}"]
+    assert err == ""
+
+
+def test_verify_exponent_with_too_many_digits_exit_2(capsys, monkeypatch):
+    code, out, err = verify_edited(
+        capsys, monkeypatch, T35, lambda doc: doc.update(positive_s="x^" + "9" * 5000)
+    )
+    assert code == EXIT_VERIFY
+    assert content_of(out)["failures"] == ["malformed exponent (at position 1)"]
     assert err == ""
 
 

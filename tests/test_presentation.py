@@ -5,10 +5,8 @@ import pytest
 from nlo.families import FamilyParams, build
 from nlo.homology import abelianization_matrix
 from nlo.presentation import (
-    GeneratorChange,
     Presentation,
     RewriteError,
-    RoundTripError,
     TraceStep,
     apply_relation,
     replay_trace,
@@ -124,14 +122,6 @@ def test_search_cap():
     lhs, rhs = knot_relation(kd)
     with pytest.raises(SearchCapExceeded):
         find_relation_applications(kd.s, lhs * ~rhs, 2, node_cap=50)
-
-
-def test_generator_change_round_trip_enforced():
-    with pytest.raises(RoundTripError):
-        GeneratorChange(
-            forward={"a": parse_word("x")},
-            backward={"x": parse_word("a^2")},
-        )
 
 
 def test_apply_relation_preserves_abelianization():

@@ -20,6 +20,7 @@ from nlo.words import (
     substitute,
     word_from_text,
 )
+import reference_parse
 from rewrite_search import _insertion_words
 
 raw_syllables = st.lists(
@@ -228,6 +229,25 @@ def test_substitution_emitting_over_the_budget_is_refused(monkeypatch):
     )
 
 
+def test_substitutions_sharing_a_count_share_one_budget(monkeypatch):
+    # Each call has a budget of its own; calls that pass one count share it.
+    monkeypatch.setattr(words_mod, "SUBSTITUTE_BUDGET", 100)
+    xy = parse_word("x y") ** 5
+    images = {"a": xy, "b": ~xy}
+    w = parse_word("a b") ** 3
+    for _ in range(2):
+        assert substitute(w, images) == Word()
+    spent = [0]
+    assert substitute(w, images, spent) == Word()
+    assert spent == [60]
+    with pytest.raises(ValueError) as err:
+        substitute(w, images, spent)
+    assert str(err.value) == (
+        "a substitution would emit 110 image syllables, "
+        "over the budget SUBSTITUTE_BUDGET = 100"
+    )
+
+
 def test_cyclic_reduce():
     assert cyclic_reduce(parse_word("a^-1 b a")) == parse_word("b")
     assert cyclic_reduce(parse_word("a b a^2")) == parse_word("b a^3")
@@ -323,6 +343,53 @@ def test_parse_word_matches_validating_construction(terms, tail):
     # admits only a-z, so it must equal a word built with the check.
     text = "".join(sep + term for sep, (term, _) in terms) + tail
     assert parse_word(text).syllables == Word([syl for _, (_, syl) in terms]).syllables
+
+
+# parse_word against the term-by-term tokenizer it replaced, on any text
+# over a few letters, other characters, carets, signs, digits and
+# whitespace: the same word, or the same error at the same position.
+parser_text = st.text(alphabet="ab zA$^-0123 \t\n", max_size=24)
+
+
+@given(parser_text)
+def test_parse_word_matches_reference_tokenizer(text):
+    def parsed(parse):
+        try:
+            return parse(text)
+        except WordSyntaxError as exc:
+            return str(exc), exc.position
+
+    assert parsed(parse_word) == parsed(reference_parse.parse_word)
+
+
+@pytest.mark.parametrize(
+    "text, position", [("a^٣ b^２", 1), ("a^3 b^２", 5)], ids=["arabic-indic", "fullwidth"]
+)
+def test_parse_word_refuses_non_ascii_digits(text, position):
+    # An Arabic-Indic three and a fullwidth two: the tokenizer's \d read
+    # them as a^3 b^2, but the grammar writes ASCII digits only.
+    assert reference_parse.parse_word(text) == parse_word("a^3 b^2")
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(text)
+    assert (str(err.value), err.value.position) == (
+        f"malformed exponent (at position {position})", position
+    )
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("a^" + "9" * 5000, 1), ("b a^2 c^-" + "1" * 641, 7)],
+    ids=["5000-digits", "641-digits"],
+)
+def test_parse_word_refuses_an_exponent_of_more_than_640_digits(text, position):
+    # int() may refuse more digits, depending on the interpreter; the
+    # grammar refuses them alike everywhere, at the exponent's caret.
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(text)
+    assert (str(err.value), err.value.position) == (
+        f"malformed exponent (at position {position})", position
+    )
+    assert parse_word("a^-" + "9" * 640).syllables == (("a", -int("9" * 640)),)
 
 
 # The seam product and power against the reference full reduction.
