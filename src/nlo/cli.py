@@ -5,15 +5,26 @@ order, commutation, sweep.  Flags are long-form only.  Output is a
 deterministic document whose header (tool name/version, schema version)
 is separate from the content, so content hashes are stable across runs.
 
+Each command's handler and flags are one entry of the table
+``_COMMANDS``, and ``_read`` walks argv once against it.  A flag takes its
+value as ``--flag value`` or ``--flag=value``, and may be shortened to any
+unique prefix of its name.  The last value given wins, but ``--subgroup``
+collects its values.  A lone ``-`` is a value.  A separate value that
+starts with ``-`` and is not a number reads as a flag, and so as a missing
+value: a negative slope is written ``--slope=-1/1``.  ``--help`` lists a
+command's flags.  A refusal prints the usage line and the reason, with
+any outside text in it cut to MESSAGE_WORD_CHARS characters.
+
 Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from functools import cache
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, NoReturn
 
 from . import __version__
 from .alexander import alexander_polynomial, genus, polynomial_text
@@ -42,37 +53,18 @@ from .serialize import (
     verification_to_doc,
 )
 from .sweep import ALL_CASES, SweepSpec, parse_range, parse_signs, run_sweep
-from .words import parse_word
+from .words import abbreviate_text, parse_word
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
 
-# argparse takes a separate value that starts with "-" for a flag.
+# A separate value that starts with "-" and is not a number reads as a flag.
 SLOPE_HELP = "p'/q' or p'; give a negative slope as --slope=-1/1, not --slope -1/1"
 
 # Certificate documents nest about 5 levels; json recurses once per level.
 MAX_JSON_DEPTH = 16
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--sign", type=int, required=True, choices=(-1, 1))
-    sub.add_argument("--ell", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
-
-
-def _add_format_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def _knot(args) -> KnotData:
@@ -296,55 +288,190 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if result["failed"] == 0 else EXIT_VERIFY
 
 
-@cache
-def build_parser() -> _Parser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(prog="nlo", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Flag(NamedTuple):
+    """One long flag: its text becomes ``convert(text)``, which must be one
+    of ``choices`` if there are any; an ``append`` flag collects a list."""
 
-    for name, fn in (
-        ("present", _cmd_present),
-        ("certify", _cmd_certify),
-        ("surgery", _cmd_surgery),
-        ("homology", _cmd_homology),
-        ("alexander", _cmd_alexander),
-        ("order", _cmd_order),
-        ("commutation", _cmd_commutation),
-    ):
-        cmd = sub.add_parser(name)
-        cmd.set_defaults(fn=fn)
-        _add_param_flags(cmd)
-        _add_format_flag(cmd)
+    name: str
+    dest: str
+    convert: Callable[[str], object] = str
+    choices: tuple = ()
+    required: bool = False
+    default: object = None
+    append: bool = False
+    help: str = ""
 
-    sub.choices["surgery"].add_argument("--slope", required=True, help=SLOPE_HELP)
-    sub.choices["homology"].add_argument("--slope", help=SLOPE_HELP)
-    sub.choices["order"].add_argument("--slope", help=SLOPE_HELP)
-    sub.choices["order"].add_argument("--subgroup", action="append", default=[])
-    for name, cap in (("order", DEFAULT_MAX_COSETS), ("commutation", COMMUTATION_MAX_COSETS)):
-        sub.choices[name].add_argument("--max-cosets", type=int, default=cap)
 
-    verify = sub.add_parser("verify")
-    verify.set_defaults(fn=_cmd_verify)
-    verify.add_argument("--certificate", required=True)
-    _add_format_flag(verify)
+def _flag(name: str, convert: Callable[[str], object] = str, **options) -> _Flag:
+    return _Flag(name, name[2:].replace("-", "_"), convert, **options)
 
-    swp = sub.add_parser("sweep")
-    swp.set_defaults(fn=_cmd_sweep)
-    for name in _SWEEP_FIELDS:
-        swp.add_argument("--" + name.replace("_", "-"))
-    swp.add_argument("--output")
-    _add_format_flag(swp)
-    return parser
+
+_HELP = _flag("--help", help="show this help message and exit")
+_PARAMS = (
+    _flag("--p", int, required=True),
+    _flag("--k", int, required=True),
+    _flag("--sign", int, choices=(-1, 1), required=True),
+    _flag("--ell", int, required=True),
+    _flag("--m", int, required=True),
+)
+_FORMAT = _flag("--format", choices=("json", "text"), default="json")
+_SLOPE = _flag("--slope", help=SLOPE_HELP)
+
+
+def _by_name(*flags: _Flag) -> dict[str, _Flag]:
+    return {flag.name: flag for flag in flags}
+
+
+# Each command's handler and its flags by name, in the order usage lines list them.
+_COMMANDS = {
+    "present": (_cmd_present, _by_name(*_PARAMS, _FORMAT)),
+    "certify": (_cmd_certify, _by_name(*_PARAMS, _FORMAT)),
+    "surgery": (_cmd_surgery, _by_name(*_PARAMS, _FORMAT, _SLOPE._replace(required=True))),
+    "homology": (_cmd_homology, _by_name(*_PARAMS, _FORMAT, _SLOPE)),
+    "alexander": (_cmd_alexander, _by_name(*_PARAMS, _FORMAT)),
+    "order": (_cmd_order, _by_name(
+        *_PARAMS, _FORMAT, _SLOPE, _flag("--subgroup", append=True),
+        _flag("--max-cosets", int, default=DEFAULT_MAX_COSETS),
+    )),
+    "commutation": (_cmd_commutation, _by_name(
+        *_PARAMS, _FORMAT, _flag("--max-cosets", int, default=COMMUTATION_MAX_COSETS),
+    )),
+    "verify": (_cmd_verify, _by_name(_flag("--certificate", required=True), _FORMAT)),
+    "sweep": (_cmd_sweep, _by_name(
+        *(_flag("--" + name.replace("_", "-")) for name in _SWEEP_FIELDS),
+        _flag("--output"), _FORMAT,
+    )),
+}
+
+# A token that looks like a negative number is a value.
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _metavar(flag: _Flag) -> str:
+    if flag.choices:
+        return "{" + ",".join(map(str, flag.choices)) + "}"
+    return flag.dest.upper()
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: nlo [-h] {{{','.join(_COMMANDS)}}} ..."
+    shown = (f"{name} {_metavar(flag)}" if flag.required else f"[{name} {_metavar(flag)}]"
+             for name, flag in _COMMANDS[command][1].items())
+    return f"usage: nlo {command} [-h] {' '.join(shown)}"
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        return f"{_usage(None)}\n\n{__doc__}\nnlo COMMAND --help lists the flags of COMMAND."
+    rows = [("-h, --help", _HELP.help)]
+    for name, flag in _COMMANDS[command][1].items():
+        notes = ("required" if flag.required else "",
+                 "" if flag.default is None else f"default {flag.default}",
+                 "may repeat" if flag.append else "", flag.help)
+        rows.append((f"{name} {_metavar(flag)}", "; ".join(note for note in notes if note)))
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([_usage(command), "", "options:",
+                      *(f"  {left:{width}}{right}".rstrip() for left, right in rows)])
+
+
+def _refuse(command: str | None, message: str) -> NoReturn:
+    print(_usage(command), file=sys.stderr)
+    print(f"nlo{' ' + command if command else ''}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _match(command: str, flags: dict[str, _Flag], token: str):
+    """None if ``token`` is a value; else the flag it names (None for one
+    the command lacks) and the text it joins by ``=`` (None if it joins
+    none).  A long flag may be shortened to a unique prefix."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, text = token.partition("=")
+    if token.startswith("--"):
+        hits = [flags[name]] if name in flags else [
+            flag for flag in (_HELP, *flags.values()) if flag.name.startswith(name)]
+        if len(hits) > 1:
+            _refuse(command, f"ambiguous option: {abbreviate_text(token)} could match "
+                    + ", ".join(flag.name for flag in hits))
+        if hits:
+            return hits[0], (text if eq else None)
+    elif token.startswith("-h"):
+        return _HELP, token[2:] or None
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _read(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
+    """The handler of ``argv``'s command and the values of its flags.
+
+    Prints and raises SystemExit(EXIT_USAGE) on a refusal, and
+    SystemExit(EXIT_OK) on a request for help.
+    """
+    if not argv:
+        _refuse(None, "the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if command == "-h" or (len(command) > 2 and "--help".startswith(command)):
+        print(_help(None))
+        raise SystemExit(EXIT_OK)
+    if command not in _COMMANDS:
+        _refuse(None, f"argument command: invalid choice: {abbreviate_text(repr(command))} "
+                f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    handler, flags = _COMMANDS[command]
+    values = {flag.dest: [] if flag.append else flag.default for flag in flags.values()}
+    extras, i = [], 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if token == "--":  # no flag takes what follows
+            extras += rest[i - 1:]
+            break
+        hit = _match(command, flags, token)
+        if hit is None or hit[0] is None:
+            extras.append(token)
+            continue
+        flag, text = hit
+        if flag is _HELP:
+            if text is not None:
+                _refuse(command, "argument -h/--help: ignored explicit argument "
+                        + abbreviate_text(repr(text)))
+            print(_help(command))
+            raise SystemExit(EXIT_OK)
+        if text is None:
+            if i == len(rest) or rest[i] == "--" or _match(command, flags, rest[i]) is not None:
+                _refuse(command, f"argument {flag.name}: expected one argument")
+            text = rest[i]
+            i += 1
+        try:
+            value = flag.convert(text)
+        except ValueError:
+            _refuse(command, f"argument {flag.name}: invalid {flag.convert.__name__} value: "
+                    + abbreviate_text(repr(text)))
+        if flag.choices and value not in flag.choices:
+            _refuse(command, f"argument {flag.name}: invalid choice: "
+                    f"{abbreviate_text(repr(value))} "
+                    f"(choose from {', '.join(map(repr, flag.choices))})")
+        if flag.append:
+            values[flag.dest].append(value)
+        else:
+            values[flag.dest] = value
+    # A required flag has no default, and a value given is never None.
+    missing = [name for name, flag in flags.items() if flag.required and values[flag.dest] is None]
+    if missing:
+        _refuse(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _refuse(command, f"unrecognized arguments: {abbreviate_text(' '.join(extras))}")
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        handler, args = _read(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
+        return exc.code
     try:
-        return args.fn(args)
+        return handler(args)
     except (ValueError, OSError) as exc:
         print(f"nlo: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

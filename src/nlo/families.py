@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .presentation import Presentation
-from .words import MAX_LETTERS, Word, over_cap
+from .words import MAX_LETTERS, Word, abbreviate_text, over_cap
 
 M_ZERO_NOTE = (
     "m = 0 is the untwisted torus-knot degeneration, outside the standing "
@@ -113,7 +113,7 @@ class Slope:
         try:
             num, den = int(head), (int(tail) if sep else 1)
         except ValueError as exc:
-            raise ParameterError(f"malformed slope {text!r}") from exc
+            raise ParameterError(f"malformed slope {abbreviate_text(repr(text))}") from exc
         return cls(num, den)
 
     def __str__(self) -> str:

@@ -12,6 +12,7 @@ from itertools import product
 from .certificates import VerificationReport, certify, verify_certificate
 from .families import CERTIFIED_CASES, FamilyParams, build, certified_case
 from .serialize import certificate_to_doc, params_to_doc
+from .words import abbreviate_text
 
 # The ``cases`` values: the ell condition that opens each certified case.
 ALL_CASES = tuple(case.split(",")[0] for case in CERTIFIED_CASES)
@@ -56,7 +57,9 @@ def parse_range(text: str) -> tuple[int, int]:
     try:
         return (int(lo), int(hi if sep else lo))
     except ValueError:
-        raise ValueError(f"malformed range {text!r}: expected lo:hi or n") from None
+        raise ValueError(
+            f"malformed range {abbreviate_text(repr(text))}: expected lo:hi or n"
+        ) from None
 
 
 def parse_signs(text: str) -> tuple[int, ...]:
@@ -65,7 +68,8 @@ def parse_signs(text: str) -> tuple[int, ...]:
         return tuple(int(s) for s in text.split(","))
     except ValueError:
         raise ValueError(
-            f"malformed signs {text!r}: expected a comma-separated list of -1 and 1"
+            f"malformed signs {abbreviate_text(repr(text))}: "
+            "expected a comma-separated list of -1 and 1"
         ) from None
 
 

@@ -46,7 +46,8 @@ MAX_LETTERS = 1_000_000
 # Cap on the image syllables the substitutions sharing a count emit, and so on their seam walks.
 SUBSTITUTE_BUDGET = 3_000_000
 
-# Characters of word text that abbreviate_word keeps in a message.
+# Characters of text a message quotes: abbreviate_word keeps the whole
+# syllables that fit, abbreviate_text cuts any other text there.
 MESSAGE_WORD_CHARS = 200
 
 # A run of one repeated character in letter text.
@@ -69,6 +70,14 @@ def over_cap(what: str, size: int, unit: str) -> ValueError:
     """The one refusal of work over the cap: ``what`` would have ``size``
     ``unit`` (syllables or letters), more than MAX_LETTERS."""
     return ValueError(f"{what} would have {size} {unit}, over the cap MAX_LETTERS = {MAX_LETTERS}")
+
+
+def abbreviate_text(text: str) -> str:
+    """``text`` for a message: past MESSAGE_WORD_CHARS characters it is cut
+    there and its length given, so outside input cannot blow up a message."""
+    if len(text) <= MESSAGE_WORD_CHARS:
+        return text
+    return f"{text[:MESSAGE_WORD_CHARS]}… ({len(text)} characters)"
 
 
 def _free_reduce(raw: Iterable[Syllable]) -> tuple[Syllable, ...]:
@@ -143,9 +152,7 @@ class Word:
         raw = list(raw)
         for gen, _ in raw:
             if not (isinstance(gen, str) and len(gen) == 1 and "a" <= gen <= "z"):
-                shown = repr(gen)
-                if len(shown) > MESSAGE_WORD_CHARS:
-                    shown = f"{shown[:MESSAGE_WORD_CHARS]}… ({len(shown)} characters)"
+                shown = abbreviate_text(repr(gen))
                 raise ValueError(f"generator must be a single letter a-z, got {shown}")
         self.syllables: tuple[Syllable, ...] = _free_reduce(raw)
 
@@ -320,16 +327,17 @@ def is_cyclic_rotation(u: Word, v: Word) -> bool:
     return len(a) == len(b) and a in b + b
 
 
-# The word grammar over a whole text, and one term of it.  An exponent has
-# at most 640 digits, as many as int() converts under any interpreter setting.
-_WORD = re.compile(r"(?:\s*[a-z](?:\^-?[0-9]{1,640}(?![0-9]))?)*\s*")
+# The word grammar over a whole text, and one term of it.  Terms are
+# separated by ASCII whitespace only.  An exponent has at most 640 digits,
+# as many as int() converts under any interpreter setting.
+_WORD = re.compile(r"(?:[ \t\n\r\f\v]*[a-z](?:\^-?[0-9]{1,640}(?![0-9]))?)*[ \t\n\r\f\v]*")
 _TERM = re.compile(r"([a-z])(?:\^(-?[0-9]+))?")
 
 
 def parse_word(text: str) -> Word:
     """Parse the word grammar: terms ``letter`` or ``letter^int``.
 
-    Whitespace separates terms; an omitted exponent means 1; the empty
+    ASCII whitespace separates terms; an omitted exponent means 1; the empty
     string is the identity; an exponent is at most 640 ASCII digits.  One
     grammar match reads the text and one findall its terms.  Where the
     match stops short, the character there names the error: ``^`` right

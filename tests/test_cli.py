@@ -1,21 +1,28 @@
-import argparse
+import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_cli
+from nlo import cli
 from nlo.cli import (
+    _COMMANDS,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
     MAX_JSON_DEPTH,
-    build_parser,
     main,
 )
 from nlo.families import ParameterError
@@ -116,7 +123,8 @@ def test_negative_slope_needs_equals_sign(capsys, command):
     cap = ["--max-cosets", "100"] if command == "order" else []
     code, out, _ = run(capsys, command, *TREFOIL, "--slope=-1/1", *cap)
     assert code == EXIT_OK and out
-    # argparse reads a separate "-1/1" as a flag.
+    # nlo reads a separate value that starts with "-" and is not a number
+    # as a flag, so "--slope" is left without its value.
     code, _, err = run(capsys, command, *TREFOIL, "--slope", "-1/1", *cap)
     assert code == EXIT_USAGE
     assert "expected one argument" in err
@@ -131,6 +139,38 @@ def test_negative_slope_needs_equals_sign(capsys, command):
 )
 def test_usage_error_exit_64(capsys, argv):
     assert run(capsys, *argv)[0] == EXIT_USAGE
+
+
+# Each refusal prints the command's usage line, then argparse's text.
+@pytest.mark.parametrize("argv, usage, error", [
+    (["frobnicate"], "usage: nlo [-h] {present,",
+     "nlo: error: argument command: invalid choice: 'frobnicate' (choose from 'present', "),
+    ([], "usage: nlo [-h] {present,", "nlo: error: the following arguments are required: command"),
+    (["homology", "--p", "3"], "usage: nlo homology [-h] --p P --k K --sign {-1,1} ",
+     "nlo homology: error: the following arguments are required: --k, --sign, --ell, --m"),
+    (["homology", *T35, "--s=-1"], "usage: nlo homology [-h] ",
+     "nlo homology: error: ambiguous option: --s=-1 could match --sign, --slope"),
+    (["homology", *T35, "--p", "x"], "usage: nlo homology [-h] ",
+     "nlo homology: error: argument --p: invalid int value: 'x'"),
+    (["homology", *T35, "--sign", "2"], "usage: nlo homology [-h] ",
+     "nlo homology: error: argument --sign: invalid choice: 2 (choose from -1, 1)"),
+    (["homology", *T35, "--format", "xml"], "usage: nlo homology [-h] ",
+     "nlo homology: error: argument --format: invalid choice: 'xml' (choose from 'json', 'text')"),
+    (["homology", *T35, "--slope", "--m", "1"], "usage: nlo homology [-h] ",
+     "nlo homology: error: argument --slope: expected one argument"),
+    (["homology", *T35, "--", "--slope", "1/1"], "usage: nlo homology [-h] ",
+     "nlo homology: error: unrecognized arguments: -- --slope 1/1"),
+    (["homology", *T35, "-x y", "--bogus"], "usage: nlo homology [-h] ",
+     "nlo homology: error: unrecognized arguments: -x y --bogus"),
+    (["homology", "--help=x"], "usage: nlo homology [-h] ",
+     "nlo homology: error: argument -h/--help: ignored explicit argument 'x'"),
+], ids=["command", "no-command", "required", "ambiguous", "int", "int-choice", "choice",
+        "expected-one", "double-dash", "unrecognized", "help-value"])
+def test_usage_refusals_keep_argparse_texts(capsys, argv, usage, error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    first, second = err.splitlines()
+    assert first.startswith(usage) and second.startswith(error)
 
 
 def test_verify_round_trip_via_file(tmp_path, capsys):
@@ -417,6 +457,15 @@ def test_verify_exponent_with_too_many_digits_exit_2(capsys, monkeypatch):
     assert code == EXIT_VERIFY
     assert content_of(out)["failures"] == ["malformed exponent (at position 1)"]
     assert err == ""
+
+
+def test_verify_refuses_non_ascii_whitespace_in_word_text(capsys, monkeypatch):
+    def edit(doc):
+        doc["positive_s"] = doc["positive_s"].replace(" ", "\u3000", 1)
+
+    code, out, _ = verify_edited(capsys, monkeypatch, T35, edit)
+    assert code == EXIT_VERIFY
+    assert content_of(out)["failures"] == ["unexpected character '\\u3000' (at position 1)"]
 
 
 def test_verify_checks_the_generator_lists(capsys, monkeypatch):
@@ -805,15 +854,23 @@ def test_sweep_single_failure_exits_2(capsys, monkeypatch):
     assert content_of(out)["failed"] == 1
 
 
-def test_help_description_lists_every_subcommand():
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    listed = re.search(r"Subcommands: ([^.]*)\.", parser.description).group(1)
-    assert set(re.split(r",\s*", listed)) == set(sub.choices)
+def test_help_description_lists_every_subcommand(capsys):
+    listed = re.search(r"Subcommands: ([^.]*)\.", cli.__doc__).group(1)
+    assert set(re.split(r",\s*", listed)) == set(_COMMANDS)
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: nlo [-h] {present,certify,") and cli.__doc__ in out
+    for command, (_, flags) in _COMMANDS.items():
+        for asked in ("--help", "-h", "--he"):
+            code, out, err = run(capsys, command, *TREFOIL[:2], asked, "--bogus")
+            assert (code, err) == (EXIT_OK, "")
+            assert out.startswith(f"usage: nlo {command} [-h] ")
+            assert [line.split()[0] for line in out.splitlines()[3:]] == [
+                "-h,", *flags]
 
 
-def test_parser_is_built_once_and_calls_stay_independent(capsys):
-    assert build_parser() is build_parser()
+def test_calls_stay_independent(capsys):
+    table = {command: (handler, dict(flags)) for command, (handler, flags) in _COMMANDS.items()}
     code, out, _ = run(capsys, "order", *TREFOIL, "--slope", "1/1", "--subgroup", "a")
     assert code == EXIT_OK
     assert content_of(out) == {"status": "complete", "cosets": 20, "order": None}
@@ -825,6 +882,132 @@ def test_parser_is_built_once_and_calls_stay_independent(capsys):
         assert run(capsys, "order", *TREFOIL, "--max-cosets", "x")[0] == EXIT_USAGE
         assert run(capsys, "order", "--p", "3")[0] == EXIT_USAGE
     assert run(capsys, "order", *TREFOIL, "--slope", "5/1", "--format", "text")[1] == "5\n"
+    assert _COMMANDS == table
+
+
+def read(argv):
+    """The fields nlo reads from ``argv``, its handler as ``fn``; or the
+    exit code it stops with."""
+    try:
+        handler, args = cli._read(argv)
+    except SystemExit as exc:
+        return exc.code
+    return {**vars(args), "fn": handler}
+
+
+# argv drawn from command names, every flag of the table, its prefixes
+# (unique and ambiguous, "--s" among them), "=" joins, and a few values;
+# "-x y" starts with "-" but holds a space, so it is a value.
+# Most draws give a command its required flags and then flags of its own,
+# so that many parse.  "--" is drawn as a token of its own only:
+# "--flag=--" is the one input the two part on (see the test after this
+# one).  The help flag is not drawn: its exit 0 is no refusal to compare.
+def prefixes(names):
+    return sorted({name[:i] for name in names for i in range(3, len(name) + 1)})
+
+
+ALL_FLAGS = prefixes(name for _, flags in _COMMANDS.values() for name in flags)
+VALUES = ["3", "-1", "-1/1", "-", "x", "json", "2", "-x y"]
+REQUIRED = {"--p": "3", "--k": "1", "--sign": "-1", "--ell": "2", "--m": "1",
+            "--slope": "1/1", "--certificate": "-"}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    flags = _COMMANDS[command][1]
+    argv = [command]
+    if draw(st.integers(0, 3)):
+        argv += [part for name, flag in flags.items() if flag.required
+                 for part in (name, REQUIRED[name])]
+    pieces = st.tuples(st.sampled_from(prefixes(flags)) | st.sampled_from(ALL_FLAGS),
+                       st.sampled_from([*VALUES, "--"]), st.sampled_from([0, 0, 1, 1, 2, 3]))
+    for flag, value, form in draw(st.lists(pieces, max_size=3)):
+        if value == "--" and form == 1:
+            form = 0
+        argv += [[flag, value], [f"{flag}={value}"], [flag], [value]][form]
+    if draw(st.integers(0, 9)) == 0:
+        argv[0] = draw(st.sampled_from([*_COMMANDS, *ALL_FLAGS, *VALUES, "--"]))
+    return draw(st.permutations(argv)) if draw(st.integers(0, 9)) == 0 else argv
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(argvs())
+def test_reader_matches_the_reference_parser(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        expected, got = reference_cli.parse(list(argv)), read(list(argv))
+    if EXIT_USAGE in (expected, got):
+        assert expected == got == EXIT_USAGE
+    else:
+        assert got == expected
+
+
+# A lone "-", a number and a text with a space are values, whatever they start with.
+@pytest.mark.parametrize("argv, field, value", [
+    (["verify", "--certificate", "-"], "certificate", "-"),
+    (["verify", "--certificate", "-x y"], "certificate", "-x y"),
+    (["homology", *T35, "--sign", "-1"], "sign", -1),
+    (["order", *T35, "--max-cosets", "-3"], "max_cosets", -3),
+    (["sweep", "--signs", "-1", "--p-range", "-2.5"], "p_range", "-2.5"),
+], ids=["dash", "space", "negative", "negative-cap", "decimal"])
+def test_values_that_start_with_a_dash(argv, field, value):
+    assert read(argv)[field] == value == reference_cli.parse(argv)[field]
+
+
+# argparse read "--flag=--" as an empty list: verify, homology and order
+# then crashed with a traceback, and --format went unchecked.
+@pytest.mark.parametrize("argv, code, refusal", [
+    (["verify", "--certificate=--"], EXIT_DOMAIN, "No such file or directory: '--'"),
+    (["homology", *T35, "--slope=--"], EXIT_DOMAIN, "malformed slope '--'"),
+    (["order", *T35, "--subgroup=--"], EXIT_DOMAIN, "unexpected character '-'"),
+    (["present", *T35, "--sign=--"], EXIT_USAGE, "argument --sign: invalid int value: '--'"),
+    (["present", *T35, "--format=--"], EXIT_USAGE, "argument --format: invalid choice: '--'"),
+], ids=["certificate", "slope", "subgroup", "sign", "format"])
+def test_a_flag_joined_to_a_double_dash_reads_it_as_text(capsys, argv, code, refusal):
+    code_, out, err = run(capsys, *argv)
+    assert (code_, out) == (code, "")
+    assert refusal in err and "Traceback" not in err
+
+
+NINES = "9" * 5000
+
+
+# A 5000-character value is echoed cut to MESSAGE_WORD_CHARS characters.
+# The refusals of nlo's own texts stay under 400 bytes; those that also
+# list the choices or the usage of a long command stay under 600.
+@pytest.mark.parametrize("argv, code, bound", [
+    (["homology", *T35, f"--slope=1/{NINES}"], EXIT_DOMAIN, 400),
+    (["homology", "--p", NINES, *T35[2:]], EXIT_USAGE, 400),
+    (["sweep", f"--p-range=1:{NINES}"], EXIT_DOMAIN, 400),
+    (["sweep", f"--signs={NINES}"], EXIT_DOMAIN, 400),
+    (["homology", *T35, "--sign", "9" * 4000], EXIT_USAGE, 600),
+    (["order", *T35, "x" * 5000], EXIT_USAGE, 600),
+    (["order", *T35, f"--s={NINES}"], EXIT_USAGE, 600),
+    (["h" * 5000], EXIT_USAGE, 600),
+], ids=["slope", "p", "p-range", "signs", "sign-choice", "unrecognized", "ambiguous", "command"])
+def test_refusals_bound_the_text_they_echo(capsys, argv, code, bound):
+    code_, out, err = run(capsys, *argv)
+    assert (code_, out) == (code, "")
+    assert re.search(r"… \([0-9]{4} characters\)", err)
+    assert len(err.encode()) < bound
+
+
+def test_entry_point_reads_sys_argv(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def nlo(*argv):
+        return subprocess.run([sys.executable, "-m", "nlo", *argv], capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=60)
+
+    done = nlo("homology", *T35, "--slope=-1/1", "--format", "text")
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert "order: 1" in done.stdout.splitlines()
+    done = nlo("frobnicate")
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+    assert "nlo: error: argument command: invalid choice: 'frobnicate'" in done.stderr
+    done = nlo("certify", "--help")
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert done.stdout.startswith("usage: nlo certify [-h] --p P ")
 
 
 @pytest.mark.parametrize(

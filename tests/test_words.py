@@ -363,6 +363,21 @@ def test_parse_word_matches_reference_tokenizer(text):
 
 
 @pytest.mark.parametrize(
+    "text, char, position",
+    [("a\u3000b^2\x1c", "\u3000", 1), ("a b^2\x1c", "\x1c", 5), ("\xa0a", "\xa0", 0)],
+    ids=["ideographic-space", "file-separator", "no-break-space"],
+)
+def test_parse_word_separates_terms_by_ascii_whitespace_only(text, char, position):
+    # Unicode whitespace used to separate terms too: "a\u3000b^2\x1c" read as a b^2.
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(text)
+    assert (str(err.value), err.value.position) == (
+        f"unexpected character {char!r} (at position {position})", position
+    )
+    assert parse_word(" \ta\r\nb^2\f\v") == parse_word("a b^2")
+
+
+@pytest.mark.parametrize(
     "text, position", [("a^٣ b^２", 1), ("a^3 b^２", 5)], ids=["arabic-indic", "fullwidth"]
 )
 def test_parse_word_refuses_non_ascii_digits(text, position):
