@@ -1191,3 +1191,33 @@ def test_homology_and_alexander_content_pinned(capsys):
                         count += 1
     assert count == 270
     assert digest.hexdigest() == HOMOLOGY_ALEXANDER_SHA256
+
+
+# sha256 over (argv, exit code, stdout, stderr) of each command line below,
+# in JSON and in text, one line each: the whole rendering of every
+# command, its header, text lines and stderr included.
+RENDERING = [
+    ["present", *T35], ["certify", *T35], ["surgery", *T35, "--slope", "19/1"],
+    ["homology", *T35], ["homology", *T35, "--slope", "7/2"], ["alexander", *T35],
+    ["order", *TREFOIL, "--slope", "1/1"],
+    ["order", *TREFOIL, "--slope", "1/1", "--max-cosets", "100"],
+    ["commutation", *TREFOIL, "--max-cosets", "2000"],
+    ["commutation", "--p", "3", "--k", "1", "--sign", "-1", "--ell", "2", "--m", "1",
+     "--max-cosets", "2000"],
+    ["verify", "--certificate", "-"],
+    ["sweep", "--p-range", "3:3", "--k-range", "1:1", "--m-range", "1:1", "--signs", "-1"],
+    ["present", "--p", "3", "--k", "1", "--sign", "-1", "--ell", "9", "--m", "1"],
+    ["homology", "--p", "3"],
+]
+RENDERING_SHA256 = "fbdbd4edea4dd21dbeeba3cd109ee6ffd55da893c00a8b1c6e5eacbf695cd8dc"
+
+
+def test_rendering_pinned(capsys, monkeypatch):
+    _, certificate, _ = run(capsys, "certify", *T35)
+    digest = hashlib.sha256()
+    for argv in RENDERING:
+        for fmt in ("json", "text"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(certificate))
+            line = [*argv, "--format", fmt]
+            digest.update(json.dumps([line, *run(capsys, *line)]).encode() + b"\n")
+    assert digest.hexdigest() == RENDERING_SHA256
