@@ -4,6 +4,8 @@ Subcommands: present, certify, verify, surgery, homology, alexander,
 order, commutation, sweep.  Flags are long-form only.  Output is a
 deterministic document whose header (tool name/version, schema version)
 is separate from the content, so content hashes are stable across runs.
+Each handler returns its exit code, its content and its text lines and
+prints nothing to stdout; ``main`` renders the document or the lines.
 
 Each command's handler and flags are one entry of the table
 ``_COMMANDS``, and ``_read`` walks argv once against it.  A flag takes its
@@ -71,23 +73,7 @@ def _knot(args) -> KnotData:
     return build(FamilyParams(p=args.p, k=args.k, sign=args.sign, ell=args.ell, m=args.m))
 
 
-def _emit(args, content: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        doc = {
-            "header": {
-                "tool": "nlo",
-                "tool_version": __version__,
-                "schema_version": SCHEMA_VERSION,
-            },
-            "content": content,
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_present(args) -> int:
+def _cmd_present(args) -> tuple[int, dict, list[str]]:
     kd = _knot(args)
     doc = knot_data_to_doc(kd)
     lines = [
@@ -99,11 +85,10 @@ def _cmd_present(args) -> int:
         f"lspace: {doc['lspace']['is_lspace_knot']} ({doc['lspace']['case']})",
     ]
     lines.extend(f"note: {n}" for n in doc["notes"])
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return EXIT_OK, doc, lines
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple[int, dict, list[str]]:
     kd = _knot(args)
     cert = certify(kd)
     report = verify_certificate(kd, cert)
@@ -119,8 +104,7 @@ def _cmd_certify(args) -> int:
         f"bound: r >= {cert.v}",
         f"verdict: {report}",
     ]
-    _emit(args, content, lines)
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return (EXIT_OK if report.passed else EXIT_VERIFY), content, lines
 
 
 def _load_json(text: str):
@@ -149,7 +133,7 @@ def _load_json(text: str):
     return doc
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     # A file that cannot be opened is a domain error (OSError, exit 1);
     # input that is not JSON, or names parameters that cannot be built,
     # fails verification like any other bad document.
@@ -168,11 +152,11 @@ def _cmd_verify(args) -> int:
         report = VerificationReport((str(exc),))
     else:
         report = verify_certificate(kd, cert)
-    _emit(args, verification_to_doc(report), [f"verdict: {report}"])
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    code = EXIT_OK if report.passed else EXIT_VERIFY
+    return code, verification_to_doc(report), [f"verdict: {report}"]
 
 
-def _cmd_surgery(args) -> int:
+def _cmd_surgery(args) -> tuple[int, dict, list[str]]:
     kd = _knot(args)
     slope = Slope.parse(args.slope)
     pres = surgery_presentation(kd, slope)
@@ -183,11 +167,10 @@ def _cmd_surgery(args) -> int:
     lines = [f"slope: {slope}"] + [
         f"relator: {r}" for r in doc["presentation"]["relators"]
     ]
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return EXIT_OK, doc, lines
 
 
-def _cmd_homology(args) -> int:
+def _cmd_homology(args) -> tuple[int, dict, list[str]]:
     kd = _knot(args)
     if args.slope is None:
         group = h1(kd.presentation)
@@ -199,11 +182,10 @@ def _cmd_homology(args) -> int:
         "order": group.order(),
         "description": str(group),
     }
-    _emit(args, content, [f"H1: {group}", f"order: {group.order()}"])
-    return EXIT_OK
+    return EXIT_OK, content, [f"H1: {group}", f"order: {group.order()}"]
 
 
-def _cmd_alexander(args) -> int:
+def _cmd_alexander(args) -> tuple[int, dict, list[str]]:
     kd = _knot(args)
     delta = alexander_polynomial(kd)
     text = polynomial_text(delta)
@@ -214,11 +196,10 @@ def _cmd_alexander(args) -> int:
         content.update({"genus": g, "lspace_threshold": 2 * g - 1})
         lines.append(f"genus: {g}")
         lines.append(f"lspace threshold: {2 * g - 1}   v: {kd.params.v}")
-    _emit(args, content, lines)
-    return EXIT_OK
+    return EXIT_OK, content, lines
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args) -> tuple[int, dict, list[str]]:
     kd = _knot(args)
     pres = kd.presentation
     if args.slope is not None:
@@ -234,11 +215,10 @@ def _cmd_order(args) -> int:
         lines = [str(table.num_cosets)]
     else:
         lines = [f"capped at {args.max_cosets} definitions ({table.num_cosets} live cosets)"]
-    _emit(args, content, lines)
-    return EXIT_OK
+    return EXIT_OK, content, lines
 
 
-def _cmd_commutation(args) -> int:
+def _cmd_commutation(args) -> tuple[int, dict, list[str]]:
     kd = _knot(args)
     report = check_peripheral_commutation(kd, max_cosets=args.max_cosets)
     content = {
@@ -246,15 +226,10 @@ def _cmd_commutation(args) -> int:
         "complete_enumerations": report.complete_enumerations,
         "checked": [list(entry) for entry in report.checked],
     }
-    _emit(args, content, [str(report)])
     if report.complete_enumerations == 0:
         print(f"nlo: warning: no enumeration completed within {args.max_cosets} cosets, "
               "so the battery checked nothing", file=sys.stderr)
-    return EXIT_OK if report.consistent else EXIT_VERIFY
-
-
-def _parse_cases(text: str) -> tuple[str, ...]:
-    return ALL_CASES if text == "all" else tuple(text.split(","))
+    return (EXIT_OK if report.consistent else EXIT_VERIFY), content, [str(report)]
 
 
 # How each ``sweep`` flag's text becomes the SweepSpec field of its name.
@@ -263,11 +238,11 @@ _SWEEP_FIELDS = {
     "k_range": parse_range,
     "m_range": parse_range,
     "signs": parse_signs,
-    "cases": _parse_cases,
+    "cases": lambda text: ALL_CASES if text == "all" else tuple(text.split(",")),
 }
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, dict, list[str]]:
     # A flag left out keeps SweepSpec's default.
     spec = SweepSpec(**{
         name: parse(getattr(args, name))
@@ -278,14 +253,9 @@ def _cmd_sweep(args) -> int:
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(result, handle, indent=2, sort_keys=True)
-    summary = {k: result[k] for k in ("total", "passed", "failed")}
-    content = result if not args.output else summary
-    _emit(
-        args,
-        content,
-        [f"instances: {result['total']}  passed: {result['passed']}  failed: {result['failed']}"],
-    )
-    return EXIT_OK if result["failed"] == 0 else EXIT_VERIFY
+    content = {k: result[k] for k in ("total", "passed", "failed")} if args.output else result
+    lines = ["instances: {total}  passed: {passed}  failed: {failed}".format(**result)]
+    return (EXIT_OK if result["failed"] == 0 else EXIT_VERIFY), content, lines
 
 
 class _Flag(NamedTuple):
@@ -293,7 +263,6 @@ class _Flag(NamedTuple):
     of ``choices`` if there are any; an ``append`` flag collects a list."""
 
     name: str
-    dest: str
     convert: Callable[[str], object] = str
     choices: tuple = ()
     required: bool = False
@@ -301,46 +270,39 @@ class _Flag(NamedTuple):
     append: bool = False
     help: str = ""
 
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
 
-def _flag(name: str, convert: Callable[[str], object] = str, **options) -> _Flag:
-    return _Flag(name, name[2:].replace("-", "_"), convert, **options)
 
-
-_HELP = _flag("--help", help="show this help message and exit")
+_HELP = _Flag("--help", help="show this help message and exit")
 _PARAMS = (
-    _flag("--p", int, required=True),
-    _flag("--k", int, required=True),
-    _flag("--sign", int, choices=(-1, 1), required=True),
-    _flag("--ell", int, required=True),
-    _flag("--m", int, required=True),
+    _Flag("--p", int, required=True),
+    _Flag("--k", int, required=True),
+    _Flag("--sign", int, choices=(-1, 1), required=True),
+    _Flag("--ell", int, required=True),
+    _Flag("--m", int, required=True),
 )
-_FORMAT = _flag("--format", choices=("json", "text"), default="json")
-_SLOPE = _flag("--slope", help=SLOPE_HELP)
-
-
-def _by_name(*flags: _Flag) -> dict[str, _Flag]:
-    return {flag.name: flag for flag in flags}
-
+_FORMAT = _Flag("--format", choices=("json", "text"), default="json")
+_SLOPE = _Flag("--slope", help=SLOPE_HELP)
 
 # Each command's handler and its flags by name, in the order usage lines list them.
 _COMMANDS = {
-    "present": (_cmd_present, _by_name(*_PARAMS, _FORMAT)),
-    "certify": (_cmd_certify, _by_name(*_PARAMS, _FORMAT)),
-    "surgery": (_cmd_surgery, _by_name(*_PARAMS, _FORMAT, _SLOPE._replace(required=True))),
-    "homology": (_cmd_homology, _by_name(*_PARAMS, _FORMAT, _SLOPE)),
-    "alexander": (_cmd_alexander, _by_name(*_PARAMS, _FORMAT)),
-    "order": (_cmd_order, _by_name(
-        *_PARAMS, _FORMAT, _SLOPE, _flag("--subgroup", append=True),
-        _flag("--max-cosets", int, default=DEFAULT_MAX_COSETS),
-    )),
-    "commutation": (_cmd_commutation, _by_name(
-        *_PARAMS, _FORMAT, _flag("--max-cosets", int, default=COMMUTATION_MAX_COSETS),
-    )),
-    "verify": (_cmd_verify, _by_name(_flag("--certificate", required=True), _FORMAT)),
-    "sweep": (_cmd_sweep, _by_name(
-        *(_flag("--" + name.replace("_", "-")) for name in _SWEEP_FIELDS),
-        _flag("--output"), _FORMAT,
-    )),
+    command: (handler, {flag.name: flag for flag in flags})
+    for command, handler, *flags in [
+        ("present", _cmd_present, *_PARAMS, _FORMAT),
+        ("certify", _cmd_certify, *_PARAMS, _FORMAT),
+        ("surgery", _cmd_surgery, *_PARAMS, _FORMAT, _SLOPE._replace(required=True)),
+        ("homology", _cmd_homology, *_PARAMS, _FORMAT, _SLOPE),
+        ("alexander", _cmd_alexander, *_PARAMS, _FORMAT),
+        ("order", _cmd_order, *_PARAMS, _FORMAT, _SLOPE, _Flag("--subgroup", append=True),
+         _Flag("--max-cosets", int, default=DEFAULT_MAX_COSETS)),
+        ("commutation", _cmd_commutation, *_PARAMS, _FORMAT,
+         _Flag("--max-cosets", int, default=COMMUTATION_MAX_COSETS)),
+        ("verify", _cmd_verify, _Flag("--certificate", required=True), _FORMAT),
+        ("sweep", _cmd_sweep, *(_Flag("--" + name.replace("_", "-")) for name in _SWEEP_FIELDS),
+         _Flag("--output"), _FORMAT),
+    ]
 }
 
 # A token that looks like a negative number is a value.
@@ -419,13 +381,11 @@ def _read(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
         _refuse(None, f"argument command: invalid choice: {abbreviate_text(repr(command))} "
                 f"(choose from {', '.join(map(repr, _COMMANDS))})")
     handler, flags = _COMMANDS[command]
-    values = {flag.dest: [] if flag.append else flag.default for flag in flags.values()}
-    extras, i = [], 0
-    while i < len(rest):
-        token = rest[i]
-        i += 1
+    values = {name: [] if flag.append else flag.default for name, flag in flags.items()}
+    extras, tokens = [], iter(rest)
+    for token in tokens:
         if token == "--":  # no flag takes what follows
-            extras += rest[i - 1:]
+            extras += [token, *tokens]
             break
         hit = _match(command, flags, token)
         if hit is None or hit[0] is None:
@@ -439,10 +399,10 @@ def _read(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
             print(_help(command))
             raise SystemExit(EXIT_OK)
         if text is None:
-            if i == len(rest) or rest[i] == "--" or _match(command, flags, rest[i]) is not None:
+            # A refusal ends the walk, so a flag taken here is never read again.
+            text = next(tokens, None)
+            if text is None or text == "--" or _match(command, flags, text) is not None:
                 _refuse(command, f"argument {flag.name}: expected one argument")
-            text = rest[i]
-            i += 1
         try:
             value = flag.convert(text)
         except ValueError:
@@ -453,27 +413,36 @@ def _read(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
                     f"{abbreviate_text(repr(value))} "
                     f"(choose from {', '.join(map(repr, flag.choices))})")
         if flag.append:
-            values[flag.dest].append(value)
+            values[flag.name].append(value)
         else:
-            values[flag.dest] = value
+            values[flag.name] = value
     # A required flag has no default, and a value given is never None.
-    missing = [name for name, flag in flags.items() if flag.required and values[flag.dest] is None]
+    missing = [name for name, flag in flags.items() if flag.required and values[name] is None]
     if missing:
         _refuse(command, f"the following arguments are required: {', '.join(missing)}")
     if extras:
         _refuse(command, f"unrecognized arguments: {abbreviate_text(' '.join(extras))}")
-    return handler, SimpleNamespace(**values)
+    return handler, SimpleNamespace(**{flag.dest: values[name] for name, flag in flags.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Rendering can fail too: json refuses an integer of over 4300 digits.
     try:
         handler, args = _read(sys.argv[1:] if argv is None else argv)
+        code, content, lines = handler(args)
+        header = {"tool": "nlo", "tool_version": __version__, "schema_version": SCHEMA_VERSION}
+        document = {"header": header, "content": content}
+        print(json.dumps(document, indent=2, sort_keys=True) if args.format == "json"
+              else "\n".join(lines))
+        return code
     except SystemExit as exc:
         return exc.code
-    try:
-        return handler(args)
     except (ValueError, OSError) as exc:
-        print(f"nlo: error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # A path comes from outside, and str(exc) quotes it whole.
+            message = f"[Errno {exc.errno}] {exc.strerror}: {abbreviate_text(repr(exc.filename))}"
+        print(f"nlo: error: {message}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

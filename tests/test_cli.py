@@ -526,6 +526,26 @@ def test_verify_refuses_an_edited_trace_step(capsys, monkeypatch, edit, failure)
     assert err == ""
 
 
+def _drop_generator_change(doc):
+    doc["generator_change"] = {"forward": {}, "backward": {},
+                               "old_generators": [], "new_generators": []}
+
+
+# T(4,3;3,1) with no trace step: its surface word s substitutes forward
+# to y^7, a positive word with no x.  An empty change round trips
+# vacuously and then maps neither x back nor the trace's a forward.
+@pytest.mark.parametrize("flags, edit, failures", [
+    (["--p", "4", "--k", "1", "--sign", "-1", "--ell", "3", "--m", "1"],
+     lambda doc: doc.update(trace=[], positive_s="y^7"),
+     ["positivity: stated word contains no x"]),
+    (T35, _drop_generator_change,
+     ["meridian: no image for generator 'x'", "trace_replay: no image for generator 'a'"]),
+], ids=["positivity-no-x", "meridian-no-image"])
+def test_verify_hypothesis_clauses(capsys, monkeypatch, flags, edit, failures):
+    code, out, err = verify_edited(capsys, monkeypatch, flags, edit)
+    assert (code, content_of(out)["failures"], err) == (EXIT_VERIFY, failures, "")
+
+
 def test_verify_checks_recorded_case(capsys, monkeypatch):
     code, out, err = verify_edited(
         capsys, monkeypatch, T35, lambda doc: doc.update(case="sign=+1,whatever")
@@ -824,6 +844,11 @@ def test_sweep_refuses_an_empty_grid(capsys):
     assert "no certifiable instance" in err
 
 
+def test_sweep_refuses_an_empty_range(capsys):
+    code, out, err = run(capsys, "sweep", "--p-range", "5:3")
+    assert (code, out, err) == (EXIT_DOMAIN, "", "nlo: error: empty p range 5:3\n")
+
+
 def test_sweep_text_summary(capsys):
     code, out, _ = run(
         capsys, "sweep", "--p-range", "3:3", "--k-range", "1:1", "--m-range", "1:1",
@@ -1080,6 +1105,20 @@ def test_verify_missing_file_exit_domain(tmp_path, capsys):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert "No such file" in err
+
+
+# An OSError quotes its path whole; main cuts it as it cuts other outside text.
+@pytest.mark.parametrize("argv", [
+    ["verify", "--certificate", "c" * 5000],
+    ["sweep", "--p-range", "3:3", "--k-range", "1:1", "--m-range", "1:1",
+     "--output", "/nonexistent/" + "o" * 3000],
+], ids=["certificate", "output"])
+def test_an_unopenable_path_is_echoed_cut(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("nlo: error: [Errno ")
+    assert re.search(r"… \([0-9]{4} characters\)\n$", err)
+    assert len(err.encode()) < 400
 
 
 def test_sweep_rejects_duplicate_signs(capsys):
