@@ -52,6 +52,7 @@ from .serialize import (
     certificate_to_doc,
     knot_data_to_doc,
     presentation_to_doc,
+    render_document,
     verification_to_doc,
 )
 from .sweep import ALL_CASES, SweepSpec, parse_range, parse_signs, run_sweep
@@ -252,7 +253,7 @@ def _cmd_sweep(args) -> tuple[int, dict, list[str]]:
     result = run_sweep(spec)
     if args.output:
         with open(args.output, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
+            handle.write(render_document(result))
     content = {k: result[k] for k in ("total", "passed", "failed")} if args.output else result
     lines = ["instances: {total}  passed: {passed}  failed: {failed}".format(**result)]
     return (EXIT_OK if result["failed"] == 0 else EXIT_VERIFY), content, lines
@@ -426,14 +427,13 @@ def _read(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Rendering can fail too: json refuses an integer of over 4300 digits.
+    # Rendering can fail too: it refuses an integer of over 4300 digits.
     try:
         handler, args = _read(sys.argv[1:] if argv is None else argv)
         code, content, lines = handler(args)
         header = {"tool": "nlo", "tool_version": __version__, "schema_version": SCHEMA_VERSION}
         document = {"header": header, "content": content}
-        print(json.dumps(document, indent=2, sort_keys=True) if args.format == "json"
-              else "\n".join(lines))
+        print(render_document(document) if args.format == "json" else "\n".join(lines))
         return code
     except SystemExit as exc:
         return exc.code

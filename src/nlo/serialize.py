@@ -5,12 +5,14 @@ are only written; certificates are also read back, and the reader refuses
 a version or a trace direction it does not know, and any ``hypotheses``
 but the one constant schema 1 writes.  Word-valued fields use
 the word grammar, so documents stay human-readable and hash-stable.
+``render_document`` renders any document as its JSON text.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable
 
 from .certificates import Certificate, VerificationReport
 from .families import M_ZERO_NOTE, FamilyParams, KnotData, lspace_case
@@ -164,3 +166,72 @@ def verification_to_doc(report: VerificationReport) -> Doc:
         "verdict": report.verdict,
         "failures": list(report.failures),
     }
+
+
+_INFINITY = float("inf")
+
+
+def render_document(value: Any) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, built in one pass.
+
+    json runs its pure-Python encoder whenever ``indent`` is set; this one
+    appends each piece to one list and joins them once.  Any value but a
+    str, int, float, bool, None, list, tuple or dict, and any dict key that
+    is not a str, raises TypeError; an int of over 4300 digits raises
+    json's ValueError.
+    """
+    pieces: list[str] = []
+    _render(value, pieces.append, "\n")
+    return "".join(pieces)
+
+
+def _render(value: Any, append: Callable[[str], None], newline: str) -> None:
+    kind = type(value)
+    if kind is str:
+        append(encode_basestring_ascii(value))
+    elif kind is int:
+        append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            append(separator)
+            append(encode_basestring_ascii(key))
+            append(": ")
+            _render(value[key], append, inner)
+            separator = "," + inner
+        append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            append(separator)
+            _render(item, append, inner)
+            separator = "," + inner
+        append(newline + "]")
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif kind is float:
+        if value != value:
+            append("NaN")
+        elif value == _INFINITY:
+            append("Infinity")
+        elif value == -_INFINITY:
+            append("-Infinity")
+        else:
+            append(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+

@@ -27,7 +27,7 @@ from nlo.cli import (
 )
 from nlo.families import ParameterError
 from nlo.serialize import params_to_doc
-from nlo.sweep import SweepSpec, grid_instances, parse_range, parse_signs
+from nlo.sweep import SweepSpec, grid_instances, parse_range, parse_signs, run_sweep
 from nlo.words import MAX_LETTERS, SUBSTITUTE_BUDGET, Word, format_word, parse_word, substitute
 
 # sha256 of the canonical content of `nlo certify` on the grid
@@ -739,6 +739,16 @@ def test_sweep_small_grid(tmp_path, capsys):
     assert stored["passed"] == 12
     verdicts = [r["verdict"] for r in stored["instances"]]
     assert set(verdicts) == {"PASS"}
+
+
+def test_sweep_output_is_the_json_rendering(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    code, _, _ = run(capsys, "sweep", "--p-range", "3:3", "--k-range", "1:1",
+                     "--m-range", "1:1", "--signs", "-1", "--output", str(path))
+    assert code == EXIT_OK
+    result = run_sweep(SweepSpec(p_range=(3, 3), k_range=(1, 1), m_range=(1, 1), signs=(-1,)))
+    assert result["total"] == 1
+    assert path.read_bytes() == json.dumps(result, indent=2, sort_keys=True).encode()
 
 
 def _sweep_records(capsys, tmp_path, cases):
