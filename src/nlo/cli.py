@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -433,7 +434,13 @@ def main(argv: list[str] | None = None) -> int:
         code, content, lines = handler(args)
         header = {"tool": "nlo", "tool_version": __version__, "schema_version": SCHEMA_VERSION}
         document = {"header": header, "content": content}
-        print(render_document(document) if args.format == "json" else "\n".join(lines))
+        text = render_document(document) if args.format == "json" else "\n".join(lines)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader left early (nlo sweep | head): exit quietly, even at the last flush.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_DOMAIN
         return code
     except SystemExit as exc:
         return exc.code

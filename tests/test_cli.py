@@ -1045,6 +1045,26 @@ def test_entry_point_reads_sys_argv(tmp_path):
     assert done.stdout.startswith("usage: nlo certify [-h] --p P ")
 
 
+# Small enough to be one buffered write, and larger than the 8 KiB buffer.
+@pytest.mark.parametrize("argv", [
+    ["homology", *T35],
+    ["sweep", "--p-range", "3:4", "--k-range", "1:2", "--m-range", "1:1"],
+])
+def test_a_reader_that_leaves_early_gets_a_quiet_exit_1(tmp_path, argv):
+    # Buffered stdout, as by default: a small output reaches the pipe only when flushed.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    # The read end is closed before nlo starts, so its first write breaks the pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "nlo", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, cwd=tmp_path, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_DOMAIN, b"")
+
+
 @pytest.mark.parametrize(
     "text", ["[1]", '"x"', '{"content": 5}', '{"content": {"certificate": []}}',
              '{"schema_version": 1, "generator_change": {"forward": []}}'],
