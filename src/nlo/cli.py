@@ -184,7 +184,8 @@ def _cmd_homology(args) -> tuple[int, dict, list[str]]:
         "order": group.order(),
         "description": str(group),
     }
-    return EXIT_OK, content, [f"H1: {group}", f"order: {group.order()}"]
+    order = "infinite" if content["order"] is None else content["order"]
+    return EXIT_OK, content, [f"H1: {group}", f"order: {order}"]
 
 
 def _cmd_alexander(args) -> tuple[int, dict, list[str]]:

@@ -1262,6 +1262,12 @@ def test_homology_and_alexander_content_pinned(capsys):
     assert digest.hexdigest() == HOMOLOGY_ALEXANDER_SHA256
 
 
+def test_homology_text_names_an_infinite_order(capsys):
+    code, out, _ = run(capsys, "homology", *T35, "--format", "text")
+    assert (code, out) == (EXIT_OK, "H1: Z\norder: infinite\n")
+    assert content_of(run(capsys, "homology", *T35)[1])["order"] is None
+
+
 # sha256 over (argv, exit code, stdout, stderr) of each command line below,
 # in JSON and in text, one line each: the whole rendering of every
 # command, its header, text lines and stderr included.
@@ -1278,7 +1284,7 @@ RENDERING = [
     ["present", "--p", "3", "--k", "1", "--sign", "-1", "--ell", "9", "--m", "1"],
     ["homology", "--p", "3"],
 ]
-RENDERING_SHA256 = "fbdbd4edea4dd21dbeeba3cd109ee6ffd55da893c00a8b1c6e5eacbf695cd8dc"
+RENDERING_SHA256 = "8938ddd34ae51a448783dc90f900102b414ad934316b3509fc0d9bc3bf36d977"
 
 
 def test_rendering_pinned(capsys, monkeypatch):
