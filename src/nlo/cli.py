@@ -261,6 +261,10 @@ def _cmd_sweep(args) -> tuple[int, dict, list[str]]:
     return (EXIT_OK if result["failed"] == 0 else EXIT_VERIFY), content, lines
 
 
+def _cmd_help(args) -> tuple[int, dict, list[str]]:
+    return EXIT_OK, {}, [_help(args.command)]
+
+
 class _Flag(NamedTuple):
     """One long flag: its text becomes ``convert(text)``, which must be one
     of ``choices`` if there are any; an ``append`` flag collects a list."""
@@ -369,17 +373,16 @@ def _match(command: str, flags: dict[str, _Flag], token: str):
 
 
 def _read(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
-    """The handler of ``argv``'s command and the values of its flags.
+    """The handler of ``argv``'s command and the values of its flags:
+    ``_cmd_help`` and ``--format text`` on a request for help.
 
-    Prints and raises SystemExit(EXIT_USAGE) on a refusal, and
-    SystemExit(EXIT_OK) on a request for help.
+    Prints and raises SystemExit(EXIT_USAGE) on a refusal.
     """
     if not argv:
         _refuse(None, "the following arguments are required: command")
     command, rest = argv[0], argv[1:]
     if command == "-h" or (len(command) > 2 and "--help".startswith(command)):
-        print(_help(None))
-        raise SystemExit(EXIT_OK)
+        return _cmd_help, SimpleNamespace(command=None, format="text")
     if command not in _COMMANDS:
         _refuse(None, f"argument command: invalid choice: {abbreviate_text(repr(command))} "
                 f"(choose from {', '.join(map(repr, _COMMANDS))})")
@@ -399,8 +402,7 @@ def _read(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
             if text is not None:
                 _refuse(command, "argument -h/--help: ignored explicit argument "
                         + abbreviate_text(repr(text)))
-            print(_help(command))
-            raise SystemExit(EXIT_OK)
+            return _cmd_help, SimpleNamespace(command=command, format="text")
         if text is None:
             # A refusal ends the walk, so a flag taken here is never read again.
             text = next(tokens, None)

@@ -1049,6 +1049,8 @@ def test_entry_point_reads_sys_argv(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["homology", *T35],
     ["sweep", "--p-range", "3:4", "--k-range", "1:2", "--m-range", "1:1"],
+    ["--help"],
+    ["order", "--help"],
 ])
 def test_a_reader_that_leaves_early_gets_a_quiet_exit_1(tmp_path, argv):
     # Buffered stdout, as by default: a small output reaches the pipe only when flushed.
