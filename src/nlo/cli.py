@@ -22,23 +22,18 @@ Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import re
 import sys
+from functools import cache
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn
 
 from . import __version__
-from .alexander import alexander_polynomial, genus, polynomial_text
-from .certificates import VerificationReport, certify, verify_certificate
-from .cosets import (
-    COMMUTATION_MAX_COSETS,
-    DEFAULT_MAX_COSETS,
-    check_peripheral_commutation,
-    todd_coxeter,
-)
 from .families import (
+    ALL_CASES,
     FamilyParams,
     KnotData,
     Slope,
@@ -46,7 +41,6 @@ from .families import (
     lspace_case,
     surgery_presentation,
 )
-from .homology import h1, surgery_h1
 from .serialize import (
     SCHEMA_VERSION,
     certificate_from_doc,
@@ -56,8 +50,7 @@ from .serialize import (
     render_document,
     verification_to_doc,
 )
-from .sweep import ALL_CASES, SweepSpec, parse_range, parse_signs, run_sweep
-from .words import abbreviate_text, parse_word
+from .words import COMMUTATION_MAX_COSETS, DEFAULT_MAX_COSETS, abbreviate_text, parse_word
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -69,6 +62,14 @@ SLOPE_HELP = "p'/q' or p'; give a negative slope as --slope=-1/1, not --slope -1
 
 # Certificate documents nest about 5 levels; json recurses once per level.
 MAX_JSON_DEPTH = 16
+
+
+# Every command needs the modules imported above; a handler loads the others
+# it runs here on its first call, and reads their functions at call time.
+@cache
+def _module(name: str):
+    """The module nlo.``name``, imported once, on the first call that asks."""
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 def _knot(args) -> KnotData:
@@ -91,9 +92,10 @@ def _cmd_present(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_certify(args) -> tuple[int, dict, list[str]]:
+    certificates = _module("certificates")
     kd = _knot(args)
-    cert = certify(kd)
-    report = verify_certificate(kd, cert)
+    cert = certificates.certify(kd)
+    report = certificates.verify_certificate(kd, cert)
     content = {
         "certificate": certificate_to_doc(cert),
         "bound": f"r >= {cert.v}",
@@ -139,6 +141,7 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     # A file that cannot be opened is a domain error (OSError, exit 1);
     # input that is not JSON, or names parameters that cannot be built,
     # fails verification like any other bad document.
+    certificates = _module("certificates")
     try:
         if args.certificate == "-":
             doc = _load_json(sys.stdin.read())
@@ -151,9 +154,9 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
         cert = certificate_from_doc(doc)
         kd = build(cert.params)
     except ValueError as exc:
-        report = VerificationReport((str(exc),))
+        report = certificates.VerificationReport((str(exc),))
     else:
-        report = verify_certificate(kd, cert)
+        report = certificates.verify_certificate(kd, cert)
     code = EXIT_OK if report.passed else EXIT_VERIFY
     return code, verification_to_doc(report), [f"verdict: {report}"]
 
@@ -173,11 +176,12 @@ def _cmd_surgery(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_homology(args) -> tuple[int, dict, list[str]]:
+    homology = _module("homology")
     kd = _knot(args)
     if args.slope is None:
-        group = h1(kd.presentation)
+        group = homology.h1(kd.presentation)
     else:
-        group = surgery_h1(kd, Slope.parse(args.slope))
+        group = homology.surgery_h1(kd, Slope.parse(args.slope))
     content = {
         "invariant_factors": list(group.invariant_factors),
         "free_rank": group.free_rank,
@@ -189,13 +193,14 @@ def _cmd_homology(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_alexander(args) -> tuple[int, dict, list[str]]:
+    alexander = _module("alexander")
     kd = _knot(args)
-    delta = alexander_polynomial(kd)
-    text = polynomial_text(delta)
+    delta = alexander.alexander_polynomial(kd)
+    text = alexander.polynomial_text(delta)
     content = {"polynomial": text, "degree": len(delta) - 1, "v": kd.params.v}
     lines = [f"alexander: {text}"]
     if lspace_case(kd.params) is not None:
-        g = genus(delta)
+        g = alexander.genus(delta)
         content.update({"genus": g, "lspace_threshold": 2 * g - 1})
         lines.append(f"genus: {g}")
         lines.append(f"lspace threshold: {2 * g - 1}   v: {kd.params.v}")
@@ -208,7 +213,7 @@ def _cmd_order(args) -> tuple[int, dict, list[str]]:
     if args.slope is not None:
         pres = surgery_presentation(kd, Slope.parse(args.slope))
     subgroup = [parse_word(t) for t in args.subgroup]
-    table = todd_coxeter(pres, subgroup, max_cosets=args.max_cosets)
+    table = _module("cosets").todd_coxeter(pres, subgroup, max_cosets=args.max_cosets)
     content = {
         "status": table.status,
         "cosets": table.num_cosets,
@@ -223,7 +228,7 @@ def _cmd_order(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_commutation(args) -> tuple[int, dict, list[str]]:
     kd = _knot(args)
-    report = check_peripheral_commutation(kd, max_cosets=args.max_cosets)
+    report = _module("cosets").check_peripheral_commutation(kd, max_cosets=args.max_cosets)
     content = {
         "consistent": report.consistent,
         "complete_enumerations": report.complete_enumerations,
@@ -237,22 +242,23 @@ def _cmd_commutation(args) -> tuple[int, dict, list[str]]:
 
 # How each ``sweep`` flag's text becomes the SweepSpec field of its name.
 _SWEEP_FIELDS = {
-    "p_range": parse_range,
-    "k_range": parse_range,
-    "m_range": parse_range,
-    "signs": parse_signs,
+    "p_range": lambda text: _module("sweep").parse_range(text),
+    "k_range": lambda text: _module("sweep").parse_range(text),
+    "m_range": lambda text: _module("sweep").parse_range(text),
+    "signs": lambda text: _module("sweep").parse_signs(text),
     "cases": lambda text: ALL_CASES if text == "all" else tuple(text.split(",")),
 }
 
 
 def _cmd_sweep(args) -> tuple[int, dict, list[str]]:
+    sweep = _module("sweep")
     # A flag left out keeps SweepSpec's default.
-    spec = SweepSpec(**{
+    spec = sweep.SweepSpec(**{
         name: parse(getattr(args, name))
         for name, parse in _SWEEP_FIELDS.items()
         if getattr(args, name) is not None
     })
-    result = run_sweep(spec)
+    result = sweep.run_sweep(spec)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(render_document(result))

@@ -74,10 +74,7 @@ from functools import cached_property
 
 from .families import KnotData, Slope, surgery_presentation
 from .presentation import Presentation
-from .words import Word, letter_text
-
-DEFAULT_MAX_COSETS = 10**6
-COMMUTATION_MAX_COSETS = 5000
+from .words import COMMUTATION_MAX_COSETS, DEFAULT_MAX_COSETS, Word, letter_text
 
 COMPLETE = "complete"
 CAPPED = "capped"

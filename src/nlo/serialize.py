@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .certificates import Certificate, VerificationReport
 from .families import M_ZERO_NOTE, FamilyParams, KnotData, lspace_case
 from .presentation import GeneratorChange, Presentation, TraceStep
 from .words import format_word, parse_word
+
+if TYPE_CHECKING:
+    from .certificates import Certificate, VerificationReport
 
 Doc = dict[str, Any]
 
@@ -130,6 +132,9 @@ def _trace_step(entry: Doc) -> TraceStep:
 
 
 def certificate_from_doc(doc: Doc) -> Certificate:
+    # The one use of nlo.certificates here at run time, so only a reader loads it.
+    from .certificates import Certificate
+
     _check_version(doc, "certificate")
     try:
         gc_doc = doc["generator_change"]

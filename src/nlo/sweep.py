@@ -10,12 +10,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .certificates import VerificationReport, certify, verify_certificate
-from .families import CERTIFIED_CASES, FamilyParams, build, certified_case
+from .families import ALL_CASES, FamilyParams, build, certified_case
 from .serialize import certificate_to_doc, params_to_doc
 from .words import abbreviate_text
-
-# The ``cases`` values: the ell condition that opens each certified case.
-ALL_CASES = tuple(case.split(",")[0] for case in CERTIFIED_CASES)
 
 
 @dataclass(frozen=True)

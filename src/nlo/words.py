@@ -46,6 +46,10 @@ MAX_LETTERS = 1_000_000
 # Cap on the image syllables the substitutions sharing a count emit, and so on their seam walks.
 SUBSTITUTE_BUDGET = 3_000_000
 
+# Default caps on one enumeration's coset definitions: nlo order's, and the commutation battery's.
+DEFAULT_MAX_COSETS = 10**6
+COMMUTATION_MAX_COSETS = 5000
+
 # Characters of text a message quotes: abbreviate_word keeps the whole
 # syllables that fit, abbreviate_text cuts any other text there.
 MESSAGE_WORD_CHARS = 200

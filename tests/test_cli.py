@@ -1067,6 +1067,43 @@ def test_a_reader_that_leaves_early_gets_a_quiet_exit_1(tmp_path, argv):
     assert (done.returncode, done.stderr) == (EXIT_DOMAIN, b"")
 
 
+# The nlo modules that every command loads, and those each command adds.
+# The in-process suite has imported every module already, so only a fresh
+# interpreter shows an import cycle or an eager import grown back.
+EVERY_COMMAND_LOADS = {"nlo", "nlo.cli", "nlo.families", "nlo.presentation", "nlo.serialize",
+                       "nlo.words"}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    pytest.param(["present", *T35], set(), id="present"),
+    pytest.param(["certify", *T35], {"certificates"}, id="certify"),
+    pytest.param(["verify", "--certificate", "-"], {"certificates"}, id="verify"),
+    pytest.param(["surgery", *T35, "--slope", "5/1"], set(), id="surgery"),
+    pytest.param(["homology", *T35, "--slope", "5/1"], {"homology"}, id="homology"),
+    pytest.param(["alexander", *T35], {"alexander", "homology"}, id="alexander"),
+    pytest.param(["order", *T35, "--slope", "5/1"], {"cosets"}, id="order"),
+    pytest.param(["commutation", *T35, "--max-cosets", "200"], {"cosets"}, id="commutation"),
+    pytest.param(["sweep", "--p-range", "3:3", "--k-range", "1:1", "--m-range", "1:1"],
+                 {"certificates", "sweep"}, id="sweep"),
+])
+def test_a_fresh_process_loads_only_what_its_command_runs(tmp_path, capsys, monkeypatch,
+                                                          argv, loads):
+    stdin = run(capsys, "certify", *T35)[1] if argv[0] == "verify" else ""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, _ = run(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # python -m nlo, which then writes the names of the modules it holds as its last line.
+    entry = ("import atexit, runpy, sys\n"
+             "atexit.register(lambda: print(*sys.modules, file=sys.stderr))\n"
+             "runpy.run_module('nlo', run_name='__main__', alter_sys=True)")
+    done = subprocess.run([sys.executable, "-c", entry, *argv], input=stdin,
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert (done.returncode, done.stdout) == (code, out)
+    held = done.stderr.splitlines()[-1].split()
+    assert {name for name in held if name.split(".")[0] == "nlo"} == (
+        EVERY_COMMAND_LOADS | {f"nlo.{name}" for name in loads})
+
+
 @pytest.mark.parametrize(
     "text", ["[1]", '"x"', '{"content": 5}', '{"content": {"certificate": []}}',
              '{"schema_version": 1, "generator_change": {"forward": []}}'],
