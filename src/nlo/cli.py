@@ -138,10 +138,10 @@ def _load_json(text: str):
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
+    certificates = _module("certificates")
     # A file that cannot be opened is a domain error (OSError, exit 1);
     # input that is not JSON, or names parameters that cannot be built,
     # fails verification like any other bad document.
-    certificates = _module("certificates")
     try:
         if args.certificate == "-":
             doc = _load_json(sys.stdin.read())
