@@ -20,14 +20,12 @@ framing once each.  Only scripts/search_positive_ell2.py searches.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .families import (
     CASE_NEXT,
     CASE_TOP,
     FamilyParams,
     KnotData,
-    Slope,
     certified_case,
     lspace_case,
 )
@@ -264,16 +262,3 @@ def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
         )
     return VerificationReport(tuple(failures))
 
-
-def slope_range(cert: Certificate) -> Callable[[Slope], bool]:
-    """Predicate selecting the slopes the certificate rules out.
-
-    True exactly for p'/q' with p', q' > 0 and p'/q' >= v, by exact
-    rational comparison; the boundary slope v is included.
-    """
-    v = cert.v
-
-    def admissible(slope: Slope) -> bool:
-        return slope.numerator > 0 and slope.numerator >= v * slope.denominator
-
-    return admissible

@@ -24,6 +24,12 @@ M_ZERO_NOTE = (
 )
 
 
+# The bound on |p|, |k|, |ell| and |m|.  Below it v < 10^602 and every
+# word exponent is below 10^401, so none of these prints with more than
+# 640 digits, the lowest limit int() can be set to.
+PARAM_LIMIT = 10**200
+
+
 class ParameterError(ValueError):
     """Family parameters outside their documented bounds."""
 
@@ -32,9 +38,10 @@ class ParameterError(ValueError):
 class FamilyParams:
     """Parameters (p, k, sign, ell, m) selecting T(p, pk+sign; ell, m).
 
-    The one place the family parameters are range-checked: p >= 3,
-    k >= 1, sign = ±1, 2 <= ell <= p-1 and m >= 0, so q >= 2.  ell = p is refused with a
-    message that names the equal torus-knot instance (k + m, m = 0).
+    The one place the family parameters are range-checked: first |p|,
+    |k|, |ell| and |m| below ``PARAM_LIMIT``, so no refusal echoes a longer
+    integer, then p >= 3, k >= 1, sign = ±1, 2 <= ell <= p-1 and m >= 0, so q >= 2.
+    ell = p is refused with a message that names the equal torus-knot instance (k + m, m = 0).
     """
 
     p: int
@@ -44,6 +51,9 @@ class FamilyParams:
     m: int
 
     def __post_init__(self):
+        for name in ("p", "k", "ell", "m"):
+            if abs(getattr(self, name)) >= PARAM_LIMIT:
+                raise ParameterError(f"require |{name}| < 10^200, got {name} of over 200 digits")
         if self.p < 3:
             raise ParameterError(f"require p >= 3, got p = {self.p}")
         if self.k < 1:

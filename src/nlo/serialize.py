@@ -173,17 +173,15 @@ def verification_to_doc(report: VerificationReport) -> Doc:
     }
 
 
-_INFINITY = float("inf")
-
-
 def render_document(value: Any) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, built in one pass.
 
     json runs its pure-Python encoder whenever ``indent`` is set; this one
-    appends each piece to one list and joins them once.  Any value but a
-    str, int, float, bool, None, list, tuple or dict, and any dict key that
-    is not a str, raises TypeError; an int of over 4300 digits raises
-    json's ValueError.
+    appends each piece to one list and joins them once.  It renders str,
+    int, bool, None, list and dict, the values nlo documents hold; any
+    other value, a float or tuple included, and any dict key that is not a
+    str, raises TypeError.  An int of over 4300 digits raises json's
+    ValueError.
     """
     pieces: list[str] = []
     _render(value, pieces.append, "\n")
@@ -211,7 +209,7 @@ def _render(value: Any, append: Callable[[str], None], newline: str) -> None:
             _render(value[key], append, inner)
             separator = "," + inner
         append(newline + "}")
-    elif kind is list or kind is tuple:
+    elif kind is list:
         if not value:
             append("[]")
             return
@@ -228,15 +226,6 @@ def _render(value: Any, append: Callable[[str], None], newline: str) -> None:
         append("true")
     elif value is False:
         append("false")
-    elif kind is float:
-        if value != value:
-            append("NaN")
-        elif value == _INFINITY:
-            append("Infinity")
-        elif value == -_INFINITY:
-            append("-Infinity")
-        else:
-            append(float.__repr__(value))
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 

@@ -20,11 +20,10 @@ from nlo.certificates import (
     UnsupportedParameters,
     case_label,
     certify,
-    slope_range,
     verify_certificate,
     xy_change,
 )
-from nlo.families import FamilyParams, Slope, build
+from nlo.families import FamilyParams, build
 from nlo.presentation import GeneratorChange, insertion_step, replay_trace
 from nlo.sweep import SweepSpec, grid_instances
 from nlo.words import Word, parse_word, substitute
@@ -244,16 +243,6 @@ def test_generator_change_round_trip_enforced():
     # The check ends there, after the case clause.
     report = verify_certificate(kd, dataclasses.replace(certify(kd), change=change, case="?"))
     assert report.failures == (f"{CLAUSE_CASE}: stated case is not sign=-1,ell=p-1", failure)
-
-
-def test_slope_range_boundary_and_signs():
-    kd = build(FamilyParams(3, 2, -1, 2, 1))
-    admissible = slope_range(certify(kd))
-    assert admissible(Slope(19, 1))
-    assert admissible(Slope(39, 2))
-    assert not admissible(Slope(37, 2))
-    assert not admissible(Slope(-20, 1))
-    assert not admissible(Slope(0, 1))
 
 
 def test_cross_formula_identity():

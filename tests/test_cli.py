@@ -671,6 +671,27 @@ def test_verify_huge_power_exits_verify(capsys, monkeypatch):
     assert err == ""
 
 
+def test_parameters_of_200_digits_are_refused_without_echo(capsys):
+    huge = str(10**2200 + 1)
+    code, out, err = run(capsys, "present", "--p", huge, "--k", huge, "--sign", "-1",
+                         "--ell", "2", "--m", "0")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "|p| < 10^200" in err and len(err.encode()) < 300
+
+
+def test_largest_parameters_print_under_the_lowest_digit_limit(tmp_path):
+    # 640 digits is the lowest limit int() can be set to; no integer present
+    # prints for parameters below 10^200 is longer.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "PYTHONINTMAXSTRDIGITS": "640"}
+    big = str(10**200 - 1)
+    done = subprocess.run([sys.executable, "-m", "nlo", "present", "--p", big, "--k", big,
+                           "--sign", "-1", "--ell", "2", "--m", "1"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert content_of(done.stdout)["params"]["p"] == 10**200 - 1
+
+
 def test_alexander_oversized_relator_exits_domain_fast(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "alexander", "--p", "3", "--k", "1000000", "--sign", "-1",

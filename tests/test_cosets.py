@@ -112,30 +112,6 @@ def test_enumeration_order_divisible_by_h1():
             assert table.num_cosets % order == 0
 
 
-def test_coset_action():
-    pres = Presentation(
-        ("a", "b"),
-        (parse_word("a^3"), parse_word("b^2"), parse_word("a b a b")),
-    )
-    table = todd_coxeter(pres, [parse_word("b")])
-    perm = table.action(parse_word("a"))
-    assert sorted(perm) == list(range(table.num_cosets))
-    assert table.action(parse_word("a^3")) == list(range(table.num_cosets))
-
-
-def test_action_names_a_generator_outside_the_table():
-    table = todd_coxeter(surgery_presentation(trefoil(), Slope(5, 1)), [])
-    with pytest.raises(ValueError, match="generator 'c' is not one of the table's generators a, b"):
-        table.action(parse_word("a c^2 b"))
-
-
-def test_incomplete_table_refuses_action():
-    pres = Presentation(("a", "b"))
-    table = todd_coxeter(pres, [], max_cosets=50)
-    with pytest.raises(ValueError):
-        table.action(parse_word("a"))
-
-
 def test_peripheral_commutation_trefoil():
     report = check_peripheral_commutation(trefoil(), max_cosets=3000)
     assert report.consistent
@@ -307,6 +283,14 @@ def test_order_presentations_match_reference_at_cap_2000():
         assert_same_table(pres, [], 2000)
 
 
+def assert_knot_group_caps(kd):
+    """The battery leaves out the knot group: over each of its nine
+    subgroups the enumeration caps at 2000, and matches the reference."""
+    subgroups = [[]] + [[Word([(g, e)])] for g in "ab" for e in (1, 2, 3)] + [[kd.mu], [kd.s]]
+    for subgroup in subgroups:
+        assert assert_same_table(kd.presentation, subgroup, 2000).status == CAPPED
+
+
 def test_trefoil_battery_matches_reference(monkeypatch):
     calls = []
 
@@ -316,8 +300,9 @@ def test_trefoil_battery_matches_reference(monkeypatch):
 
     monkeypatch.setattr(nlo.cosets, "todd_coxeter", both)
     report = check_peripheral_commutation(trefoil(), max_cosets=2000)
-    assert calls == [2000] * 54
+    assert calls == [2000] * 45
     assert report.consistent and report.complete_enumerations == 45
+    assert_knot_group_caps(trefoil())
 
 
 def test_order_presentations_pinned_at_cap_20000():
@@ -327,7 +312,7 @@ def test_order_presentations_pinned_at_cap_20000():
 
 
 def test_vacuous_battery_matches_reference(monkeypatch):
-    # T(3,2;2,1) completes none of its 54 enumerations at cap 2000, so
+    # T(3,2;2,1) completes none of its 45 enumerations at cap 2000, so
     # every table here is capped, many inside a fresh chain or its fold.
     calls = []
 
@@ -337,11 +322,11 @@ def test_vacuous_battery_matches_reference(monkeypatch):
         return table
 
     monkeypatch.setattr(nlo.cosets, "todd_coxeter", both)
-    report = check_peripheral_commutation(
-        build(FamilyParams(3, 1, -1, 2, 1)), max_cosets=2000
-    )
-    assert calls == [CAPPED] * 54
+    kd = build(FamilyParams(3, 1, -1, 2, 1))
+    report = check_peripheral_commutation(kd, max_cosets=2000)
+    assert calls == [CAPPED] * 45
     assert report.complete_enumerations == 0
+    assert_knot_group_caps(kd)
 
 
 def complete_labels():

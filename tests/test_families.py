@@ -99,6 +99,16 @@ def test_parameter_validation():
         FamilyParams(3, 1, -1, 2, -1)
 
 
+@pytest.mark.parametrize("name", ["p", "k", "ell", "m"])
+def test_parameters_from_10_to_the_200_are_refused_first(name):
+    fields = {"p": 3, "k": 1, "sign": -1, "ell": 2, "m": 1}
+    for value in (10**200, -(10**200), 10**5000):
+        with pytest.raises(ParameterError) as err:
+            FamilyParams(**{**fields, name: value})
+        assert str(err.value) == f"require |{name}| < 10^200, got {name} of over 200 digits"
+    assert FamilyParams(**{**fields, "p": 10**200 - 1, "ell": 10**200 - 2}).p == 10**200 - 1
+
+
 def test_ell_equals_p_refusal_names_torus_instance():
     # T(3, 5; 3, 1) is the torus knot T(3, 8), the instance k = 3, m = 0.
     with pytest.raises(ParameterError) as err:

@@ -66,15 +66,12 @@ SCALARS = (
     | st.integers()
     | st.integers(min_value=2**64, max_value=2**200)
     | st.integers(min_value=-(2**200), max_value=-(2**64))
-    | st.floats()
-    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")])
     | TEXT
 )
 VALUES = st.recursive(
     SCALARS,
     lambda children: (
         st.lists(children, max_size=5)
-        | st.lists(children, max_size=5).map(tuple)
         | st.dictionaries(TEXT, children, max_size=5)
     ),
     max_leaves=40,
@@ -89,12 +86,11 @@ def test_render_document_matches_json(value):
 
 def test_render_document_covers_the_edge_values():
     value = {
-        "": [], "\ud800 é\x00\n": {}, "big": [2**64, -(2**64) - 1, ()],
-        "flags": (True, False, None, 1, 0, 1.0, 0.0),
-        "floats": [-0.0, float("nan"), float("inf"), -float("inf"), 1e300, 5e-324],
+        "": [], "\ud800 é\x00\n": {}, "big": [2**64, -(2**64) - 1, []],
+        "flags": [True, False, None, 1, 0],
     }
     assert render_document(value) == json_reference(value)
-    flags = "[\n  true,\n  false,\n  null,\n  1,\n  0,\n  1.0,\n  0.0\n]"
+    flags = "[\n  true,\n  false,\n  null,\n  1,\n  0\n]"
     assert render_document(value["flags"]) == flags
 
 
@@ -114,7 +110,7 @@ def test_render_document_refuses_a_key_that_is_not_a_str(value):
         render_document(value)
 
 
-@pytest.mark.parametrize("value", [{1, 2}, {"a": b"x"}, [object()]])
+@pytest.mark.parametrize("value", [{1, 2}, {"a": b"x"}, [object()], 1.0, ("a",)])
 def test_render_document_refuses_a_value_json_cannot_hold(value):
     with pytest.raises(TypeError, match="is not JSON serializable"):
         render_document(value)
