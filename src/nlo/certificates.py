@@ -19,8 +19,6 @@ framing once each.  Only scripts/search_positive_ell2.py searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .families import (
     CASE_NEXT,
     CASE_TOP,
@@ -35,7 +33,7 @@ from .presentation import (
     insertion_step,
     replay_trace,
 )
-from .words import Word, abbreviate_word, is_positive, substitute
+from .words import Record, Word, abbreviate_int, abbreviate_word, is_positive, substitute
 
 ELL2_REFUSAL = (
     "no positive rewriting of the framing is known for ell = 2, m = 1 with "
@@ -60,21 +58,26 @@ class UnsupportedParameters(ValueError):
     """Parameters outside the four certified cases."""
 
 
-@dataclass(frozen=True)
-class Certificate:
-    params: FamilyParams
-    case: str
-    change: GeneratorChange
-    trace: tuple[TraceStep, ...]
-    positive_s: Word
-    v: int
+class Certificate(Record):
+    _fields = ("params", "case", "change", "trace", "positive_s", "v")
+
+    def __init__(self, params: FamilyParams, case: str, change: GeneratorChange,
+                 trace: tuple[TraceStep, ...], positive_s: Word, v: int):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "change", change)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "positive_s", positive_s)
+        object.__setattr__(self, "v", v)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """The failures of a check; it passed if there are none."""
 
-    failures: tuple[str, ...]
+    _fields = ("failures",)
+
+    def __init__(self, failures: tuple[str, ...]):
+        object.__setattr__(self, "failures", failures)
 
     @property
     def passed(self) -> bool:
@@ -124,7 +127,7 @@ def _classify(params: FamilyParams) -> str:
     p, ell, m, sign = params.p, params.ell, params.m, params.sign
     if m == 0:
         raise UnsupportedParameters(M_ZERO_REFUSAL)
-    nearest = certified_case(replace(params, m=1))
+    nearest = certified_case(params.replace(m=1))
     if nearest is not None:
         raise UnsupportedParameters(
             f"nearest case sign={sign:+d},{nearest} requires m = 1, got m = {m}"
@@ -257,8 +260,8 @@ def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
 
     if cert.v != kd.params.v:
         failures.append(
-            f"{CLAUSE_FRAMING}: certificate states v = {cert.v}, knot has "
-            f"v = {kd.params.v}"
+            f"{CLAUSE_FRAMING}: certificate states {abbreviate_int('v', cert.v, ' = ')}, "
+            f"knot has v = {kd.params.v}"
         )
     return VerificationReport(tuple(failures))
 

@@ -69,12 +69,11 @@ status "capped", which is a result, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .families import KnotData, Slope, surgery_presentation
 from .presentation import Presentation
-from .words import COMMUTATION_MAX_COSETS, DEFAULT_MAX_COSETS, Word, letter_text
+from .words import COMMUTATION_MAX_COSETS, DEFAULT_MAX_COSETS, Record, Word, letter_text
 
 COMPLETE = "complete"
 CAPPED = "capped"
@@ -364,8 +363,7 @@ def _check_closure(table: CosetTable, relators: tuple[Word, ...]) -> None:
         raise RuntimeError("row 0 is not fixed by a subgroup generator")
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(Record):
     """Outcome of the peripheral commutation battery.
 
     ``consistent`` means the commutator of the meridian and the framing
@@ -374,9 +372,13 @@ class CommutationReport:
     meridian and framing (see ``check_peripheral_commutation``).
     """
 
-    consistent: bool
-    complete_enumerations: int
-    checked: tuple[tuple[str, int, bool], ...]
+    _fields = ("consistent", "complete_enumerations", "checked")
+
+    def __init__(self, consistent: bool, complete_enumerations: int,
+                 checked: tuple[tuple[str, int, bool], ...]):
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "complete_enumerations", complete_enumerations)
+        object.__setattr__(self, "checked", checked)
 
     def __str__(self) -> str:
         word = "consistent" if self.consistent else "INCONSISTENT"

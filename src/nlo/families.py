@@ -13,10 +13,9 @@ v = p*q + ell^2*m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .presentation import Presentation
-from .words import MAX_LETTERS, Word, abbreviate_text, over_cap
+from .words import MAX_LETTERS, Record, Word, abbreviate_text, over_cap
 
 M_ZERO_NOTE = (
     "m = 0 is the untwisted torus-knot degeneration, outside the standing "
@@ -34,8 +33,7 @@ class ParameterError(ValueError):
     """Family parameters outside their documented bounds."""
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
     """Parameters (p, k, sign, ell, m) selecting T(p, pk+sign; ell, m).
 
     The one place the family parameters are range-checked: first |p|,
@@ -44,35 +42,34 @@ class FamilyParams:
     ell = p is refused with a message that names the equal torus-knot instance (k + m, m = 0).
     """
 
-    p: int
-    k: int
-    sign: int
-    ell: int
-    m: int
+    _fields = ("p", "k", "sign", "ell", "m")
 
-    def __post_init__(self):
-        for name in ("p", "k", "ell", "m"):
-            if abs(getattr(self, name)) >= PARAM_LIMIT:
+    def __init__(self, p: int, k: int, sign: int, ell: int, m: int):
+        for name, value in (("p", p), ("k", k), ("ell", ell), ("m", m)):
+            if abs(value) >= PARAM_LIMIT:
                 raise ParameterError(f"require |{name}| < 10^200, got {name} of over 200 digits")
-        if self.p < 3:
-            raise ParameterError(f"require p >= 3, got p = {self.p}")
-        if self.k < 1:
-            raise ParameterError(f"require k >= 1, got k = {self.k}")
-        if self.sign not in (1, -1):
-            raise ParameterError(f"require sign in {{+1, -1}}, got {self.sign}")
-        if self.m < 0:
-            raise ParameterError(f"require m >= 0, got m = {self.m}")
-        if self.ell == self.p:
-            p, q, k, m = self.p, self.q, self.k, self.m
+        if p < 3:
+            raise ParameterError(f"require p >= 3, got p = {p}")
+        if k < 1:
+            raise ParameterError(f"require k >= 1, got k = {k}")
+        if sign not in (1, -1):
+            raise ParameterError(f"require sign in {{+1, -1}}, got {sign}")
+        if m < 0:
+            raise ParameterError(f"require m >= 0, got m = {m}")
+        if ell == p:
+            q = p * k + sign
             raise ParameterError(
                 f"ell = p = {p} is outside 2 <= ell <= p-1: T({p}, {q}; {p}, {m}) "
                 f"is the torus knot T({p}, {q + p * m}), the instance k = {k + m}, "
                 f"m = 0 with any 2 <= ell <= {p - 1}"
             )
-        if not 2 <= self.ell <= self.p - 1:
-            raise ParameterError(
-                f"require 2 <= ell <= p-1 = {self.p - 1}, got ell = {self.ell}"
-            )
+        if not 2 <= ell <= p - 1:
+            raise ParameterError(f"require 2 <= ell <= p-1 = {p - 1}, got ell = {ell}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "m", m)
 
     @property
     def q(self) -> int:
@@ -84,28 +81,28 @@ class FamilyParams:
         return self.p * self.q + self.ell * self.ell * self.m
 
 
-@dataclass(frozen=True)
-class KnotData:
+class KnotData(Record):
     """A knot group presentation with its meridian ``mu`` and surface
     framing ``s``; the framing coefficient is ``params.v``."""
 
-    params: FamilyParams
-    presentation: Presentation
-    mu: Word
-    s: Word
+    _fields = ("params", "presentation", "mu", "s")
+
+    def __init__(self, params: FamilyParams, presentation: Presentation, mu: Word, s: Word):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "s", s)
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(Record):
     """A surgery slope numerator/denominator, stored reduced with a
     positive denominator.  Zero and negative numerators are allowed for
     exploration; the certificate layer applies its own positivity rules."""
 
-    numerator: int
-    denominator: int = 1
+    _fields = ("numerator", "denominator")
 
-    def __post_init__(self):
-        num, den = self.numerator, self.denominator
+    def __init__(self, numerator: int, denominator: int = 1):
+        num, den = numerator, denominator
         if den == 0:
             raise ParameterError("slope denominator must be nonzero")
         if den < 0:

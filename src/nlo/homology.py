@@ -8,13 +8,12 @@ is arbitrary-precision integer; no modular shortcuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
 from .families import KnotData, Slope, surgery_exponents
 from .presentation import Presentation
-from .words import Word, exponent_sum
+from .words import Record, Word, exponent_sum
 
 Matrix = list[list[int]]
 
@@ -30,12 +29,14 @@ def abelianization_matrix(pres: Presentation) -> Matrix:
     return matrix
 
 
-@dataclass(frozen=True)
-class Homology:
+class Homology(Record):
     """First homology as nontrivial invariant factors plus free rank."""
 
-    invariant_factors: tuple[int, ...]
-    free_rank: int
+    _fields = ("invariant_factors", "free_rank")
+
+    def __init__(self, invariant_factors: tuple[int, ...], free_rank: int):
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "free_rank", free_rank)
 
     def order(self) -> int | None:
         """Group order; None when infinite."""

@@ -22,12 +22,13 @@ scripts/rewrite_search.py, outside the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .words import (
     MAX_LETTERS,
+    Record,
     Word,
+    abbreviate_int,
     cyclic_reduce,
     is_cyclic_rotation,
     letter_text,
@@ -40,8 +41,7 @@ class RewriteError(ValueError):
     """The addressed occurrence does not match the step's left side."""
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """One relator application: replace the occurrence of ``lhs`` at
     letter ``position`` by ``rhs``, where lhs = rhs is a cyclic form of
     relator ``relator_index``.
@@ -50,14 +50,15 @@ class TraceStep:
     being rewritten, so the step is independent of run-length encoding.
     """
 
-    lhs: Word
-    rhs: Word
-    relator_index: int
-    position: int
+    _fields = ("lhs", "rhs", "relator_index", "position")
 
-    def __post_init__(self):
-        if self.position < 0:
+    def __init__(self, lhs: Word, rhs: Word, relator_index: int, position: int):
+        if position < 0:
             raise ValueError("position must be nonnegative")
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "relator_index", relator_index)
+        object.__setattr__(self, "position", position)
 
     def matches_relator(self, relator: Word) -> bool:
         """True iff lhs = rhs is a consequence of one application of
@@ -68,26 +69,24 @@ class TraceStep:
         return is_cyclic_rotation(core, target) or is_cyclic_rotation(core, ~target)
 
 
-@dataclass
-class Presentation:
-    """Generators and reduced relators."""
+class Presentation(Record):
+    """Generators and reduced relators, each stored as a tuple."""
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...] = ()
+    _fields = ("generators", "relators")
 
-    def __post_init__(self):
-        self.generators = tuple(self.generators)
-        self.relators = tuple(self.relators)
-        if len(set(self.generators)) != len(self.generators) or not self.generators:
+    def __init__(self, generators: Iterable[str], relators: Iterable[Word] = ()):
+        generators, relators = tuple(generators), tuple(relators)
+        if len(set(generators)) != len(generators) or not generators:
             raise ValueError("alphabet must be nonempty with unique generators")
-        alphabet = set(self.generators)
-        for r in self.relators:
+        alphabet = set(generators)
+        for r in relators:
             if not r.generators() <= alphabet:
                 raise ValueError(f"relator {r!r} uses generators outside the alphabet")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
 
 
-@dataclass(frozen=True)
-class GeneratorChange:
+class GeneratorChange(Record):
     """Substitutions between two alphabets, a plain record.
 
     ``forward`` maps each old generator to a word over the new alphabet,
@@ -96,8 +95,11 @@ class GeneratorChange:
     checked here.
     """
 
-    forward: Mapping[str, Word]
-    backward: Mapping[str, Word]
+    _fields = ("forward", "backward")
+
+    def __init__(self, forward: Mapping[str, Word], backward: Mapping[str, Word]):
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "backward", backward)
 
 
 def apply_relation(w: Word, step: TraceStep) -> Word:
@@ -114,7 +116,7 @@ def apply_relation(w: Word, step: TraceStep) -> Word:
     pos = step.position
     if pos > len(text) - len(src):
         raise RewriteError(
-            f"no room for a length-{len(src)} occurrence at position {pos} "
+            f"no room for a length-{len(src)} occurrence at {abbreviate_int('position', pos)} "
             f"in a word of {len(text)} letters"
         )
     if not text.startswith(src, pos):
@@ -135,7 +137,9 @@ def replay_trace(w: Word, trace: Iterable[TraceStep], relators: tuple[Word, ...]
     current, spent = w, 0
     for step in trace:
         if not 0 <= step.relator_index < len(relators):
-            raise RewriteError(f"relator index {step.relator_index} out of range")
+            raise RewriteError(
+                f"{abbreviate_int('relator index', step.relator_index)} out of range"
+            )
         if not step.matches_relator(relators[step.relator_index]):
             raise RewriteError(
                 f"relation {step.lhs!r} = {step.rhs!r} is not a cyclic form of "

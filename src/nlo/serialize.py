@@ -10,7 +10,6 @@ the word grammar, so documents stay human-readable and hash-stable.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -72,7 +71,7 @@ def params_to_doc(params: FamilyParams) -> Doc:
 def params_from_doc(doc: Doc) -> FamilyParams:
     try:
         return FamilyParams(
-            *(_integer(doc[f.name], f"params.{f.name}") for f in fields(FamilyParams))
+            *(_integer(doc[name], f"params.{name}") for name in FamilyParams._fields)
         )
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed parameter document: {exc}") from exc
@@ -149,7 +148,10 @@ def certificate_from_doc(doc: Doc) -> Certificate:
                     f"generator_change.{name} must list the {side} keys in order"
                 )
         change = GeneratorChange(forward, backward)
-        trace = tuple(_trace_step(entry) for entry in doc["trace"])
+        entries = doc["trace"]
+        if type(entries) is not list or not all(type(entry) is dict for entry in entries):
+            raise TypeError("trace must be a list of objects")
+        trace = tuple(_trace_step(entry) for entry in entries)
         hyp = doc["hypotheses"]
         if not (hyp == HYPOTHESES and all(flag is True for flag in hyp.values())):
             raise SchemaError(f"hypotheses must set exactly {', '.join(HYPOTHESES)} to true")

@@ -6,46 +6,43 @@ A sweep is one serial loop over the grid's instances in canonical order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .certificates import VerificationReport, certify, verify_certificate
 from .families import ALL_CASES, FamilyParams, build, certified_case
 from .serialize import certificate_to_doc, params_to_doc
-from .words import abbreviate_text
+from .words import Record, abbreviate_text
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """Inclusive parameter ranges and case filter for a sweep.
 
     The defaults are the one statement of the grid that ``nlo sweep`` and
     scripts/gap_report.py cover when given no flags.
     """
 
-    p_range: tuple[int, int] = (3, 7)
-    k_range: tuple[int, int] = (1, 4)
-    m_range: tuple[int, int] = (1, 3)
-    signs: tuple[int, ...] = (-1, 1)
-    cases: tuple[str, ...] = ALL_CASES
+    _fields = ("p_range", "k_range", "m_range", "signs", "cases")
 
-    def __post_init__(self):
-        for name, (lo, hi) in (
-            ("p", self.p_range),
-            ("k", self.k_range),
-            ("m", self.m_range),
-        ):
+    def __init__(self, p_range: tuple[int, int] = (3, 7), k_range: tuple[int, int] = (1, 4),
+                 m_range: tuple[int, int] = (1, 3), signs: tuple[int, ...] = (-1, 1),
+                 cases: tuple[str, ...] = ALL_CASES):
+        for name, (lo, hi) in (("p", p_range), ("k", k_range), ("m", m_range)):
             if lo > hi:
                 raise ValueError(f"empty {name} range {lo}:{hi}")
-        if sorted(self.signs) not in ([-1], [1], [-1, 1]):
+        if sorted(signs) not in ([-1], [1], [-1, 1]):
             raise ValueError("signs must be a nonempty subset of {-1, +1}")
         # FamilyParams refuses a grid whose lower corner it cannot build.
-        (p, _), (k, _), (m, _) = self.p_range, self.k_range, self.m_range
-        for sign in self.signs:
+        (p, _), (k, _), (m, _) = p_range, k_range, m_range
+        for sign in signs:
             FamilyParams(p, k, sign, p - 1, m)
-        unknown = set(self.cases) - set(ALL_CASES)
+        unknown = set(cases) - set(ALL_CASES)
         if unknown:
             raise ValueError(f"unknown cases {sorted(unknown)}")
+        object.__setattr__(self, "p_range", p_range)
+        object.__setattr__(self, "k_range", k_range)
+        object.__setattr__(self, "m_range", m_range)
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "cases", cases)
 
 
 def parse_range(text: str) -> tuple[int, int]:

@@ -84,6 +84,62 @@ def abbreviate_text(text: str) -> str:
     return f"{text[:MESSAGE_WORD_CHARS]}… ({len(text)} characters)"
 
 
+# A message quotes an integer whole only below this, so in at most MESSAGE_WORD_CHARS digits.
+_MESSAGE_INT_LIMIT = 10**MESSAGE_WORD_CHARS
+
+
+def abbreviate_int(name: str, value: int, sep: str = " ") -> str:
+    """``name``, ``sep`` and ``value`` for a message; a value of over
+    MESSAGE_WORD_CHARS digits is named by that bound only, as
+    ``FamilyParams`` words its refusals, so outside input cannot blow up a
+    message."""
+    if -_MESSAGE_INT_LIMIT < value < _MESSAGE_INT_LIMIT:
+        return f"{name}{sep}{value}"
+    return f"{name} of over {MESSAGE_WORD_CHARS} digits"
+
+
+class Record:
+    """Base of the package's immutable records, in place of frozen dataclasses.
+
+    A record names its fields, in order, in ``_fields`` and writes its own
+    ``__init__``, which makes its checks and sets each field once through
+    ``object.__setattr__``.  The base gives the rest of what
+    ``@dataclass(frozen=True)`` would, with no code generated at import:
+    equality with a record of the same class and equal fields, a hash and a
+    repr over the fields, assignment and deletion refused, and ``replace``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with the fields named in ``changes`` replaced, built (and
+        checked) by ``__init__``."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        fields.update(changes)
+        return self.__class__(**fields)
+
+
 def _free_reduce(raw: Iterable[Syllable]) -> tuple[Syllable, ...]:
     """One-pass free reduction of syllables whose letters are valid."""
     out: list[Syllable] = []

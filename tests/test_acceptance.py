@@ -4,7 +4,6 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines as the
 criteria execute.
 """
 
-import dataclasses
 import functools
 import math
 import random
@@ -197,16 +196,16 @@ def test_criterion_7_negative_controls():
     # Sign-flipped syllable in the positive word.
     syl = list(cert.positive_s.syllables)
     syl[0] = (syl[0][0], -syl[0][1])
-    report = verify_certificate(kd, dataclasses.replace(cert, positive_s=Word(syl)))
+    report = verify_certificate(kd, cert.replace(positive_s=Word(syl)))
     assert not report.passed
     assert any(f.startswith(CLAUSE_POSITIVITY) for f in report.failures)
     # Wrong framing coefficient.
-    report = verify_certificate(kd, dataclasses.replace(cert, v=cert.v - 1))
+    report = verify_certificate(kd, cert.replace(v=cert.v - 1))
     assert not report.passed
     assert any(f.startswith(CLAUSE_FRAMING) for f in report.failures)
     # Wrong k in the generator maps.
     report = verify_certificate(
-        kd, dataclasses.replace(cert, change=xy_change(FamilyParams(4, 3, -1, 2, 1)))
+        kd, cert.replace(change=xy_change(FamilyParams(4, 3, -1, 2, 1)))
     )
     assert not report.passed
     assert any(f.startswith(CLAUSE_MERIDIAN) for f in report.failures)

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import os
 import subprocess
@@ -127,7 +126,7 @@ def test_verify_rejects_tampered_positive_word():
     cert = certify(kd)
     syl = list(cert.positive_s.syllables)
     syl[0] = (syl[0][0], -syl[0][1])
-    tampered = dataclasses.replace(cert, positive_s=Word(syl))
+    tampered = cert.replace(positive_s=Word(syl))
     report = verify_certificate(kd, tampered)
     assert not report.passed
     assert any(f.startswith(CLAUSE_POSITIVITY) for f in report.failures)
@@ -136,7 +135,7 @@ def test_verify_rejects_tampered_positive_word():
 def test_verify_rejects_wrong_v():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
     cert = certify(kd)
-    tampered = dataclasses.replace(cert, v=cert.v + 1)
+    tampered = cert.replace(v=cert.v + 1)
     report = verify_certificate(kd, tampered)
     assert not report.passed
     assert any(f.startswith(CLAUSE_FRAMING) for f in report.failures)
@@ -145,7 +144,7 @@ def test_verify_rejects_wrong_v():
 def test_verify_rejects_wrong_k_maps():
     kd = build(FamilyParams(3, 1, 1, 2, 1))
     cert = certify(kd)
-    tampered = dataclasses.replace(cert, change=xy_change(FamilyParams(3, 2, 1, 2, 1)))
+    tampered = cert.replace(change=xy_change(FamilyParams(3, 2, 1, 2, 1)))
     report = verify_certificate(kd, tampered)
     assert not report.passed
     assert any(f.startswith(CLAUSE_MERIDIAN) for f in report.failures)
@@ -164,8 +163,8 @@ def test_verify_rejects_tampered_trace():
     kd = build(FamilyParams(4, 1, -1, 2, 1))
     cert = certify(kd)
     step = cert.trace[0]
-    moved = dataclasses.replace(step, position=step.position + 2)
-    tampered = dataclasses.replace(cert, trace=(moved,))
+    moved = step.replace(position=step.position + 2)
+    tampered = cert.replace(trace=(moved,))
     report = verify_certificate(kd, tampered)
     assert not report.passed
     assert any(f.startswith(CLAUSE_REPLAY) for f in report.failures)
@@ -175,7 +174,7 @@ def test_verify_rejects_wrong_case():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
     cert = certify(kd)
     for case in ("sign=+1,whatever", "sign=+1,ell=p-1", None, 7):
-        report = verify_certificate(kd, dataclasses.replace(cert, case=case))
+        report = verify_certificate(kd, cert.replace(case=case))
         assert [f for f in report.failures if f.startswith(CLAUSE_CASE)] == [
             f"{CLAUSE_CASE}: stated case is not sign=-1,ell=p-1"
         ], case
@@ -187,7 +186,7 @@ def test_verify_case_follows_the_lspace_table():
     cert = certify(build(FamilyParams(3, 2, -1, 2, 1)))
     ell2 = build(FamilyParams(5, 1, -1, 2, 1))
     assert case_label(ell2.params) == "sign=-1,ell=2,m=1"
-    report = verify_certificate(ell2, dataclasses.replace(cert, case=case_label(ell2.params)))
+    report = verify_certificate(ell2, cert.replace(case=case_label(ell2.params)))
     assert not any(f.startswith(CLAUSE_CASE) for f in report.failures)
     # A knot in no L-space case has no case to state.
     middle = build(FamilyParams(7, 1, -1, 4, 1))
@@ -238,10 +237,10 @@ def test_generator_change_round_trip_enforced():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
     change = GeneratorChange(forward={"a": parse_word("x")}, backward={"x": parse_word("a^2")})
     failure = f"{CLAUSE_GENERATOR_CHANGE}: backward(forward(a)) = Word('a^2'), expected a"
-    report = verify_certificate(kd, dataclasses.replace(certify(kd), change=change))
+    report = verify_certificate(kd, certify(kd).replace(change=change))
     assert report.failures == (failure,)
     # The check ends there, after the case clause.
-    report = verify_certificate(kd, dataclasses.replace(certify(kd), change=change, case="?"))
+    report = verify_certificate(kd, certify(kd).replace(change=change, case="?"))
     assert report.failures == (f"{CLAUSE_CASE}: stated case is not sign=-1,ell=p-1", failure)
 
 
@@ -381,7 +380,7 @@ def test_verify_hostile_rotated_step_fails_fast():
     cert = certify(kd)
     relator = kd.presentation.relators[0]
     step = insertion_step(relator, relator.letter_length // 2, 0)
-    hostile = dataclasses.replace(cert, trace=(step,))
+    hostile = cert.replace(trace=(step,))
     start = time.perf_counter()
     report = verify_certificate(kd, hostile)
     elapsed = time.perf_counter() - start

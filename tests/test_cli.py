@@ -526,6 +526,47 @@ def test_verify_refuses_an_edited_trace_step(capsys, monkeypatch, edit, failure)
     assert err == ""
 
 
+# T(3,4;2,1), whose certificate takes no trace step.
+T34 = ["--p", "3", "--k", "1", "--sign", "1", "--ell", "2", "--m", "1"]
+
+
+@pytest.mark.parametrize("trace", [{}, "", 5, [5]],
+                         ids=["object", "string", "number", "list-of-number"])
+def test_verify_refuses_a_trace_that_is_not_a_list_of_objects(capsys, monkeypatch, trace):
+    # Iterated as it was, {} and "" read as T(3,4;2,1)'s empty trace and passed.
+    code, out, err = verify_edited(capsys, monkeypatch, T34, lambda doc: doc.update(trace=trace))
+    assert code == EXIT_VERIFY
+    assert content_of(out)["failures"] == [
+        "malformed certificate document: trace must be a list of objects"
+    ]
+    assert err == ""
+
+
+# An integer of 4000 digits, under json's limit of 4300, that no failure may echo.
+HOSTILE = 10**4000 - 1
+
+
+@pytest.mark.parametrize(
+    "edit, failure",
+    [(lambda doc: doc["trace"][0].update(position=HOSTILE),
+      "trace_replay: no room for a length-0 occurrence at position of over 200 digits "
+      "in a word of 10 letters"),
+     (lambda doc: doc["trace"][0].update(relator_index=HOSTILE),
+      "trace_replay: relator index of over 200 digits out of range"),
+     (lambda doc: doc["trace"][0].update(relator_index=-HOSTILE),
+      "trace_replay: relator index of over 200 digits out of range"),
+     (lambda doc: doc.update(v=HOSTILE),
+      "framing: certificate states v of over 200 digits, knot has v = 16")],
+    ids=["position", "relator-index", "negative-relator-index", "v"],
+)
+def test_verify_does_not_echo_a_hostile_integer(capsys, monkeypatch, edit, failure):
+    code, out, err = verify_edited(capsys, monkeypatch, T42, edit)
+    assert code == EXIT_VERIFY
+    assert len(out.encode()) < 1024
+    assert content_of(out)["failures"] == [failure]
+    assert err == ""
+
+
 def _drop_generator_change(doc):
     doc["generator_change"] = {"forward": {}, "backward": {},
                                "old_generators": [], "new_generators": []}
@@ -1123,6 +1164,8 @@ def test_a_fresh_process_loads_only_what_its_command_runs(tmp_path, capsys, monk
     held = done.stderr.splitlines()[-1].split()
     assert {name for name in held if name.split(".")[0] == "nlo"} == (
         EVERY_COMMAND_LOADS | {f"nlo.{name}" for name in loads})
+    # The records generate no code, so nothing loads what dataclass needs.
+    assert not {"dataclasses", "inspect"} & set(held)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -236,7 +235,7 @@ def test_class_map_kills_relators_and_matches_reference_snf(row, t, sign, multip
 
 def test_two_generator_kernels_refuse_three_generators():
     pres = Presentation(("a", "b", "c"), [parse_word("a^2 b^-3 c")])
-    kd = replace(build(FamilyParams(3, 2, -1, 2, 1)), presentation=pres)
+    kd = build(FamilyParams(3, 2, -1, 2, 1)).replace(presentation=pres)
     with pytest.raises(ValueError, match="two-generator"):
         h1(pres)
     with pytest.raises(ValueError, match="two-generator"):
