@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from .families import M_ZERO_NOTE, FamilyParams, KnotData, lspace_case
 from .presentation import GeneratorChange, Presentation, TraceStep
-from .words import format_word, parse_word
+from .words import abbreviate_int, format_word, parse_word
 
 if TYPE_CHECKING:
     from .certificates import Certificate, VerificationReport
@@ -48,7 +48,7 @@ def _check_version(doc: Doc, kind: str) -> None:
     version = _integer(doc.get("schema_version"), f"{kind} schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(
-            f"{kind} document has schema version {version}; "
+            f"{kind} document has {abbreviate_int('schema version', version)}; "
             f"this tool reads version {SCHEMA_VERSION}"
         )
 

@@ -102,25 +102,24 @@ class Record:
     """Base of the package's immutable records, in place of frozen dataclasses.
 
     A record names its fields, in order, in ``_fields`` and writes its own
-    ``__init__``, which makes its checks and sets each field once through
-    ``object.__setattr__``.  The base gives the rest of what
+    ``__init__``, which makes its checks and sets each field once, in that
+    order, through ``object.__setattr__``.  The base gives the rest of what
     ``@dataclass(frozen=True)`` would, with no code generated at import:
     equality with a record of the same class and equal fields, a hash and a
     repr over the fields, assignment and deletion refused, and ``replace``.
+    Since nothing else is set, the instance dict holds exactly the fields
+    in order, and equality and the hash read it as the field tuple.
     """
 
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self.__dict__ == other.__dict__
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(tuple(self.__dict__.values()))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

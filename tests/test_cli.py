@@ -556,8 +556,10 @@ HOSTILE = 10**4000 - 1
      (lambda doc: doc["trace"][0].update(relator_index=-HOSTILE),
       "trace_replay: relator index of over 200 digits out of range"),
      (lambda doc: doc.update(v=HOSTILE),
-      "framing: certificate states v of over 200 digits, knot has v = 16")],
-    ids=["position", "relator-index", "negative-relator-index", "v"],
+      "framing: certificate states v of over 200 digits, knot has v = 16"),
+     (lambda doc: doc.update(schema_version=HOSTILE),
+      "certificate document has schema version of over 200 digits; this tool reads version 1")],
+    ids=["position", "relator-index", "negative-relator-index", "v", "schema-version"],
 )
 def test_verify_does_not_echo_a_hostile_integer(capsys, monkeypatch, edit, failure):
     code, out, err = verify_edited(capsys, monkeypatch, T42, edit)

@@ -136,6 +136,8 @@ def test_record_matches_its_dataclass_reference(name, data):
     args = [kw[name] for name in fields[:len(fields) - data.draw(st.integers(0, len(defaults)))]]
     assert_same_outcome(outcome(lambda: record(*args)), outcome(lambda: reference(*args)))
 
+    # Equality and the hash read the instance dict, so it must hold the fields in order.
+    assert tuple(vars(new)) == fields
     again = record(**given_kw)
     assert new == again and not new != again
     # The same hash value, or the same refusal of a field that has none.
