@@ -15,25 +15,28 @@ closed form for the case and the relator step it names, and
 ``verify_certificate`` checks the stated case, that the generator change
 round trips, the meridian, the replayed trace and positive word, and the
 framing once each.  Only scripts/search_positive_ell2.py searches.
+
+The certificate document, schema 1 of ``nlo.serialize``, is written and
+read here, beside the records it holds.  The reader refuses a version or
+a trace direction it does not know, and any ``hypotheses`` but the one
+constant that schema 1 writes.
 """
 
 from __future__ import annotations
 
-from .families import (
-    CASE_NEXT,
-    CASE_TOP,
-    FamilyParams,
-    KnotData,
-    certified_case,
-    lspace_case,
+from .families import CASE_NEXT, CASE_TOP, FamilyParams, KnotData, certified_case, lspace_case
+from .presentation import GeneratorChange, TraceStep, insertion_step, replay_trace
+from .serialize import SCHEMA_VERSION, Doc, params_to_doc
+from .words import (
+    Record,
+    Word,
+    abbreviate_int,
+    abbreviate_word,
+    format_word,
+    is_positive,
+    parse_word,
+    substitute,
 )
-from .presentation import (
-    GeneratorChange,
-    TraceStep,
-    insertion_step,
-    replay_trace,
-)
-from .words import Record, Word, abbreviate_int, abbreviate_word, is_positive, substitute
 
 ELL2_REFUSAL = (
     "no positive rewriting of the framing is known for ell = 2, m = 1 with "
@@ -52,6 +55,35 @@ CLAUSE_MERIDIAN = "meridian"
 CLAUSE_REPLAY = "trace_replay"
 CLAUSE_POSITIVITY = "positivity"
 CLAUSE_FRAMING = "framing"
+
+# Every trace step replaces its left side by its right side.
+DIRECTION = "lhs_to_rhs"
+# Schema 1's ``hypotheses`` object: the criterion's hypotheses, each true.
+# ``verify_certificate`` checks them (meridian, positivity), so a
+# certificate states them as this constant and the reader takes no other.
+HYPOTHESES = {"x_is_meridian": True, "s_positive": True, "s_contains_x": True}
+
+
+class SchemaError(ValueError):
+    """Unknown schema version or malformed document."""
+
+
+def _integer(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer; floats and booleans are refused."""
+    if type(value) is not int:
+        raise SchemaError(f"{name} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _check_version(doc: Doc, kind: str) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{kind} document must be a JSON object, not {type(doc).__name__}")
+    version = _integer(doc.get("schema_version"), f"{kind} schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemaError(
+            f"{kind} document has {abbreviate_int('schema version', version)}; "
+            f"this tool reads version {SCHEMA_VERSION}"
+        )
 
 
 class UnsupportedParameters(ValueError):
@@ -265,3 +297,91 @@ def verify_certificate(kd: KnotData, cert: Certificate) -> VerificationReport:
         )
     return VerificationReport(tuple(failures))
 
+
+def params_from_doc(doc: Doc) -> FamilyParams:
+    try:
+        return FamilyParams(
+            *(_integer(doc[name], f"params.{name}") for name in FamilyParams._fields)
+        )
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"malformed parameter document: {exc}") from exc
+
+
+def certificate_to_doc(cert: Certificate) -> Doc:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "params": params_to_doc(cert.params),
+        "case": cert.case,
+        "generator_change": {
+            "old_generators": list(cert.change.forward),
+            "new_generators": list(cert.change.backward),
+            "forward": {g: format_word(w) for g, w in cert.change.forward.items()},
+            "backward": {g: format_word(w) for g, w in cert.change.backward.items()},
+        },
+        "trace": [
+            {
+                "relator_index": step.relator_index,
+                "direction": DIRECTION,
+                "position": step.position,
+                "lhs": format_word(step.lhs),
+                "rhs": format_word(step.rhs),
+            }
+            for step in cert.trace
+        ],
+        "positive_s": format_word(cert.positive_s),
+        "v": cert.v,
+        "hypotheses": dict(HYPOTHESES),
+    }
+
+
+def _trace_step(entry: Doc) -> TraceStep:
+    if entry["direction"] != DIRECTION:
+        raise SchemaError(f"trace direction must be {DIRECTION!r}")
+    return TraceStep(
+        lhs=parse_word(entry["lhs"]),
+        rhs=parse_word(entry["rhs"]),
+        relator_index=_integer(entry["relator_index"], "trace relator_index"),
+        position=_integer(entry["position"], "trace position"),
+    )
+
+
+def certificate_from_doc(doc: Doc) -> Certificate:
+    _check_version(doc, "certificate")
+    try:
+        gc_doc = doc["generator_change"]
+        forward = {g: parse_word(t) for g, t in gc_doc["forward"].items()}
+        backward = {g: parse_word(t) for g, t in gc_doc["backward"].items()}
+        for name, side, keys in (
+            ("old_generators", "forward", forward),
+            ("new_generators", "backward", backward),
+        ):
+            if gc_doc[name] != list(keys):
+                raise SchemaError(
+                    f"generator_change.{name} must list the {side} keys in order"
+                )
+        change = GeneratorChange(forward, backward)
+        entries = doc["trace"]
+        if type(entries) is not list or not all(type(entry) is dict for entry in entries):
+            raise TypeError("trace must be a list of objects")
+        trace = tuple(_trace_step(entry) for entry in entries)
+        hyp = doc["hypotheses"]
+        if not (hyp == HYPOTHESES and all(flag is True for flag in hyp.values())):
+            raise SchemaError(f"hypotheses must set exactly {', '.join(HYPOTHESES)} to true")
+        return Certificate(
+            params=params_from_doc(doc["params"]),
+            case=doc["case"],
+            change=change,
+            trace=trace,
+            positive_s=parse_word(doc["positive_s"]),
+            v=_integer(doc["v"], "v"),
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise SchemaError(f"malformed certificate document: {exc}") from exc
+
+
+def verification_to_doc(report: VerificationReport) -> Doc:
+    return {
+        "passed": report.passed,
+        "verdict": report.verdict,
+        "failures": list(report.failures),
+    }

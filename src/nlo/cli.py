@@ -27,9 +27,10 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
+from collections.abc import Callable
 from functools import cache
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, NoReturn
 
 from . import __version__
 from .families import (
@@ -41,16 +42,13 @@ from .families import (
     lspace_case,
     surgery_presentation,
 )
-from .serialize import (
-    SCHEMA_VERSION,
-    certificate_from_doc,
-    certificate_to_doc,
-    knot_data_to_doc,
-    presentation_to_doc,
-    render_document,
-    verification_to_doc,
-)
+from .serialize import SCHEMA_VERSION, knot_data_to_doc, presentation_to_doc, render_document
 from .words import COMMUTATION_MAX_COSETS, DEFAULT_MAX_COSETS, abbreviate_text, parse_word
+
+# typing is left unloaded at run time; this name serves annotations only.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -62,6 +60,10 @@ SLOPE_HELP = "p'/q' or p'; give a negative slope as --slope=-1/1, not --slope -1
 
 # Certificate documents nest about 5 levels; json recurses once per level.
 MAX_JSON_DEPTH = 16
+
+# The most characters verify reads: the largest certificate certify prints
+# under the word caps is about 2.5 MB (see the README).
+MAX_DOCUMENT_CHARS = 2**24
 
 
 # Every command needs the modules imported above; a handler loads the others
@@ -97,9 +99,9 @@ def _cmd_certify(args) -> tuple[int, dict, list[str]]:
     cert = certificates.certify(kd)
     report = certificates.verify_certificate(kd, cert)
     content = {
-        "certificate": certificate_to_doc(cert),
+        "certificate": certificates.certificate_to_doc(cert),
         "bound": f"r >= {cert.v}",
-        "verification": verification_to_doc(report),
+        "verification": certificates.verification_to_doc(report),
     }
     lines = [
         f"case: {cert.case}",
@@ -111,14 +113,20 @@ def _cmd_certify(args) -> tuple[int, dict, list[str]]:
     return (EXIT_OK if report.passed else EXIT_VERIFY), content, lines
 
 
-def _load_json(text: str):
-    """Decode ``text``, then bound the nesting of the value decoded.
+def _load_json(source):
+    """Read the text of ``source`` and decode it, then bound the nesting of
+    the value decoded.
 
-    The decoder recurses once a level and gives up at the interpreter's
-    recursion limit, which a hostile document reaches in a few
-    milliseconds; that refusal and any value deeper than MAX_JSON_DEPTH
-    levels fail alike.
+    At most MAX_DOCUMENT_CHARS characters and one more are read, and a
+    longer text is refused before it is decoded.  The decoder recurses once
+    a level and gives up at the interpreter's recursion limit, which a
+    hostile document reaches in a few milliseconds; that refusal and any
+    value deeper than MAX_JSON_DEPTH levels fail alike.
     """
+    text = source.read(MAX_DOCUMENT_CHARS + 1)
+    if len(text) > MAX_DOCUMENT_CHARS:
+        raise ValueError(f"document is longer than MAX_DOCUMENT_CHARS = {MAX_DOCUMENT_CHARS} "
+                         "characters")
     nests_deeper = ValueError(f"document nests deeper than {MAX_JSON_DEPTH} levels")
     try:
         doc = json.loads(text)
@@ -144,21 +152,21 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     # fails verification like any other bad document.
     try:
         if args.certificate == "-":
-            doc = _load_json(sys.stdin.read())
+            doc = _load_json(sys.stdin)
         else:
             with open(args.certificate) as handle:
-                doc = _load_json(handle.read())
+                doc = _load_json(handle)
         content = doc.get("content") if isinstance(doc, dict) else None
         if isinstance(content, dict) and "certificate" in content:
             doc = content["certificate"]
-        cert = certificate_from_doc(doc)
+        cert = certificates.certificate_from_doc(doc)
         kd = build(cert.params)
     except ValueError as exc:
         report = certificates.VerificationReport((str(exc),))
     else:
         report = certificates.verify_certificate(kd, cert)
     code = EXIT_OK if report.passed else EXIT_VERIFY
-    return code, verification_to_doc(report), [f"verdict: {report}"]
+    return code, certificates.verification_to_doc(report), [f"verdict: {report}"]
 
 
 def _cmd_surgery(args) -> tuple[int, dict, list[str]]:
@@ -271,17 +279,12 @@ def _cmd_help(args) -> tuple[int, dict, list[str]]:
     return EXIT_OK, {}, [_help(args.command)]
 
 
-class _Flag(NamedTuple):
+class _Flag(namedtuple("_Flag", "name convert choices required default append help",
+                       defaults=(str, (), False, None, False, ""))):
     """One long flag: its text becomes ``convert(text)``, which must be one
     of ``choices`` if there are any; an ``append`` flag collects a list."""
 
-    name: str
-    convert: Callable[[str], object] = str
-    choices: tuple = ()
-    required: bool = False
-    default: object = None
-    append: bool = False
-    help: str = ""
+    __slots__ = ()
 
     @property
     def dest(self) -> str:

@@ -71,8 +71,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .families import KnotData, Slope, surgery_presentation
-from .presentation import Presentation
+from .families import KnotData, Presentation, Slope, surgery_presentation
 from .words import COMMUTATION_MAX_COSETS, DEFAULT_MAX_COSETS, Record, Word, letter_text
 
 COMPLETE = "complete"

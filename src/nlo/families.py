@@ -1,6 +1,10 @@
 """Closed-form knot group presentations for the twisted torus knots
 T(p, pk±1; ell, m) and their Dehn surgery quotients.
 
+A ``Presentation`` is generators and relators only, built here and read
+by homology, Fox calculus, coset enumeration and the documents; the
+meridian and framing of a knot live beside it in ``KnotData``.
+
 Conventions: p >= 3 strands on the torus side, q = p*k + sign with
 sign = ±1, and ell adjacent strands receiving m extra full twists with
 2 <= ell <= p-1 and m >= 0.  (Full twists on all p strands give the torus
@@ -13,8 +17,8 @@ v = p*q + ell^2*m.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
-from .presentation import Presentation
 from .words import MAX_LETTERS, Record, Word, abbreviate_text, over_cap
 
 M_ZERO_NOTE = (
@@ -79,6 +83,23 @@ class FamilyParams(Record):
     def v(self) -> int:
         """Surface framing coefficient p*q + ell^2*m."""
         return self.p * self.q + self.ell * self.ell * self.m
+
+
+class Presentation(Record):
+    """Generators and reduced relators, each stored as a tuple."""
+
+    _fields = ("generators", "relators")
+
+    def __init__(self, generators: Iterable[str], relators: Iterable[Word] = ()):
+        generators, relators = tuple(generators), tuple(relators)
+        if len(set(generators)) != len(generators) or not generators:
+            raise ValueError("alphabet must be nonempty with unique generators")
+        alphabet = set(generators)
+        for r in relators:
+            if not r.generators() <= alphabet:
+                raise ValueError(f"relator {r!r} uses generators outside the alphabet")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
 
 
 class KnotData(Record):

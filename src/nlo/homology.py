@@ -11,8 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from .families import KnotData, Slope, surgery_exponents
-from .presentation import Presentation
+from .families import KnotData, Presentation, Slope, surgery_exponents
 from .words import Record, Word, exponent_sum
 
 Matrix = list[list[int]]

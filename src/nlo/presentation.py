@@ -1,9 +1,8 @@
-"""Finitely presented groups: relators, single-step rewriting, and
-generator changes, which are records only (``verify_certificate`` checks
-that a change round trips).
-
-A presentation is generators and relators only; the meridian and framing
-of a knot live beside it in ``families.KnotData``.
+"""Trace rewriting: single relator steps, their replay, and generator
+changes, which are records only (``verify_certificate`` checks that a
+change round trips).  Only ``nlo.certificates`` imports this module, so
+the commands that read or write no certificate never load it; the
+``Presentation`` whose relators a step names lives in ``nlo.families``.
 
 A trace step names an equality lhs = rhs, the relator that backs it and a
 letter position: it replaces the occurrence of lhs at that position of a
@@ -22,7 +21,7 @@ scripts/rewrite_search.py, outside the package.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .words import (
     MAX_LETTERS,
@@ -67,23 +66,6 @@ class TraceStep(Record):
         core = cyclic_reduce(self.lhs * ~self.rhs)
         target = cyclic_reduce(relator)
         return is_cyclic_rotation(core, target) or is_cyclic_rotation(core, ~target)
-
-
-class Presentation(Record):
-    """Generators and reduced relators, each stored as a tuple."""
-
-    _fields = ("generators", "relators")
-
-    def __init__(self, generators: Iterable[str], relators: Iterable[Word] = ()):
-        generators, relators = tuple(generators), tuple(relators)
-        if len(set(generators)) != len(generators) or not generators:
-            raise ValueError("alphabet must be nonempty with unique generators")
-        alphabet = set(generators)
-        for r in relators:
-            if not r.generators() <= alphabet:
-                raise ValueError(f"relator {r!r} uses generators outside the alphabet")
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
 
 
 class GeneratorChange(Record):

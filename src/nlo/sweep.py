@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .certificates import VerificationReport, certify, verify_certificate
+from .certificates import VerificationReport, certificate_to_doc, certify, verify_certificate
 from .families import ALL_CASES, FamilyParams, build, certified_case
-from .serialize import certificate_to_doc, params_to_doc
+from .serialize import params_to_doc
 from .words import Record, abbreviate_text
 
 

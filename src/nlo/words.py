@@ -36,7 +36,7 @@ that calls of ``substitute`` may share.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 Syllable = tuple[str, int]
 
@@ -396,6 +396,8 @@ def is_cyclic_rotation(u: Word, v: Word) -> bool:
 # as many as int() converts under any interpreter setting.
 _WORD = re.compile(r"(?:[ \t\n\r\f\v]*[a-z](?:\^-?[0-9]{1,640}(?![0-9]))?)*[ \t\n\r\f\v]*")
 _TERM = re.compile(r"([a-z])(?:\^(-?[0-9]+))?")
+# Deletes the letters of a text; each term of the grammar has one.
+_DROP_LETTERS = str.maketrans("", "", "abcdefghijklmnopqrstuvwxyz")
 
 
 def parse_word(text: str) -> Word:
@@ -406,8 +408,15 @@ def parse_word(text: str) -> Word:
     grammar match reads the text and one findall its terms.  Where the
     match stops short, the character there names the error: ``^`` right
     after a letter is a malformed exponent, any other ``^`` an exponent
-    without a generator.
+    without a generator.  A text of more than MAX_LETTERS letters, and so
+    terms, is refused through ``over_cap`` before the match.
     """
+    # A term is one letter and its exponent, so only a text of over MAX_LETTERS
+    # characters can hold more terms; the grammar match would hold every one.
+    if len(text) > MAX_LETTERS:
+        terms = len(text) - len(text.translate(_DROP_LETTERS))
+        if terms > MAX_LETTERS:
+            raise over_cap("the parsed word", terms, "terms")
     end = _WORD.match(text).end()
     if end < len(text):
         if text[end] != "^":

@@ -16,7 +16,7 @@ from nlo.cosets import (
     CosetTable,
     _check_closure,
 )
-from nlo.presentation import Presentation
+from nlo.families import Presentation
 from nlo.words import Word
 
 

@@ -16,9 +16,15 @@ from nlo.alexander import (
     polynomial_text,
 )
 from nlo.cli import EXIT_OK, main
-from nlo.families import FamilyParams, KnotData, ParameterError, build, lspace_case
+from nlo.families import (
+    FamilyParams,
+    KnotData,
+    ParameterError,
+    Presentation,
+    build,
+    lspace_case,
+)
 from nlo.homology import h1_class_map
-from nlo.presentation import Presentation
 from nlo.words import MAX_LETTERS, Word, exponent_sum, parse_word
 from reference_braid import braid_alexander
 from reference_fox import GroupRingElement, abelianize, fox_derivative

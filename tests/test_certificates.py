@@ -16,8 +16,11 @@ from nlo.certificates import (
     CLAUSE_POSITIVITY,
     CLAUSE_REPLAY,
     ELL2_REFUSAL,
+    SchemaError,
     UnsupportedParameters,
     case_label,
+    certificate_from_doc,
+    certificate_to_doc,
     certify,
     verify_certificate,
     xy_change,
@@ -387,3 +390,30 @@ def test_verify_hostile_rotated_step_fails_fast():
     assert not report.passed
     assert report.failures[0].startswith(f"{CLAUSE_REPLAY}:")
     assert elapsed < 1.0, f"hostile verify took {elapsed:.2f}s"
+
+
+def test_certificate_round_trip_including_trace():
+    kd = build(FamilyParams(4, 1, -1, 2, 1))
+    cert = certify(kd)
+    assert len(cert.trace) == 1
+    doc = certificate_to_doc(cert)
+    back = certificate_from_doc(doc)
+    assert back == cert
+    assert certificate_to_doc(back) == doc
+    assert verify_certificate(kd, back).passed
+
+
+def test_certificate_rejects_unknown_version():
+    kd = build(FamilyParams(3, 2, -1, 2, 1))
+    doc = certificate_to_doc(certify(kd))
+    doc["schema_version"] = 99
+    with pytest.raises(SchemaError):
+        certificate_from_doc(doc)
+
+
+def test_malformed_certificate_reports_schema_error():
+    kd = build(FamilyParams(3, 2, -1, 2, 1))
+    doc = certificate_to_doc(certify(kd))
+    del doc["positive_s"]
+    with pytest.raises(SchemaError):
+        certificate_from_doc(doc)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from nlo.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    MAX_DOCUMENT_CHARS,
     MAX_JSON_DEPTH,
     main,
 )
@@ -343,6 +345,56 @@ def test_largest_grid_substitution_is_within_the_budget(capsys, monkeypatch):
     flags = ["--p", "200", "--k", "50", "--sign", "-1", "--ell", "199", "--m", "50"]
     code, out, err = verify_edited(capsys, monkeypatch, flags, lambda doc: None)
     assert (code, content_of(out)["verdict"], err) == (EXIT_OK, "PASS", "")
+
+
+def over_the_cap(*args):
+    raise AssertionError("the document was decoded")
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_verify_reads_at_most_the_cap(tmp_path, capsys, monkeypatch, extra):
+    # The T(3,5;2,1) certificate padded with JSON whitespace to the cap, or one past it.
+    _, out, _ = run(capsys, "certify", *T35)
+    path = tmp_path / "padded.json"
+    path.write_text(out.ljust(MAX_DOCUMENT_CHARS + extra))
+    if extra:
+        monkeypatch.setattr(cli.json, "loads", over_the_cap)
+    code, out, err = run(capsys, "verify", "--certificate", str(path))
+    monkeypatch.undo()
+    if not extra:
+        assert (code, content_of(out)["verdict"], err) == (EXIT_OK, "PASS", "")
+        return
+    assert code == EXIT_VERIFY
+    assert content_of(out)["failures"] == [
+        f"document is longer than MAX_DOCUMENT_CHARS = {MAX_DOCUMENT_CHARS} characters"]
+    assert len(out.encode()) < 1024 and err == ""
+
+
+def test_verify_fails_a_16_mb_word_text_within_bounds(tmp_path, capsys):
+    # Below the document cap, so it is decoded; its 8 * 10^6 terms are
+    # refused before a syllable or a grammar match is made.  The grammar
+    # match alone used to hold about 150 bytes a term.
+    _, out, _ = run(capsys, "certify", *T35)
+    cert_doc = json.loads(out)["content"]["certificate"]
+    cert_doc["positive_s"] = "x y " * 4_000_000
+    path = tmp_path / "words.json"
+    path.write_text(json.dumps(cert_doc))
+    assert 16_000_000 < path.stat().st_size < MAX_DOCUMENT_CHARS
+    del cert_doc
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--certificate", str(path))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_VERIFY and err == ""
+    assert content_of(out)["failures"] == [
+        f"the parsed word would have 8000000 terms, over the cap MAX_LETTERS = {MAX_LETTERS}"]
+    # The text read, the decoded word text and the letters that counting keeps.
+    assert peak < 64 * 2**20, f"peak {peak >> 20} MiB"
+    assert elapsed < 3.0, f"took {elapsed:.2f}s"
 
 
 def test_verify_unknown_schema_exit_2(tmp_path, capsys):
@@ -1200,21 +1252,22 @@ def test_a_reader_that_leaves_early_gets_a_quiet_exit_1(tmp_path, argv):
 # The nlo modules that every command loads, and those each command adds.
 # The in-process suite has imported every module already, so only a fresh
 # interpreter shows an import cycle or an eager import grown back.
-EVERY_COMMAND_LOADS = {"nlo", "nlo.cli", "nlo.families", "nlo.presentation", "nlo.serialize",
-                       "nlo.words"}
+EVERY_COMMAND_LOADS = {"nlo", "nlo.cli", "nlo.families", "nlo.serialize", "nlo.words"}
+# What reading or writing a certificate adds: its document code and the trace rewriting.
+CERTIFICATE_LOADS = {"certificates", "presentation"}
 
 
 @pytest.mark.parametrize("argv, loads", [
     pytest.param(["present", *T35], set(), id="present"),
-    pytest.param(["certify", *T35], {"certificates"}, id="certify"),
-    pytest.param(["verify", "--certificate", "-"], {"certificates"}, id="verify"),
+    pytest.param(["certify", *T35], CERTIFICATE_LOADS, id="certify"),
+    pytest.param(["verify", "--certificate", "-"], CERTIFICATE_LOADS, id="verify"),
     pytest.param(["surgery", *T35, "--slope", "5/1"], set(), id="surgery"),
     pytest.param(["homology", *T35, "--slope", "5/1"], {"homology"}, id="homology"),
     pytest.param(["alexander", *T35], {"alexander", "homology"}, id="alexander"),
     pytest.param(["order", *T35, "--slope", "5/1"], {"cosets"}, id="order"),
     pytest.param(["commutation", *T35, "--max-cosets", "200"], {"cosets"}, id="commutation"),
     pytest.param(["sweep", "--p-range", "3:3", "--k-range", "1:1", "--m-range", "1:1"],
-                 {"certificates", "sweep"}, id="sweep"),
+                 CERTIFICATE_LOADS | {"sweep"}, id="sweep"),
 ])
 def test_a_fresh_process_loads_only_what_its_command_runs(tmp_path, capsys, monkeypatch,
                                                           argv, loads):
@@ -1234,6 +1287,17 @@ def test_a_fresh_process_loads_only_what_its_command_runs(tmp_path, capsys, monk
         EVERY_COMMAND_LOADS | {f"nlo.{name}" for name in loads})
     # The records generate no code, so nothing loads what dataclass needs.
     assert not {"dataclasses", "inspect"} & set(held)
+
+
+def test_importing_the_cli_loads_no_typing():
+    # -S leaves out site, which may load typing itself through a .pth file.
+    src = Path(__file__).resolve().parents[1] / "src"
+    entry = f"import sys; sys.path.insert(0, {str(src)!r}); import nlo.cli; print(*sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", entry], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    held = done.stdout.split()
+    assert "nlo.cli" in held and "typing" not in held
 
 
 @pytest.mark.parametrize(

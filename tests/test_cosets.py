@@ -16,9 +16,8 @@ from nlo.cosets import (
     check_peripheral_commutation,
     todd_coxeter,
 )
-from nlo.families import FamilyParams, Slope, build, surgery_presentation
+from nlo.families import FamilyParams, Presentation, Slope, build, surgery_presentation
 from nlo.homology import h1
-from nlo.presentation import Presentation
 from nlo.words import Word, parse_word
 
 from icosian import generated_subgroup, icosian_group, qpower

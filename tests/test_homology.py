@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nlo.families import FamilyParams, Slope, build, surgery_presentation
+from nlo.families import FamilyParams, Presentation, Slope, build, surgery_presentation
 from nlo.homology import (
     Homology,
     abelianization_matrix,
@@ -12,7 +12,6 @@ from nlo.homology import (
     h1_class_map,
     surgery_h1,
 )
-from nlo.presentation import Presentation
 from nlo.sweep import SweepSpec, grid_instances
 from nlo.words import Word, exponent_sum, parse_word
 from reference_fox import word_class

@@ -1,14 +1,8 @@
 import pytest
 
-from nlo.families import FamilyParams, build
+from nlo.families import FamilyParams, Presentation, build
 from nlo.homology import abelianization_matrix
-from nlo.presentation import (
-    Presentation,
-    RewriteError,
-    TraceStep,
-    apply_relation,
-    replay_trace,
-)
+from nlo.presentation import RewriteError, TraceStep, apply_relation, replay_trace
 from nlo.words import Word, exponent_sum, parse_word
 from rewrite_search import SearchCapExceeded, find_relation_applications
 

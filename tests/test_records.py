@@ -25,9 +25,9 @@ valid_params = st.sampled_from([
     for p in (3, 4, 5) for k in (1, 2) for sign in (-1, 1) for ell in range(2, p) for m in (0, 1)
 ])
 presentations = st.sampled_from([
-    presentation.Presentation(("a", "b"), (Word([("a", 2), ("b", -3)]),)),
-    presentation.Presentation(("a", "b")),
-    presentation.Presentation(("x",), (Word([("x", 5)]),)),
+    families.Presentation(("a", "b"), (Word([("a", 2), ("b", -3)]),)),
+    families.Presentation(("a", "b")),
+    families.Presentation(("x",), (Word([("x", 5)]),)),
 ])
 steps = st.builds(presentation.TraceStep, words, words, st.integers(0, 2), st.integers(0, 9))
 ranges = st.tuples(st.integers(-1, 6), st.integers(-1, 6))
@@ -45,7 +45,7 @@ RECORDS = {
     "TraceStep": (presentation.TraceStep, ref.TraceStep, st.fixed_dictionaries(
         {"lhs": words, "rhs": words, "relator_index": st.integers(-2, 3),
          "position": st.integers(-3, 9)}), ()),
-    "Presentation": (presentation.Presentation, ref.Presentation, st.fixed_dictionaries(
+    "Presentation": (families.Presentation, ref.Presentation, st.fixed_dictionaries(
         {"generators": st.lists(st.sampled_from("abc"), max_size=3),
          "relators": st.lists(words, max_size=3)}), ("relators",)),
     "GeneratorChange": (presentation.GeneratorChange, ref.GeneratorChange, st.fixed_dictionaries(

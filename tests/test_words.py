@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -417,6 +419,38 @@ def test_parse_word_refuses_an_exponent_of_more_than_640_digits(text, position):
         f"malformed exponent (at position {position})", position
     )
     assert parse_word("a^-" + "9" * 640).syllables == (("a", -int("9" * 640)),)
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [("x" * (MAX_LETTERS + 1), MAX_LETTERS + 1),
+     ("x y " * (MAX_LETTERS // 2 + 1), MAX_LETTERS + 2),
+     ("a^-12 " * (MAX_LETTERS + 1), MAX_LETTERS + 1)],
+    ids=["letters", "spaced", "exponents"],
+)
+def test_parse_word_refuses_more_than_max_letters_terms_before_the_match(text, terms):
+    # The grammar match holds about 150 bytes a term; the refusal costs
+    # only the characters that counting keeps.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            parse_word(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        f"the parsed word would have {terms} terms, over the cap MAX_LETTERS = {MAX_LETTERS}"
+    )
+    assert peak < len(text) + 2**20
+
+
+def test_parse_word_counts_terms_not_characters(monkeypatch):
+    monkeypatch.setattr(words_mod, "MAX_LETTERS", 1000)
+    assert len(parse_word("x y " * 500).syllables) == 1000
+    assert parse_word(" " * 5000 + "b^-" + "9" * 640 + "\n" * 5000) == parse_word(
+        "b^-" + "9" * 640)
+    with pytest.raises(ValueError, match="would have 1001 terms, over the cap MAX_LETTERS = 1000"):
+        parse_word("x y " * 500 + "x")
 
 
 # The seam product and power against the reference full reduction.
