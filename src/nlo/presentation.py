@@ -1,8 +1,8 @@
 """Trace rewriting: single relator steps, their replay, and generator
 changes, which are records only (``verify_certificate`` checks that a
-change round trips).  Only ``nlo.certificates`` imports this module, so
-the commands that read or write no certificate never load it; the
-``Presentation`` whose relators a step names lives in ``nlo.families``.
+change round trips).  In the package only ``nlo.certificates`` imports
+this module, so a command that reads or writes no certificate never loads
+it; the ``Presentation`` whose relators a step names is in ``nlo.families``.
 
 A trace step names an equality lhs = rhs, the relator that backs it and a
 letter position: it replaces the occurrence of lhs at that position of a

@@ -412,7 +412,7 @@ def parse_word(text: str) -> Word:
     terms, is refused through ``over_cap`` before the match.
     """
     # A term is one letter and its exponent, so only a text of over MAX_LETTERS
-    # characters can hold more terms; the grammar match would hold every one.
+    # characters can hold more terms.  Count first: the match holds memory a term.
     if len(text) > MAX_LETTERS:
         terms = len(text) - len(text.translate(_DROP_LETTERS))
         if terms > MAX_LETTERS:

@@ -372,8 +372,8 @@ def test_verify_reads_at_most_the_cap(tmp_path, capsys, monkeypatch, extra):
 
 def test_verify_fails_a_16_mb_word_text_within_bounds(tmp_path, capsys):
     # Below the document cap, so it is decoded; its 8 * 10^6 terms are
-    # refused before a syllable or a grammar match is made.  The grammar
-    # match alone used to hold about 150 bytes a term.
+    # refused before any syllable is built and before the grammar match,
+    # which holds some 200 bytes a term, runs.
     _, out, _ = run(capsys, "certify", *T35)
     cert_doc = json.loads(out)["content"]["certificate"]
     cert_doc["positive_s"] = "x y " * 4_000_000

@@ -429,7 +429,7 @@ def test_parse_word_refuses_an_exponent_of_more_than_640_digits(text, position):
     ids=["letters", "spaced", "exponents"],
 )
 def test_parse_word_refuses_more_than_max_letters_terms_before_the_match(text, terms):
-    # The grammar match holds about 150 bytes a term; the refusal costs
+    # The grammar match holds some 200 bytes a term; the refusal costs
     # only the characters that counting keeps.
     tracemalloc.start()
     try:
