@@ -91,25 +91,16 @@ class UnsupportedParameters(ValueError):
 
 
 class Certificate(Record):
-    _fields = ("params", "case", "change", "trace", "positive_s", "v")
-
     def __init__(self, params: FamilyParams, case: str, change: GeneratorChange,
                  trace: tuple[TraceStep, ...], positive_s: Word, v: int):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "change", change)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "positive_s", positive_s)
-        object.__setattr__(self, "v", v)
+        self._set(params=params, case=case, change=change, trace=trace, positive_s=positive_s, v=v)
 
 
 class VerificationReport(Record):
     """The failures of a check; it passed if there are none."""
 
-    _fields = ("failures",)
-
     def __init__(self, failures: tuple[str, ...]):
-        object.__setattr__(self, "failures", failures)
+        self._set(failures=failures)
 
     @property
     def passed(self) -> bool:

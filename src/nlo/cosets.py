@@ -374,13 +374,10 @@ class CommutationReport(Record):
     meridian and framing (see ``check_peripheral_commutation``).
     """
 
-    _fields = ("consistent", "complete_enumerations", "checked")
-
     def __init__(self, consistent: bool, complete_enumerations: int,
                  checked: tuple[tuple[str, int, bool], ...]):
-        object.__setattr__(self, "consistent", consistent)
-        object.__setattr__(self, "complete_enumerations", complete_enumerations)
-        object.__setattr__(self, "checked", checked)
+        self._set(consistent=consistent, complete_enumerations=complete_enumerations,
+                  checked=checked)
 
     def __str__(self) -> str:
         word = "consistent" if self.consistent else "INCONSISTENT"

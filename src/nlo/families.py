@@ -46,8 +46,6 @@ class FamilyParams(Record):
     ell = p is refused with a message that names the equal torus-knot instance (k + m, m = 0).
     """
 
-    _fields = ("p", "k", "sign", "ell", "m")
-
     def __init__(self, p: int, k: int, sign: int, ell: int, m: int):
         for name, value in (("p", p), ("k", k), ("ell", ell), ("m", m)):
             if abs(value) >= PARAM_LIMIT:
@@ -69,11 +67,7 @@ class FamilyParams(Record):
             )
         if not 2 <= ell <= p - 1:
             raise ParameterError(f"require 2 <= ell <= p-1 = {p - 1}, got ell = {ell}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "m", m)
+        self._set(p=p, k=k, sign=sign, ell=ell, m=m)
 
     @property
     def q(self) -> int:
@@ -88,8 +82,6 @@ class FamilyParams(Record):
 class Presentation(Record):
     """Generators and reduced relators, each stored as a tuple."""
 
-    _fields = ("generators", "relators")
-
     def __init__(self, generators: Iterable[str], relators: Iterable[Word] = ()):
         generators, relators = tuple(generators), tuple(relators)
         if len(set(generators)) != len(generators) or not generators:
@@ -98,29 +90,21 @@ class Presentation(Record):
         for r in relators:
             if not r.generators() <= alphabet:
                 raise ValueError(f"relator {r!r} uses generators outside the alphabet")
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
+        self._set(generators=generators, relators=relators)
 
 
 class KnotData(Record):
     """A knot group presentation with its meridian ``mu`` and surface
     framing ``s``; the framing coefficient is ``params.v``."""
 
-    _fields = ("params", "presentation", "mu", "s")
-
     def __init__(self, params: FamilyParams, presentation: Presentation, mu: Word, s: Word):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "s", s)
+        self._set(params=params, presentation=presentation, mu=mu, s=s)
 
 
 class Slope(Record):
     """A surgery slope numerator/denominator, stored reduced with a
     positive denominator.  Zero and negative numerators are allowed for
     exploration; the certificate layer applies its own positivity rules."""
-
-    _fields = ("numerator", "denominator")
 
     def __init__(self, numerator: int, denominator: int = 1):
         num, den = numerator, denominator
@@ -132,8 +116,7 @@ class Slope(Record):
         if g > 1:
             num //= g
             den //= g
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        self._set(numerator=num, denominator=den)
 
     @classmethod
     def parse(cls, text: str) -> "Slope":

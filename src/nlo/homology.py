@@ -31,11 +31,8 @@ def abelianization_matrix(pres: Presentation) -> Matrix:
 class Homology(Record):
     """First homology as nontrivial invariant factors plus free rank."""
 
-    _fields = ("invariant_factors", "free_rank")
-
     def __init__(self, invariant_factors: tuple[int, ...], free_rank: int):
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-        object.__setattr__(self, "free_rank", free_rank)
+        self._set(invariant_factors=invariant_factors, free_rank=free_rank)
 
     def order(self) -> int | None:
         """Group order; None when infinite."""

@@ -49,15 +49,10 @@ class TraceStep(Record):
     being rewritten, so the step is independent of run-length encoding.
     """
 
-    _fields = ("lhs", "rhs", "relator_index", "position")
-
     def __init__(self, lhs: Word, rhs: Word, relator_index: int, position: int):
         if position < 0:
             raise ValueError("position must be nonnegative")
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "relator_index", relator_index)
-        object.__setattr__(self, "position", position)
+        self._set(lhs=lhs, rhs=rhs, relator_index=relator_index, position=position)
 
     def matches_relator(self, relator: Word) -> bool:
         """True iff lhs = rhs is a consequence of one application of
@@ -77,11 +72,8 @@ class GeneratorChange(Record):
     checked here.
     """
 
-    _fields = ("forward", "backward")
-
     def __init__(self, forward: Mapping[str, Word], backward: Mapping[str, Word]):
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "backward", backward)
+        self._set(forward=forward, backward=backward)
 
 
 def apply_relation(w: Word, step: TraceStep) -> Word:

@@ -21,8 +21,6 @@ class SweepSpec(Record):
     scripts/gap_report.py cover when given no flags.
     """
 
-    _fields = ("p_range", "k_range", "m_range", "signs", "cases")
-
     def __init__(self, p_range: tuple[int, int] = (3, 7), k_range: tuple[int, int] = (1, 4),
                  m_range: tuple[int, int] = (1, 3), signs: tuple[int, ...] = (-1, 1),
                  cases: tuple[str, ...] = ALL_CASES):
@@ -38,11 +36,7 @@ class SweepSpec(Record):
         unknown = set(cases) - set(ALL_CASES)
         if unknown:
             raise ValueError(f"unknown cases {sorted(unknown)}")
-        object.__setattr__(self, "p_range", p_range)
-        object.__setattr__(self, "k_range", k_range)
-        object.__setattr__(self, "m_range", m_range)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "cases", cases)
+        self._set(p_range=p_range, k_range=k_range, m_range=m_range, signs=signs, cases=cases)
 
 
 def parse_range(text: str) -> tuple[int, int]:

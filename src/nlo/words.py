@@ -10,9 +10,9 @@ independent of this encoding.  ``letter_text`` is the one unrolled form,
 one character a letter with an inverse in upper case.
 
 Only construction validates letters and runs a full free reduction:
-``Word(...)`` checks each letter, and ``parse_word`` matches the whole
-text against a grammar that admits letters a-z only, so it reduces the
-terms it reads without checking them again.  The algebra
+``Word(...)`` checks each letter, and ``parse_word`` reads its text in
+one pass of a term pattern that admits letters a-z only, so it reduces
+each term as it reads it without checking it again.  The algebra
 keeps words reduced without one, and grows a word in two kernels only.
 ``_seam`` finds where two reduced words meet, merging or cancelling only
 there.  A product, and each image piece a substitution appends, calls it
@@ -106,9 +106,11 @@ def abbreviate_int(name: str, value: int, sep: str = " ") -> str:
 class Record:
     """Base of the package's immutable records, in place of frozen dataclasses.
 
-    A record names its fields, in order, in ``_fields`` and writes its own
-    ``__init__``, which makes its checks and sets each field once, in that
-    order, through ``object.__setattr__``.  The base gives the rest of what
+    A record writes its own ``__init__``, whose positional parameters are
+    its fields in order: the base reads them into ``_fields`` once, when
+    the class is made.  ``__init__`` makes its checks, then sets every field
+    in one ``_set`` call, by keyword in that order; ``_set`` is the one
+    writer of a record.  The base gives the rest of what
     ``@dataclass(frozen=True)`` would, with no code generated at import:
     equality with a record of the same class and equal fields, a hash and a
     repr over the fields, assignment and deletion refused, and ``replace``.
@@ -117,6 +119,13 @@ class Record:
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -391,11 +400,11 @@ def is_cyclic_rotation(u: Word, v: Word) -> bool:
     return len(a) == len(b) and a in b + b
 
 
-# The word grammar over a whole text, and one term of it.  Terms are
-# separated by ASCII whitespace only.  An exponent has at most 640 digits,
-# as many as int() converts under any interpreter setting.
-_WORD = re.compile(r"(?:[ \t\n\r\f\v]*[a-z](?:\^-?[0-9]{1,640}(?![0-9]))?)*[ \t\n\r\f\v]*")
-_TERM = re.compile(r"([a-z])(?:\^(-?[0-9]+))?")
+# One term of the word grammar: ASCII whitespace, a letter and an optional
+# exponent of at most 640 digits, as many as int() converts under any
+# interpreter setting.  The text may end in whitespace.
+_SPACE = re.compile(r"[ \t\n\r\f\v]*")
+_TERM = re.compile(_SPACE.pattern + r"([a-z])(?:\^(-?[0-9]{1,640})(?![0-9]))?")
 # Deletes the letters of a text; each term of the grammar has one.
 _DROP_LETTERS = str.maketrans("", "", "abcdefghijklmnopqrstuvwxyz")
 
@@ -405,27 +414,42 @@ def parse_word(text: str) -> Word:
 
     ASCII whitespace separates terms; an omitted exponent means 1; the empty
     string is the identity; an exponent is at most 640 ASCII digits.  One
-    grammar match reads the text and one findall its terms.  Where the
-    match stops short, the character there names the error: ``^`` right
-    after a letter is a malformed exponent, any other ``^`` an exponent
-    without a generator.  A text of more than MAX_LETTERS letters, and so
-    terms, is refused through ``over_cap`` before the match.
+    pass reads the text, matching each term where the last one ended and
+    reducing it into the syllables so far.  Where the terms stop short of
+    the end, but for whitespace, the character there names the error:
+    ``^`` right after a letter is a malformed exponent, any other ``^`` an
+    exponent without a generator.  A text of more than MAX_LETTERS letters,
+    and so terms, is refused through ``over_cap`` before the pass.
     """
     # A term is one letter and its exponent, so only a text of over MAX_LETTERS
-    # characters can hold more terms.  Count first: the match holds memory a term.
+    # characters can hold more terms.  Count first: the pass keeps a syllable a term.
     if len(text) > MAX_LETTERS:
         terms = len(text) - len(text.translate(_DROP_LETTERS))
         if terms > MAX_LETTERS:
             raise over_cap("the parsed word", terms, "terms")
-    end = _WORD.match(text).end()
+    # Match each term where the last ended: a search past a gap would rescan a
+    # whitespace run from each of its positions.  Reduce as _free_reduce does.
+    out: list[Syllable] = []
+    end = 0
+    while term := _TERM.match(text, end):
+        end = term.end()
+        gen, exp = term[1], int(term[2] or 1)
+        if out and out[-1][0] == gen:
+            exp += out[-1][1]
+            if exp:
+                out[-1] = (gen, exp)
+            else:
+                out.pop()
+        elif exp:
+            out.append((gen, exp))
+    end = _SPACE.match(text, end).end()
     if end < len(text):
         if text[end] != "^":
             raise WordSyntaxError(f"unexpected character {text[end]!r}", end)
         if text[end - 1 : end].isalpha():
             raise WordSyntaxError("malformed exponent", end)
         raise WordSyntaxError("exponent without a generator", end)
-    raw = [(gen, int(exp) if exp else 1) for gen, exp in _TERM.findall(text)]
-    return Word._trusted(_free_reduce(raw))
+    return Word._trusted(tuple(out))
 
 
 def format_word(w: Word) -> str:

@@ -145,13 +145,16 @@ def test_divexact_rejects_non_multiples(p, m, c):
 def test_evaluate_and_normalized_match_reference(p):
     # p + p(1/t) is symmetric and p - p(1/t) antisymmetric, which the
     # symmetry check must also take as symmetric once normalized.
+    # The dense list also goes in padded with zeros at both ends, which
+    # _normalize must strip.
     for q in (p, add(p, reciprocal(p)), sub(p, reciprocal(p))):
-        _, coeffs = dense(q)
-        _normalize(coeffs)
-        assert poly(0, coeffs) == normalized(q)
-        assert sum(coeffs) == evaluate(normalized(q), 1)
-        if q:
-            assert _is_symmetric(coeffs) == is_symmetric(q)
+        _, dense_coeffs = dense(q)
+        for coeffs in (dense_coeffs, [0, 0, *dense_coeffs, 0]):
+            _normalize(coeffs)
+            assert poly(0, coeffs) == normalized(q)
+            assert sum(coeffs) == evaluate(normalized(q), 1)
+            if q:
+                assert _is_symmetric(coeffs) == is_symmetric(q)
 
 
 # Up to five runs of up to 300 zeros, each closed by a coefficient that

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -987,6 +988,20 @@ def test_sweep_text_summary(capsys):
 def test_sweep_single_failure_exits_2(capsys, monkeypatch):
     import nlo.sweep as sweep_mod
 
+    # A knot whose certificate would unroll past MAX_LETTERS: certify refuses
+    # it with exit 1, while the sweep records the refusal as a FAIL and exits 2.
+    knot = ("--p", "3", "--k", "1", "--sign", "-1", "--ell", "2", "--m", "600000")
+    refusal = ("the unrolled word would have 1200005 letters, "
+               f"over the cap MAX_LETTERS = {MAX_LETTERS}")
+    assert run(capsys, "certify", *knot) == (EXIT_DOMAIN, "", f"nlo: error: {refusal}\n")
+    code, out, err = run(capsys, "sweep", "--p-range", "3", "--k-range", "1",
+                         "--m-range", "600000", "--signs", "-1", "--cases", "ell=p-1")
+    assert (code, err) == (EXIT_VERIFY, "")
+    assert content_of(out) == {"instances": [{
+        "params": {"p": 3, "k": 1, "sign": -1, "ell": 2, "m": 600000},
+        "verdict": "FAIL", "failures": [f"certify: {refusal}"]}],
+        "total": 1, "passed": 0, "failed": 1}
+
     real = sweep_mod.run_instance
     calls = {"n": 0}
 
@@ -1003,6 +1018,26 @@ def test_sweep_single_failure_exits_2(capsys, monkeypatch):
     )
     assert code == EXIT_VERIFY
     assert content_of(out)["failed"] == 1
+
+
+def test_readme_command_block_runs(capsys, tmp_path, monkeypatch):
+    # Each nlo line of the README's command block runs in process, cleanly;
+    # certify's output is the cert.json that the verify line reads.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    outputs = {}
+    for line in block.splitlines():
+        command, *argv = shlex.split(line, comments=True)
+        assert command == "nlo", line
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, ""), line
+        if argv[0] == "certify":
+            Path("cert.json").write_text(out)
+        outputs[argv[0]] = out
+    assert {"certify", "verify", "commutation"} <= outputs.keys()
+    assert content_of(outputs["present"])["v"] == 19
+    assert outputs["order"] == "120\n"
 
 
 def test_help_description_lists_every_subcommand(capsys):

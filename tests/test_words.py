@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -429,8 +430,8 @@ def test_parse_word_refuses_an_exponent_of_more_than_640_digits(text, position):
     ids=["letters", "spaced", "exponents"],
 )
 def test_parse_word_refuses_more_than_max_letters_terms_before_the_match(text, terms):
-    # The grammar match holds some 200 bytes a term; the refusal costs
-    # only the characters that counting keeps.
+    # Reading keeps a syllable a term; the refusal costs only the
+    # characters that counting keeps.
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as err:
@@ -442,6 +443,35 @@ def test_parse_word_refuses_more_than_max_letters_terms_before_the_match(text, t
         f"the parsed word would have {terms} terms, over the cap MAX_LETTERS = {MAX_LETTERS}"
     )
     assert peak < len(text) + 2**20
+
+
+@pytest.mark.parametrize(
+    "text, syllables, bound",
+    [("x y " * 50_000, 100_000, 100_000 * 128), ("x" * 100_000, 1, 2**20)],
+    ids=["alternating", "one-run"],
+)
+def test_parse_word_reads_a_legal_text_in_bounded_memory(text, syllables, bound):
+    # One pass keeps the syllables read so far, some 72 bytes each, and one
+    # match at a time, so a run of one letter costs next to nothing.  A
+    # grammar match over the whole text held some 270 bytes a term.
+    tracemalloc.start()
+    try:
+        word = parse_word(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(word.syllables) == syllables
+    assert peak < bound
+
+
+def test_parse_word_finds_an_error_past_a_long_whitespace_run():
+    # Terms are matched where the last one ended, so a run of whitespace
+    # before a bad character is scanned once, not from each position.
+    start = time.perf_counter()
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("a" + " " * MAX_LETTERS + "?")
+    assert time.perf_counter() - start < 2.0
+    assert str(err.value) == f"unexpected character '?' (at position {MAX_LETTERS + 1})"
 
 
 def test_parse_word_counts_terms_not_characters(monkeypatch):
