@@ -29,10 +29,6 @@ from .homology import h1_class_map
 from .words import MAX_LETTERS, Word, over_cap
 
 
-class DivisionError(ArithmeticError):
-    """Exact Laurent division left a remainder."""
-
-
 def _abelian_fox(w: Word, gen: str, classes: dict[str, int]) -> tuple[int, list[int]]:
     """The Fox derivative of ``w`` by ``gen`` with each word mapped to
     ``t^class``, as ``(low, coeffs)`` with ``coeffs[i]`` the coefficient of
@@ -65,14 +61,14 @@ def _divide_cyclotomic(coeffs: list[int], m: int) -> None:
 
     From q (1 - t^|m|) = n, q[i] = n[i] + q[i - |m|]: a running sum down
     each residue class mod |m|.  The top |m| sums are the remainder, and
-    a nonzero one raises DivisionError.
+    a nonzero one raises ValueError.
     """
     step = abs(m)
     for r in range(min(step, len(coeffs))):
         coeffs[r::step] = accumulate(coeffs[r::step])
     size = max(len(coeffs) - step, 0)
     if any(coeffs[size:]):
-        raise DivisionError("nonzero remainder")
+        raise ValueError("nonzero remainder")
     del coeffs[size:]
 
 

@@ -64,30 +64,22 @@ DIRECTION = "lhs_to_rhs"
 HYPOTHESES = {"x_is_meridian": True, "s_positive": True, "s_contains_x": True}
 
 
-class SchemaError(ValueError):
-    """Unknown schema version or malformed document."""
-
-
 def _integer(value: object, name: str) -> int:
     """``value`` if it is a JSON integer; floats and booleans are refused."""
     if type(value) is not int:
-        raise SchemaError(f"{name} must be an integer, not {type(value).__name__}")
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
     return value
 
 
 def _check_version(doc: Doc, kind: str) -> None:
     if not isinstance(doc, dict):
-        raise SchemaError(f"{kind} document must be a JSON object, not {type(doc).__name__}")
+        raise ValueError(f"{kind} document must be a JSON object, not {type(doc).__name__}")
     version = _integer(doc.get("schema_version"), f"{kind} schema_version")
     if version != SCHEMA_VERSION:
-        raise SchemaError(
+        raise ValueError(
             f"{kind} document has {abbreviate_int('schema version', version)}; "
             f"this tool reads version {SCHEMA_VERSION}"
         )
-
-
-class UnsupportedParameters(ValueError):
-    """Parameters outside the four certified cases."""
 
 
 class Certificate(Record):
@@ -149,15 +141,15 @@ def _classify(params: FamilyParams) -> str:
         return case
     p, ell, m, sign = params.p, params.ell, params.m, params.sign
     if m == 0:
-        raise UnsupportedParameters(M_ZERO_REFUSAL)
+        raise ValueError(M_ZERO_REFUSAL)
     nearest = certified_case(params.replace(m=1))
     if nearest is not None:
-        raise UnsupportedParameters(
+        raise ValueError(
             f"nearest case sign={sign:+d},{nearest} requires m = 1, got m = {m}"
         )
     if lspace_case(params) is not None:
-        raise UnsupportedParameters(ELL2_REFUSAL)
-    raise UnsupportedParameters(
+        raise ValueError(ELL2_REFUSAL)
+    raise ValueError(
         f"ell = {ell} matches neither p-1 = {p - 1} nor p-2 = {p - 2}; "
         "no certified construction applies"
     )
@@ -295,7 +287,7 @@ def params_from_doc(doc: Doc) -> FamilyParams:
             *(_integer(doc[name], f"params.{name}") for name in FamilyParams._fields)
         )
     except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed parameter document: {exc}") from exc
+        raise ValueError(f"malformed parameter document: {exc}") from exc
 
 
 def certificate_to_doc(cert: Certificate) -> Doc:
@@ -327,7 +319,7 @@ def certificate_to_doc(cert: Certificate) -> Doc:
 
 def _trace_step(entry: Doc) -> TraceStep:
     if entry["direction"] != DIRECTION:
-        raise SchemaError(f"trace direction must be {DIRECTION!r}")
+        raise ValueError(f"trace direction must be {DIRECTION!r}")
     return TraceStep(
         lhs=parse_word(entry["lhs"]),
         rhs=parse_word(entry["rhs"]),
@@ -347,7 +339,7 @@ def certificate_from_doc(doc: Doc) -> Certificate:
             ("new_generators", "backward", backward),
         ):
             if gc_doc[name] != list(keys):
-                raise SchemaError(
+                raise ValueError(
                     f"generator_change.{name} must list the {side} keys in order"
                 )
         change = GeneratorChange(forward, backward)
@@ -357,7 +349,7 @@ def certificate_from_doc(doc: Doc) -> Certificate:
         trace = tuple(_trace_step(entry) for entry in entries)
         hyp = doc["hypotheses"]
         if not (hyp == HYPOTHESES and all(flag is True for flag in hyp.values())):
-            raise SchemaError(f"hypotheses must set exactly {', '.join(HYPOTHESES)} to true")
+            raise ValueError(f"hypotheses must set exactly {', '.join(HYPOTHESES)} to true")
         return Certificate(
             params=params_from_doc(doc["params"]),
             case=doc["case"],
@@ -367,7 +359,7 @@ def certificate_from_doc(doc: Doc) -> Certificate:
             v=_integer(doc["v"], "v"),
         )
     except (AttributeError, KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed certificate document: {exc}") from exc
+        raise ValueError(f"malformed certificate document: {exc}") from exc
 
 
 def verification_to_doc(report: VerificationReport) -> Doc:

@@ -33,10 +33,6 @@ M_ZERO_NOTE = (
 PARAM_LIMIT = 10**200
 
 
-class ParameterError(ValueError):
-    """Family parameters outside their documented bounds."""
-
-
 class FamilyParams(Record):
     """Parameters (p, k, sign, ell, m) selecting T(p, pk+sign; ell, m).
 
@@ -49,24 +45,24 @@ class FamilyParams(Record):
     def __init__(self, p: int, k: int, sign: int, ell: int, m: int):
         for name, value in (("p", p), ("k", k), ("ell", ell), ("m", m)):
             if abs(value) >= PARAM_LIMIT:
-                raise ParameterError(f"require |{name}| < 10^200, got {name} of over 200 digits")
+                raise ValueError(f"require |{name}| < 10^200, got {name} of over 200 digits")
         if p < 3:
-            raise ParameterError(f"require p >= 3, got p = {p}")
+            raise ValueError(f"require p >= 3, got p = {p}")
         if k < 1:
-            raise ParameterError(f"require k >= 1, got k = {k}")
+            raise ValueError(f"require k >= 1, got k = {k}")
         if sign not in (1, -1):
-            raise ParameterError(f"require sign in {{+1, -1}}, got {sign}")
+            raise ValueError(f"require sign in {{+1, -1}}, got {sign}")
         if m < 0:
-            raise ParameterError(f"require m >= 0, got m = {m}")
+            raise ValueError(f"require m >= 0, got m = {m}")
         if ell == p:
             q = p * k + sign
-            raise ParameterError(
+            raise ValueError(
                 f"ell = p = {p} is outside 2 <= ell <= p-1: T({p}, {q}; {p}, {m}) "
                 f"is the torus knot T({p}, {q + p * m}), the instance k = {k + m}, "
                 f"m = 0 with any 2 <= ell <= {p - 1}"
             )
         if not 2 <= ell <= p - 1:
-            raise ParameterError(f"require 2 <= ell <= p-1 = {p - 1}, got ell = {ell}")
+            raise ValueError(f"require 2 <= ell <= p-1 = {p - 1}, got ell = {ell}")
         self._set(p=p, k=k, sign=sign, ell=ell, m=m)
 
     @property
@@ -109,7 +105,7 @@ class Slope(Record):
     def __init__(self, numerator: int, denominator: int = 1):
         num, den = numerator, denominator
         if den == 0:
-            raise ParameterError("slope denominator must be nonzero")
+            raise ValueError("slope denominator must be nonzero")
         if den < 0:
             num, den = -num, -den
         g = math.gcd(num, den)
@@ -124,7 +120,7 @@ class Slope(Record):
         try:
             num, den = int(head), (int(tail) if sep else 1)
         except ValueError as exc:
-            raise ParameterError(f"malformed slope {abbreviate_text(repr(text))}") from exc
+            raise ValueError(f"malformed slope {abbreviate_text(repr(text))}") from exc
         return cls(num, den)
 
     def __str__(self) -> str:

@@ -36,10 +36,6 @@ from .words import (
 )
 
 
-class RewriteError(ValueError):
-    """The addressed occurrence does not match the step's left side."""
-
-
 class TraceStep(Record):
     """One relator application: replace the occurrence of ``lhs`` at
     letter ``position`` by ``rhs``, where lhs = rhs is a cyclic form of
@@ -89,19 +85,19 @@ def apply_relation(w: Word, step: TraceStep) -> Word:
     src = letter_text(step.lhs)
     pos = step.position
     if pos > len(text) - len(src):
-        raise RewriteError(
+        raise ValueError(
             f"no room for a length-{len(src)} occurrence at {abbreviate_int('position', pos)} "
             f"in a word of {len(text)} letters"
         )
     if not text.startswith(src, pos):
-        raise RewriteError(f"occurrence mismatch at position {pos}")
+        raise ValueError(f"occurrence mismatch at position {pos}")
     return word_from_text(text[:pos] + letter_text(step.rhs) + text[pos + len(src):])
 
 
 def replay_trace(w: Word, trace: Iterable[TraceStep], relators: tuple[Word, ...]) -> Word:
     """Replay a recorded trace, validating every step against ``relators``.
 
-    Raises RewriteError when a step's equality is not backed by the stated
+    Raises ValueError when a step's equality is not backed by the stated
     relator or its occurrence check fails.  Each step unrolls the word it
     rewrites, so the letters of the words rewritten after the first step
     are summed, and the replay is refused through ``over_cap`` once the sum
@@ -111,11 +107,11 @@ def replay_trace(w: Word, trace: Iterable[TraceStep], relators: tuple[Word, ...]
     current, spent = w, 0
     for step in trace:
         if not 0 <= step.relator_index < len(relators):
-            raise RewriteError(
+            raise ValueError(
                 f"{abbreviate_int('relator index', step.relator_index)} out of range"
             )
         if not step.matches_relator(relators[step.relator_index]):
-            raise RewriteError(
+            raise ValueError(
                 f"relation {step.lhs!r} = {step.rhs!r} is not a cyclic form of "
                 f"relator {step.relator_index}"
             )

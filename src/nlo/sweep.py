@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .certificates import VerificationReport, certificate_to_doc, certify, verify_certificate
+from .certificates import certificate_to_doc, certify, verify_certificate
 from .families import ALL_CASES, FamilyParams, build, certified_case
 from .serialize import params_to_doc
 from .words import Record, abbreviate_text
@@ -81,19 +81,15 @@ def grid_instances(spec: SweepSpec = SweepSpec()) -> list[FamilyParams]:
 
 
 def run_instance(params: FamilyParams) -> dict:
-    """Certify one instance and verify the result."""
+    """Certify one instance and verify the result; a refusal of certify
+    propagates, so the sweep exits as certify would."""
     kd = build(params)
-    record: dict = {"params": params_to_doc(params)}
-    try:
-        cert = certify(kd)
-    except ValueError as exc:
-        report = VerificationReport((f"certify: {exc}",))
-    else:
-        report = verify_certificate(kd, cert)
-        record.update(case=cert.case, v=cert.v, bound=f"r >= {cert.v}",
-                      trace_length=len(cert.trace), certificate=certificate_to_doc(cert))
-    record.update(verdict=report.verdict, failures=list(report.failures))
-    return record
+    cert = certify(kd)
+    report = verify_certificate(kd, cert)
+    return {"params": params_to_doc(params), "case": cert.case, "v": cert.v,
+            "bound": f"r >= {cert.v}", "trace_length": len(cert.trace),
+            "certificate": certificate_to_doc(cert), "verdict": report.verdict,
+            "failures": list(report.failures)}
 
 
 def run_sweep(spec: SweepSpec) -> dict:

@@ -58,18 +58,6 @@ MESSAGE_WORD_CHARS = 200
 _RUN = re.compile(r"(.)\1*")
 
 
-class WordSyntaxError(ValueError):
-    """Raised by parse_word; carries the offending text position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
-class SubstitutionError(ValueError):
-    """A generator in the word has no image under the substitution."""
-
-
 def over_cap(what: str, size: int, unit: str) -> ValueError:
     """The one refusal of work over the cap: ``what`` would have ``size``
     ``unit`` (syllables or letters), more than MAX_LETTERS.  A size of over
@@ -326,7 +314,7 @@ def substitute(w: Word, images: Mapping[str, Word], spent: list[int] | None = No
         if piece is None:
             gen, exp = syllable
             if gen not in images:
-                raise SubstitutionError(f"no image for generator {gen!r}")
+                raise ValueError(f"no image for generator {gen!r}")
             piece = pieces[syllable] = (images[gen] ** exp).syllables
         emitted += len(piece)
         if emitted > SUBSTITUTE_BUDGET:
@@ -445,10 +433,10 @@ def parse_word(text: str) -> Word:
     end = _SPACE.match(text, end).end()
     if end < len(text):
         if text[end] != "^":
-            raise WordSyntaxError(f"unexpected character {text[end]!r}", end)
+            raise ValueError(f"unexpected character {text[end]!r} (at position {end})")
         if text[end - 1 : end].isalpha():
-            raise WordSyntaxError("malformed exponent", end)
-        raise WordSyntaxError("exponent without a generator", end)
+            raise ValueError(f"malformed exponent (at position {end})")
+        raise ValueError(f"exponent without a generator (at position {end})")
     return Word._trusted(tuple(out))
 
 

@@ -20,8 +20,6 @@ import math
 import re
 from fractions import Fraction
 
-from nlo.alexander import DivisionError
-
 _TERM = re.compile(r"\s*([+-]?\d+)\*t\^(-?\d+)\s*")
 
 
@@ -59,7 +57,7 @@ def cyclotomic(c: int) -> dict[int, int]:
 
 def divexact(p: dict[int, int], divisor: dict[int, int]) -> dict[int, int]:
     """Exact long division from the top degree down, each degree visited
-    once; raises DivisionError on a nonzero remainder."""
+    once; raises ValueError on a nonzero remainder."""
     if not divisor:
         raise ZeroDivisionError("division by the zero polynomial")
     if not p:
@@ -76,13 +74,13 @@ def divexact(p: dict[int, int], divisor: dict[int, int]) -> dict[int, int]:
             continue
         q, r = divmod(lead, div_lead)
         if r:
-            raise DivisionError("leading coefficient not divisible")
+            raise ValueError("leading coefficient not divisible")
         offset = deg - div_deg
         quotient[offset] = q
         for e, c in rest:
             rem[e + offset] = rem.get(e + offset, 0) - q * c
     if any(rem.values()):
-        raise DivisionError("nonzero remainder")
+        raise ValueError("nonzero remainder")
     return {e + low - div_low: c for e, c in quotient.items()}
 
 

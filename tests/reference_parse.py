@@ -1,17 +1,18 @@
 """Reference word parser: a hand-written loop over one term at a time.
 
-`nlo.words.parse_word` reads text with one whole-text grammar match and
-one findall of its terms.  This module keeps the term-by-term tokenizer
-it replaced, so the tests can hold the two to the same words and the same
-errors.  The loop reads exponents with `\\d`, which also matches non-ASCII
-decimal digits; the tests compare the two on ASCII text only.
+`nlo.words.parse_word` reads text in one pass, matching each term of
+its grammar where the last one ended.  This module keeps an earlier
+term-by-term tokenizer, so the tests can hold the two to the same words
+and the same errors.  The loop reads exponents with `\\d`, which also
+matches non-ASCII decimal digits; the tests compare the two on ASCII
+text only.
 """
 
 from __future__ import annotations
 
 import re
 
-from nlo.words import Word, WordSyntaxError
+from nlo.words import Word
 
 _TOKEN = re.compile(r"\s*([a-z])(?:\^(-?\d+))?")
 
@@ -30,14 +31,14 @@ def parse_word(text: str) -> Word:
                 break
             bad = pos + (len(text[pos:]) - len(stripped))
             if text[bad] == "^":
-                raise WordSyntaxError("exponent without a generator", bad)
-            raise WordSyntaxError(f"unexpected character {text[bad]!r}", bad)
+                raise ValueError(f"exponent without a generator (at position {bad})")
+            raise ValueError(f"unexpected character {text[bad]!r} (at position {bad})")
         gen = match.group(1)
         exp = 1 if match.group(2) is None else int(match.group(2))
         # Reject a dangling caret such as "a^" or "a^x".
         end = match.end()
         if match.group(2) is None and end < n and text[end] == "^":
-            raise WordSyntaxError("malformed exponent", end)
+            raise ValueError(f"malformed exponent (at position {end})")
         out.append((gen, exp))
         pos = end
     return Word(out)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from nlo.families import ALL_CASES, PARAM_LIMIT, ParameterError
+from nlo.families import ALL_CASES, PARAM_LIMIT
 from nlo.words import Word
 
 
@@ -28,24 +28,24 @@ class FamilyParams:
     def __post_init__(self):
         for name in ("p", "k", "ell", "m"):
             if abs(getattr(self, name)) >= PARAM_LIMIT:
-                raise ParameterError(f"require |{name}| < 10^200, got {name} of over 200 digits")
+                raise ValueError(f"require |{name}| < 10^200, got {name} of over 200 digits")
         if self.p < 3:
-            raise ParameterError(f"require p >= 3, got p = {self.p}")
+            raise ValueError(f"require p >= 3, got p = {self.p}")
         if self.k < 1:
-            raise ParameterError(f"require k >= 1, got k = {self.k}")
+            raise ValueError(f"require k >= 1, got k = {self.k}")
         if self.sign not in (1, -1):
-            raise ParameterError(f"require sign in {{+1, -1}}, got {self.sign}")
+            raise ValueError(f"require sign in {{+1, -1}}, got {self.sign}")
         if self.m < 0:
-            raise ParameterError(f"require m >= 0, got m = {self.m}")
+            raise ValueError(f"require m >= 0, got m = {self.m}")
         if self.ell == self.p:
             p, q, k, m = self.p, self.p * self.k + self.sign, self.k, self.m
-            raise ParameterError(
+            raise ValueError(
                 f"ell = p = {p} is outside 2 <= ell <= p-1: T({p}, {q}; {p}, {m}) "
                 f"is the torus knot T({p}, {q + p * m}), the instance k = {k + m}, "
                 f"m = 0 with any 2 <= ell <= {p - 1}"
             )
         if not 2 <= self.ell <= self.p - 1:
-            raise ParameterError(
+            raise ValueError(
                 f"require 2 <= ell <= p-1 = {self.p - 1}, got ell = {self.ell}"
             )
 
@@ -82,7 +82,7 @@ class Slope:
     def __post_init__(self):
         num, den = self.numerator, self.denominator
         if den == 0:
-            raise ParameterError("slope denominator must be nonzero")
+            raise ValueError("slope denominator must be nonzero")
         if den < 0:
             num, den = -num, -den
         g = math.gcd(num, den)

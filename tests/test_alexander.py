@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlo.alexander import (
-    DivisionError,
     _abelian_fox,
     _divide_cyclotomic,
     _is_symmetric,
@@ -19,7 +18,6 @@ from nlo.cli import EXIT_OK, main
 from nlo.families import (
     FamilyParams,
     KnotData,
-    ParameterError,
     Presentation,
     build,
     lspace_case,
@@ -93,7 +91,7 @@ def test_laurent_divexact_errors():
     coeffs = [-1, 0, 1]  # t^2 - 1 = -(1 - t)(1 + t)
     _divide_cyclotomic(coeffs, 1)
     assert coeffs == [-1, -1]
-    with pytest.raises(DivisionError, match="nonzero remainder"):
+    with pytest.raises(ValueError, match="nonzero remainder"):
         _divide_cyclotomic([1, 1], 1)
 
 
@@ -108,7 +106,7 @@ def _outcome(fn, *args):
     """The value ``fn`` returns, or the type of the error it raises."""
     try:
         return fn(*args)
-    except (ArithmeticError, ValueError) as exc:
+    except ValueError as exc:
         return type(exc)
 
 
@@ -134,9 +132,9 @@ def test_divexact_rejects_non_multiples(p, m, c):
     # A nonzero constant is not a multiple of t^m - 1, so neither is
     # p (t^m - 1) + c.
     off = add(mul(p, cyclotomic(m)), {0: c})
-    with pytest.raises(DivisionError):
+    with pytest.raises(ValueError, match="nonzero remainder"):
         _dense_quotient(off, m)
-    with pytest.raises(DivisionError):
+    with pytest.raises(ValueError, match="leading coefficient not divisible|nonzero remainder"):
         divexact(off, cyclotomic(m))
 
 
@@ -242,7 +240,7 @@ def test_braid_closure_ell_equals_p_is_the_named_torus_knot():
             for sign in (-1, 1):
                 for m in range(3):
                     q = p * k + sign
-                    with pytest.raises(ParameterError, match=f"k = {k + m}, m = 0"):
+                    with pytest.raises(ValueError, match=f"k = {k + m}, m = 0"):
                         FamilyParams(p, k, sign, p, m)
                     named = build(FamilyParams(p, k + m, sign, p - 1, 0))
                     braid = coefficients(normalized(braid_alexander(p, q, p, m)))

@@ -16,8 +16,7 @@ from nlo.certificates import (
     CLAUSE_POSITIVITY,
     CLAUSE_REPLAY,
     ELL2_REFUSAL,
-    SchemaError,
-    UnsupportedParameters,
+    M_ZERO_REFUSAL,
     case_label,
     certificate_from_doc,
     certificate_to_doc,
@@ -99,29 +98,28 @@ def test_certify_plus_next_case():
 
 def test_certify_rejects_ell2_case():
     kd = build(FamilyParams(5, 1, -1, 2, 1))
-    with pytest.raises(UnsupportedParameters) as err:
+    with pytest.raises(ValueError) as err:
         certify(kd)
     assert str(err.value) == ELL2_REFUSAL
 
 
 def test_certify_rejects_m0():
     kd = build(FamilyParams(3, 1, -1, 2, 0))
-    with pytest.raises(UnsupportedParameters):
+    with pytest.raises(ValueError) as err:
         certify(kd)
+    assert str(err.value) == M_ZERO_REFUSAL
 
 
 def test_certify_reports_nearest_case():
     kd = build(FamilyParams(5, 1, -1, 3, 2))
-    with pytest.raises(UnsupportedParameters) as err:
+    with pytest.raises(ValueError, match="requires m = 1"):
         certify(kd)
-    assert "requires m = 1" in str(err.value)
 
 
 def test_certify_rejects_middle_ell():
     kd = build(FamilyParams(7, 1, -1, 4, 1))
-    with pytest.raises(UnsupportedParameters) as err:
+    with pytest.raises(ValueError, match="neither"):
         certify(kd)
-    assert "neither" in str(err.value)
 
 
 def test_verify_rejects_tampered_positive_word():
@@ -407,7 +405,8 @@ def test_certificate_rejects_unknown_version():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
     doc = certificate_to_doc(certify(kd))
     doc["schema_version"] = 99
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValueError, match="certificate document has schema version 99; "
+                                         "this tool reads version 1"):
         certificate_from_doc(doc)
 
 
@@ -415,5 +414,5 @@ def test_malformed_certificate_reports_schema_error():
     kd = build(FamilyParams(3, 2, -1, 2, 1))
     doc = certificate_to_doc(certify(kd))
     del doc["positive_s"]
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValueError, match="malformed certificate document: 'positive_s'"):
         certificate_from_doc(doc)

@@ -28,7 +28,6 @@ from nlo.cli import (
     MAX_JSON_DEPTH,
     main,
 )
-from nlo.families import ParameterError
 from nlo.serialize import params_to_doc
 from nlo.sweep import SweepSpec, grid_instances, parse_range, parse_signs, run_sweep
 from nlo.words import MAX_LETTERS, SUBSTITUTE_BUDGET, Word, format_word, parse_word, substitute
@@ -104,6 +103,17 @@ def test_certify_rejected_parameters_exit_domain(capsys):
     )
     assert code == EXIT_DOMAIN
     assert "no positive rewriting" in err
+    # certify's other refusals, each through main with its exact line.
+    for knot, refusal in [
+        (["--p", "3", "--k", "1", "--sign", "-1", "--ell", "2", "--m", "0"],
+         "certificates cover the twisted families with m >= 1 only; m = 0 "
+         "degenerates to a torus knot outside their standing assumption"),
+        (["--p", "5", "--k", "1", "--sign", "-1", "--ell", "3", "--m", "2"],
+         "nearest case sign=-1,ell=p-2,m=1 requires m = 1, got m = 2"),
+        (["--p", "7", "--k", "2", "--sign", "1", "--ell", "4", "--m", "1"],
+         "ell = 4 matches neither p-1 = 6 nor p-2 = 5; no certified construction applies"),
+    ]:
+        assert run(capsys, "certify", *knot) == (EXIT_DOMAIN, "", f"nlo: error: {refusal}\n")
 
 
 def test_invalid_parameters_exit_domain(capsys):
@@ -373,8 +383,7 @@ def test_verify_reads_at_most_the_cap(tmp_path, capsys, monkeypatch, extra):
 
 def test_verify_fails_a_16_mb_word_text_within_bounds(tmp_path, capsys):
     # Below the document cap, so it is decoded; its 8 * 10^6 terms are
-    # refused before any syllable is built and before the grammar match,
-    # which holds some 200 bytes a term, runs.
+    # counted and refused before the parser's one pass builds any syllable.
     _, out, _ = run(capsys, "certify", *T35)
     cert_doc = json.loads(out)["content"]["certificate"]
     cert_doc["positive_s"] = "x y " * 4_000_000
@@ -704,6 +713,10 @@ def test_surgery_document(capsys):
     assert code == EXIT_OK
     content = content_of(out)
     assert content["presentation"]["relators"][1] == "a b^-1 a^2 b^-1 a^2"
+    # The slope is stored with a positive denominator and reduced.
+    code, out, _ = run(capsys, "surgery", *T35, "--slope=38/-2", "--format", "text")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "slope: -19/1"
 
 
 def test_homology_document(capsys):
@@ -910,7 +923,7 @@ def test_sweep_without_flags_covers_the_default_spec(capsys):
 def test_sweep_lower_corner_refused_by_family_params(capsys, field, lo, refusal):
     # The sweep keeps no bounds of its own: the grid's lower corner is
     # built as FamilyParams, whose refusal reaches the user unchanged.
-    with pytest.raises(ParameterError, match=re.escape(refusal)):
+    with pytest.raises(ValueError, match=re.escape(refusal)):
         SweepSpec(**{field: (lo, 4)})
     flag = "--" + field.replace("_", "-")
     code, out, err = run(capsys, "sweep", f"{flag}={lo}:4", "--format", "text")
@@ -989,18 +1002,13 @@ def test_sweep_single_failure_exits_2(capsys, monkeypatch):
     import nlo.sweep as sweep_mod
 
     # A knot whose certificate would unroll past MAX_LETTERS: certify refuses
-    # it with exit 1, while the sweep records the refusal as a FAIL and exits 2.
+    # it with exit 1, and a sweep over it refuses it the same way.
     knot = ("--p", "3", "--k", "1", "--sign", "-1", "--ell", "2", "--m", "600000")
-    refusal = ("the unrolled word would have 1200005 letters, "
-               f"over the cap MAX_LETTERS = {MAX_LETTERS}")
-    assert run(capsys, "certify", *knot) == (EXIT_DOMAIN, "", f"nlo: error: {refusal}\n")
-    code, out, err = run(capsys, "sweep", "--p-range", "3", "--k-range", "1",
-                         "--m-range", "600000", "--signs", "-1", "--cases", "ell=p-1")
-    assert (code, err) == (EXIT_VERIFY, "")
-    assert content_of(out) == {"instances": [{
-        "params": {"p": 3, "k": 1, "sign": -1, "ell": 2, "m": 600000},
-        "verdict": "FAIL", "failures": [f"certify: {refusal}"]}],
-        "total": 1, "passed": 0, "failed": 1}
+    refused = (EXIT_DOMAIN, "", "nlo: error: the unrolled word would have 1200005 letters, "
+               f"over the cap MAX_LETTERS = {MAX_LETTERS}\n")
+    assert run(capsys, "certify", *knot) == refused
+    assert run(capsys, "sweep", "--p-range", "3", "--k-range", "1", "--m-range", "600000",
+               "--signs", "-1", "--cases", "ell=p-1") == refused
 
     real = sweep_mod.run_instance
     calls = {"n": 0}
