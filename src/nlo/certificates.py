@@ -19,12 +19,17 @@ framing once each.  Only scripts/search_positive_ell2.py searches.
 The certificate document, schema 1 of ``nlo.serialize``, is written and
 read here, beside the records it holds.  The reader refuses a version or
 a trace direction it does not know, and any ``hypotheses`` but the one
-constant that schema 1 writes.
+constant that schema 1 writes.  ``verify_document`` is the one path from
+a document's text to its verdict, and so the one statement of what
+``nlo verify`` accepts.
 """
 
 from __future__ import annotations
 
-from .families import CASE_NEXT, CASE_TOP, FamilyParams, KnotData, certified_case, lspace_case
+import json
+
+from .families import (CASE_NEXT, CASE_TOP, FamilyParams, KnotData, build, certified_case,
+                       lspace_case)
 from .presentation import GeneratorChange, TraceStep, insertion_step, replay_trace
 from .serialize import SCHEMA_VERSION, Doc, params_to_doc
 from .words import (
@@ -63,23 +68,19 @@ DIRECTION = "lhs_to_rhs"
 # certificate states them as this constant and the reader takes no other.
 HYPOTHESES = {"x_is_meridian": True, "s_positive": True, "s_contains_x": True}
 
+# Certificate documents nest about 5 levels; json recurses once per level.
+MAX_JSON_DEPTH = 16
+
+# The most characters verify reads: the largest certificate certify prints
+# under the word caps is about 2.5 MB (see the README).
+MAX_DOCUMENT_CHARS = 2**24
+
 
 def _integer(value: object, name: str) -> int:
     """``value`` if it is a JSON integer; floats and booleans are refused."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
     return value
-
-
-def _check_version(doc: Doc, kind: str) -> None:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{kind} document must be a JSON object, not {type(doc).__name__}")
-    version = _integer(doc.get("schema_version"), f"{kind} schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{kind} document has {abbreviate_int('schema version', version)}; "
-            f"this tool reads version {SCHEMA_VERSION}"
-        )
 
 
 class Certificate(Record):
@@ -329,7 +330,14 @@ def _trace_step(entry: Doc) -> TraceStep:
 
 
 def certificate_from_doc(doc: Doc) -> Certificate:
-    _check_version(doc, "certificate")
+    if not isinstance(doc, dict):
+        raise ValueError(f"certificate document must be a JSON object, not {type(doc).__name__}")
+    version = _integer(doc.get("schema_version"), "certificate schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(
+            f"certificate document has {abbreviate_int('schema version', version)}; "
+            f"this tool reads version {SCHEMA_VERSION}"
+        )
     try:
         gc_doc = doc["generator_change"]
         forward = {g: parse_word(t) for g, t in gc_doc["forward"].items()}
@@ -360,6 +368,42 @@ def certificate_from_doc(doc: Doc) -> Certificate:
         )
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed certificate document: {exc}") from exc
+
+
+def verify_document(source) -> VerificationReport:
+    """The verdict on the certificate document read from the text stream
+    ``source``: a certificate, or ``nlo certify``'s output holding one.
+
+    At most MAX_DOCUMENT_CHARS characters and one more are read, and a
+    longer text FAILs before it is decoded.  So does a text the decoder
+    refuses, at the interpreter's recursion limit too (a hostile document
+    reaches it in milliseconds), a value deeper than MAX_JSON_DEPTH levels,
+    a value that is no certificate and parameters that cannot be built.
+    """
+    nests_deeper = ValueError(f"document nests deeper than {MAX_JSON_DEPTH} levels")
+    try:
+        text = source.read(MAX_DOCUMENT_CHARS + 1)
+        if len(text) > MAX_DOCUMENT_CHARS:
+            raise ValueError(f"document is longer than MAX_DOCUMENT_CHARS = {MAX_DOCUMENT_CHARS} "
+                             "characters")
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise nests_deeper from None
+        level = [doc]
+        for _ in range(MAX_JSON_DEPTH):
+            level = [child for value in level if isinstance(value, (dict, list))
+                     for child in (value.values() if isinstance(value, dict) else value)]
+        if any(isinstance(value, (dict, list)) for value in level):
+            raise nests_deeper
+        content = doc.get("content") if isinstance(doc, dict) else None
+        if isinstance(content, dict) and "certificate" in content:
+            doc = content["certificate"]
+        cert = certificate_from_doc(doc)
+        kd = build(cert.params)
+    except ValueError as exc:
+        return VerificationReport((str(exc),))
+    return verify_certificate(kd, cert)
 
 
 def verification_to_doc(report: VerificationReport) -> Doc:

@@ -11,14 +11,19 @@ from itertools import product
 from .certificates import certificate_to_doc, certify, verify_certificate
 from .families import ALL_CASES, FamilyParams, build, certified_case
 from .serialize import params_to_doc
-from .words import Record, abbreviate_text
+from .words import Record, abbreviate_int, abbreviate_text
+
+# The most grid points, (p, k, m, sign, ell) with 2 <= ell <= p-1, a sweep
+# enumerates.  It bounds the number of instances, not their size (see the README).
+MAX_GRID_POINTS = 10**4
 
 
 class SweepSpec(Record):
     """Inclusive parameter ranges and case filter for a sweep.
 
     The defaults are the one statement of the grid that ``nlo sweep`` and
-    scripts/gap_report.py cover when given no flags.
+    scripts/gap_report.py cover when given no flags.  A grid of over
+    MAX_GRID_POINTS points is refused before any is enumerated.
     """
 
     def __init__(self, p_range: tuple[int, int] = (3, 7), k_range: tuple[int, int] = (1, 4),
@@ -30,12 +35,18 @@ class SweepSpec(Record):
         if sorted(signs) not in ([-1], [1], [-1, 1]):
             raise ValueError("signs must be a nonempty subset of {-1, +1}")
         # FamilyParams refuses a grid whose lower corner it cannot build.
-        (p, _), (k, _), (m, _) = p_range, k_range, m_range
+        (p, p_hi), (k, k_hi), (m, m_hi) = p_range, k_range, m_range
         for sign in signs:
             FamilyParams(p, k, sign, p - 1, m)
         unknown = set(cases) - set(ALL_CASES)
         if unknown:
             raise ValueError(f"unknown cases {sorted(unknown)}")
+        # The sum of p - 2 over the p range, times the other ranges' sizes.
+        points = ((p_hi - p + 1) * (p + p_hi - 4) // 2 * (k_hi - k + 1) * (m_hi - m + 1)
+                  * len(signs))
+        if points > MAX_GRID_POINTS:
+            raise ValueError(f"{abbreviate_int('the grid has a point count', points, ' of ')}, "
+                             f"over the cap MAX_GRID_POINTS = {MAX_GRID_POINTS}")
         self._set(p_range=p_range, k_range=k_range, m_range=m_range, signs=signs, cases=cases)
 
 

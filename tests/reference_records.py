@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from nlo.families import ALL_CASES, PARAM_LIMIT
-from nlo.words import Word
+from nlo.sweep import MAX_GRID_POINTS
+from nlo.words import Word, abbreviate_int
 
 
 @dataclass(frozen=True)
@@ -163,3 +164,9 @@ class SweepSpec:
         unknown = set(self.cases) - set(ALL_CASES)
         if unknown:
             raise ValueError(f"unknown cases {sorted(unknown)}")
+        (p_lo, p_hi), (k_lo, k_hi), (m_lo, m_hi) = self.p_range, self.k_range, self.m_range
+        points = ((p_hi - p_lo + 1) * (p_lo + p_hi - 4) // 2 * (k_hi - k_lo + 1)
+                  * (m_hi - m_lo + 1) * len(self.signs))
+        if points > MAX_GRID_POINTS:
+            raise ValueError(f"{abbreviate_int('the grid has a point count', points, ' of ')}, "
+                             f"over the cap MAX_GRID_POINTS = {MAX_GRID_POINTS}")

@@ -17,17 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_cli
-from nlo import cli
-from nlo.cli import (
-    _COMMANDS,
-    EXIT_DOMAIN,
-    EXIT_OK,
-    EXIT_USAGE,
-    EXIT_VERIFY,
-    MAX_DOCUMENT_CHARS,
-    MAX_JSON_DEPTH,
-    main,
-)
+from nlo import certificates, cli
+from nlo.certificates import MAX_DOCUMENT_CHARS, MAX_JSON_DEPTH
+from nlo.cli import _COMMANDS, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from nlo.serialize import params_to_doc
 from nlo.sweep import SweepSpec, grid_instances, parse_range, parse_signs, run_sweep
 from nlo.words import MAX_LETTERS, SUBSTITUTE_BUDGET, Word, format_word, parse_word, substitute
@@ -369,7 +361,7 @@ def test_verify_reads_at_most_the_cap(tmp_path, capsys, monkeypatch, extra):
     path = tmp_path / "padded.json"
     path.write_text(out.ljust(MAX_DOCUMENT_CHARS + extra))
     if extra:
-        monkeypatch.setattr(cli.json, "loads", over_the_cap)
+        monkeypatch.setattr(certificates.json, "loads", over_the_cap)
     code, out, err = run(capsys, "verify", "--certificate", str(path))
     monkeypatch.undo()
     if not extra:
@@ -982,6 +974,19 @@ def test_sweep_refuses_an_empty_grid(capsys):
                          "--m-range", "1:1", "--cases", "ell=p-2")
     assert (code, out) == (EXIT_DOMAIN, "")
     assert "no certifiable instance" in err
+    # A grid of over MAX_GRID_POINTS points is refused before any is enumerated.
+    for argv, points in [
+        (["--p-range", "3:100000000", "--k-range", "1", "--m-range", "1", "--signs", "-1"],
+         4999999850000001),
+        (["--p-range", "3", "--k-range", "1", "--m-range", "1:100000000", "--signs", "-1",
+          "--cases", "ell=p-1"], 100000000),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sweep", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == (f"nlo: error: the grid has a point count of {points}, "
+                       "over the cap MAX_GRID_POINTS = 10000\n")
 
 
 def test_sweep_refuses_an_empty_range(capsys):
@@ -1413,6 +1418,9 @@ def test_verify_missing_file_exit_domain(tmp_path, capsys):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert "No such file" in err
+    # open() refuses a path with a NUL, which only an in-process argv can hold.
+    code, out, err = run(capsys, "verify", "--certificate", "a\x00b")
+    assert (code, out, err) == (EXIT_DOMAIN, "", "nlo: error: embedded null byte\n")
 
 
 # An OSError quotes its path whole; main cuts it as it cuts other outside text.

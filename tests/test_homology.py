@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nlo.alexander import alexander_polynomial
 from nlo.families import FamilyParams, Presentation, Slope, build, surgery_presentation
 from nlo.homology import (
     Homology,
@@ -241,4 +242,11 @@ def test_two_generator_kernels_refuse_three_generators():
         surgery_h1(kd, Slope(1, 1))
     with pytest.raises(ValueError, match="two-generator"):
         h1_class_map(pres, kd.mu)
+    # The Alexander polynomial needs one relator as well: the 1/1 surgery
+    # presentation of the same knot has two.
+    knot = build(FamilyParams(3, 2, -1, 2, 1))
+    surgery = knot.replace(presentation=surgery_presentation(knot, Slope(1, 1)))
+    for data in (kd, surgery):
+        with pytest.raises(ValueError, match="two-generator, one-relator"):
+            alexander_polynomial(data)
 
