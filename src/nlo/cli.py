@@ -22,25 +22,16 @@ Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage.
 
 from __future__ import annotations
 
-import importlib
 import os
 import re
 import sys
 from collections import namedtuple
 from collections.abc import Callable
-from functools import cache
 from types import SimpleNamespace
 
+# Every command needs these modules; a handler imports any other where it runs.
 from . import __version__
-from .families import (
-    ALL_CASES,
-    FamilyParams,
-    KnotData,
-    Slope,
-    build,
-    lspace_case,
-    surgery_presentation,
-)
+from .families import FamilyParams, KnotData, Slope, build, lspace_case, surgery_presentation
 from .serialize import SCHEMA_VERSION, knot_data_to_doc, presentation_to_doc, render_document
 from .words import COMMUTATION_MAX_COSETS, DEFAULT_MAX_COSETS, abbreviate_text, parse_word
 
@@ -56,14 +47,6 @@ EXIT_USAGE = 64
 
 # A separate value that starts with "-" and is not a number reads as a flag.
 SLOPE_HELP = "p'/q' or p'; give a negative slope as --slope=-1/1, not --slope -1/1"
-
-
-# Every command needs the modules imported above; a handler loads the others
-# it runs here on its first call, and reads their functions at call time.
-@cache
-def _module(name: str):
-    """The module nlo.``name``, imported once, on the first call that asks."""
-    return importlib.import_module(f"{__package__}.{name}")
 
 
 def _knot(args) -> KnotData:
@@ -86,7 +69,7 @@ def _cmd_present(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_certify(args) -> tuple[int, dict, list[str]]:
-    certificates = _module("certificates")
+    from . import certificates
     kd = _knot(args)
     cert = certificates.certify(kd)
     report = certificates.verify_certificate(kd, cert)
@@ -106,7 +89,7 @@ def _cmd_certify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
-    certificates = _module("certificates")
+    from . import certificates
     # A file that cannot be opened is a domain error (exit 1); what it holds gets a verdict.
     if args.certificate == "-":
         report = certificates.verify_document(sys.stdin)
@@ -132,7 +115,7 @@ def _cmd_surgery(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_homology(args) -> tuple[int, dict, list[str]]:
-    homology = _module("homology")
+    from . import homology
     kd = _knot(args)
     if args.slope is None:
         group = homology.h1(kd.presentation)
@@ -149,7 +132,7 @@ def _cmd_homology(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_alexander(args) -> tuple[int, dict, list[str]]:
-    alexander = _module("alexander")
+    from . import alexander
     kd = _knot(args)
     delta = alexander.alexander_polynomial(kd)
     text = alexander.polynomial_text(delta)
@@ -164,12 +147,13 @@ def _cmd_alexander(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_order(args) -> tuple[int, dict, list[str]]:
+    from . import cosets
     kd = _knot(args)
     pres = kd.presentation
     if args.slope is not None:
         pres = surgery_presentation(kd, Slope.parse(args.slope))
     subgroup = [parse_word(t) for t in args.subgroup]
-    table = _module("cosets").todd_coxeter(pres, subgroup, max_cosets=args.max_cosets)
+    table = cosets.todd_coxeter(pres, subgroup, max_cosets=args.max_cosets)
     content = {
         "status": table.status,
         "cosets": table.num_cosets,
@@ -183,8 +167,9 @@ def _cmd_order(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_commutation(args) -> tuple[int, dict, list[str]]:
+    from . import cosets
     kd = _knot(args)
-    report = _module("cosets").check_peripheral_commutation(kd, max_cosets=args.max_cosets)
+    report = cosets.check_peripheral_commutation(kd, max_cosets=args.max_cosets)
     content = {
         "consistent": report.consistent,
         "complete_enumerations": report.complete_enumerations,
@@ -196,22 +181,18 @@ def _cmd_commutation(args) -> tuple[int, dict, list[str]]:
     return (EXIT_OK if report.consistent else EXIT_VERIFY), content, [str(report)]
 
 
-# How each ``sweep`` flag's text becomes the SweepSpec field of its name.
-_SWEEP_FIELDS = {
-    "p_range": lambda text: _module("sweep").parse_range(text),
-    "k_range": lambda text: _module("sweep").parse_range(text),
-    "m_range": lambda text: _module("sweep").parse_range(text),
-    "signs": lambda text: _module("sweep").parse_signs(text),
-    "cases": lambda text: ALL_CASES if text == "all" else tuple(text.split(",")),
-}
+# The ``sweep`` flags, each setting the SweepSpec field of its name.
+_SWEEP_FIELDS = ("p_range", "k_range", "m_range", "signs", "cases")
 
 
 def _cmd_sweep(args) -> tuple[int, dict, list[str]]:
-    sweep = _module("sweep")
-    # A flag left out keeps SweepSpec's default.
+    from . import sweep
+    # The three ranges are read by parse_range; a flag left out keeps SweepSpec's default.
+    parse = {"signs": sweep.parse_signs,
+             "cases": lambda text: sweep.ALL_CASES if text == "all" else tuple(text.split(","))}
     spec = sweep.SweepSpec(**{
-        name: parse(getattr(args, name))
-        for name, parse in _SWEEP_FIELDS.items()
+        name: parse.get(name, sweep.parse_range)(getattr(args, name))
+        for name in _SWEEP_FIELDS
         if getattr(args, name) is not None
     })
     result = sweep.run_sweep(spec)

@@ -131,8 +131,6 @@ CASE_TOP = "ell=p-1"
 CASE_NEXT = "ell=p-2,m=1"
 # The L-space cases that positive-rewriting certificates cover.
 CERTIFIED_CASES = (CASE_TOP, CASE_NEXT)
-# The ``cases`` values of a sweep: the ell condition that opens each certified case.
-ALL_CASES = tuple(case.split(",")[0] for case in CERTIFIED_CASES)
 
 
 def lspace_case(params: FamilyParams) -> str | None:

@@ -9,9 +9,12 @@ from __future__ import annotations
 from itertools import product
 
 from .certificates import certificate_to_doc, certify, verify_certificate
-from .families import ALL_CASES, FamilyParams, build, certified_case
+from .families import CERTIFIED_CASES, FamilyParams, build, certified_case
 from .serialize import params_to_doc
 from .words import Record, abbreviate_int, abbreviate_text
+
+# The ``cases`` values of a sweep: the ell condition that opens each certified case.
+ALL_CASES = tuple(case.split(",")[0] for case in CERTIFIED_CASES)
 
 # The most grid points, (p, k, m, sign, ell) with 2 <= ell <= p-1, a sweep
 # enumerates.  It bounds the number of instances, not their size (see the README).

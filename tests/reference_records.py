@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from nlo.families import ALL_CASES, PARAM_LIMIT
-from nlo.sweep import MAX_GRID_POINTS
+from nlo.families import PARAM_LIMIT
+from nlo.sweep import ALL_CASES, MAX_GRID_POINTS
 from nlo.words import Word, abbreviate_int
 
 

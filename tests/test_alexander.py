@@ -207,6 +207,22 @@ def test_alexander_matches_semigroup_oracle_on_large_torus_knots(params, r, s):
     assert delta == coefficients(semigroup_torus_alexander(r, s))
 
 
+def test_three_twisted_families_have_torus_polynomials():
+    # The 119 instances of the 708-instance grid (p 3:12, k 1:6, m 1:5)
+    # whose polynomial is that of the torus knot T(r, s) named beside them.
+    families = (
+        [((p, 1, -1, p - 1, m), p - 1, p + (p - 1) * m) for p in range(3, 13) for m in range(1, 6)]
+        + [((p, k, 1, p - 1, 1), p, p * (k + 1) - 1) for p in range(3, 13) for k in range(1, 7)]
+        + [((p, 1, -1, p - 2, 1), p - 1, 2 * p - 3) for p in range(4, 13)]
+    )
+    assert len(families) == 50 + 60 + 9
+    mismatched = [
+        (params, r, s) for params, r, s in families
+        if alexander_polynomial(build(FamilyParams(*params))) != coefficients(torus_alexander(r, s))
+    ]
+    assert mismatched == []
+
+
 def test_braid_alexander_trefoil():
     assert braid_alexander(2, 3, 2, 0) == torus_alexander(2, 3)
 

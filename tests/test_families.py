@@ -1,5 +1,6 @@
 import pytest
 
+from nlo.alexander import alexander_polynomial
 from nlo.families import (
     FamilyParams,
     M_ZERO_NOTE,
@@ -10,7 +11,15 @@ from nlo.families import (
 )
 from nlo.homology import h1_class_map
 from nlo.serialize import knot_data_to_doc
-from nlo.words import MAX_LETTERS, Word, exponent_sum, parse_word
+from nlo.words import (
+    MAX_LETTERS,
+    Word,
+    cyclic_reduce,
+    exponent_sum,
+    is_cyclic_rotation,
+    parse_word,
+    substitute,
+)
 from reference_fox import word_class
 
 GRID = [
@@ -79,6 +88,52 @@ def test_grid_invariants(ptuple):
     classes = h1_class_map(kd.presentation, kd.mu)
     assert word_class(kd.mu, classes) == 1
     assert word_class(kd.s, classes) == kd.params.v
+
+
+# The k = 1 mirror pairs: T(p, p-1; ell, m) and T(p-1, p; ell, m) with
+# p 4:12, 2 <= ell <= p-2 and m 1:5.
+MIRROR_PAIRS = [
+    (FamilyParams(p, 1, -1, ell, m), FamilyParams(p - 1, 1, 1, ell, m))
+    for p in range(4, 13)
+    for ell in range(2, p - 1)
+    for m in range(1, 6)
+]
+
+
+def _swap(w: Word) -> Word:
+    return substitute(w, {"a": Word([("b", 1)]), "b": Word([("a", 1)])})
+
+
+def _equal_in_group(u: Word, kd) -> bool:
+    """Whether u and ``kd``'s framing differ by one conjugate of its relator
+    or of the relator's inverse, and so are equal in its group."""
+    relator = kd.presentation.relators[0]
+    core = cyclic_reduce(u * ~kd.s)
+    return is_cyclic_rotation(core, relator) or is_cyclic_rotation(core, ~relator)
+
+
+def test_mirror_pairs_have_one_group_meridian_and_framing():
+    # Swapping a and b takes T(p, p-1; ell, m) to T(p-1, p; ell, m): the
+    # builders derive the two by hand from different braids, so each holds
+    # the other's group, meridian and framing.
+    assert len(MIRROR_PAIRS) == 225
+    shifted_caught = 0
+    for params, mirror_params in MIRROR_PAIRS:
+        kd, mirror = build(params), build(mirror_params)
+        assert _swap(kd.presentation.relators[0]) == ~mirror.presentation.relators[0]
+        assert _swap(kd.mu) == mirror.mu
+        assert params.v == mirror_params.v
+        assert _equal_in_group(_swap(kd.s), mirror), params
+        shifted_caught += sum(
+            not _equal_in_group(_swap(kd.s * kd.mu ** e), mirror) for e in (1, -1))
+    assert shifted_caught == 2 * len(MIRROR_PAIRS)
+
+
+def test_mirror_pairs_have_one_alexander_polynomial():
+    pairs = [(a, b) for a, b in MIRROR_PAIRS if a.p <= 10 and a.m <= 4]
+    assert len(pairs) == 112
+    assert [a for a, b in pairs
+            if alexander_polynomial(build(a)) != alexander_polynomial(build(b))] == []
 
 
 def test_parameter_validation():

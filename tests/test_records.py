@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import reference_records as ref
 from nlo import certificates, cosets, families, homology, presentation, sweep
-from nlo.families import ALL_CASES, PARAM_LIMIT
+from nlo.families import PARAM_LIMIT
+from nlo.sweep import ALL_CASES
 from nlo.words import Record, Word
 
 words = st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-3, 3)), max_size=4).map(Word)

@@ -7,6 +7,7 @@ import pytest
 
 import gap_report
 import search_positive_ell2
+import verify_trust_base
 from nlo.sweep import SweepSpec, grid_instances
 
 
@@ -57,3 +58,13 @@ def test_gap_report_below_the_family_bounds_is_a_usage_error(monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("gap_report.py: error: require p >= 3, got p = 2\n")
+
+
+def test_verify_trust_base_counts_only_what_verify_runs(monkeypatch, capsys):
+    out = run_script(monkeypatch, capsys, verify_trust_base)
+    rows = [line.split() for line in out.splitlines()[1:]]
+    counts = {name: int(lines) for name, lines in rows}
+    total = counts.pop("total")
+    assert total == sum(counts.values()) > 0
+    # verify reads and checks a certificate; it runs no oracle and no sweep.
+    assert set(counts) == {"cli", "words", "families", "serialize", "certificates", "presentation"}
